@@ -45,6 +45,8 @@ from .invariants import (
     weyl_order,
 )
 from .rootsys import (
+    CLOSURE_CEILING,
+    ClosureCeilingError,
     Root,
     RootSystem,
     Subsystem,
@@ -73,14 +75,12 @@ from .weylgrp import (
     ExpansionReport,
     GroupTable,
     SolomonReport,
-    SubgroupCosets,
     WeylElement,
     conjugacy_classes,
+    coset_character,
     delta_value,
     enumerate_group,
     group_table_of,
-    left_cosets,
-    perm_character,
     reflection_subgroup,
     verify_companion,
     verify_restricted_expansion,

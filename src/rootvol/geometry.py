@@ -10,6 +10,7 @@ whose coordinates are the (all negative) marks.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,7 +190,8 @@ def montecarlo_nu(
 
     Directions are isotropic Gaussian points in Cartesian coordinates with
     the magnitude ignored.  Each worker consumes its own (seed, worker)
-    substream, so totals depend only on (seed, workers)."""
+    substream, so totals depend only on (seed, workers); the substreams
+    share a thread pool of at most os.cpu_count() threads."""
     decomposition = as_decomposition(spec)
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
@@ -201,7 +203,7 @@ def montecarlo_nu(
     if workers == 1:
         hits = _count_cone0(embedding, counts[0], seed, 0, tol)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             futures = [
                 pool.submit(_count_cone0, embedding, counts[w], seed, w, tol)
                 for w in range(workers)

@@ -21,11 +21,33 @@ from .diagram import (
 )
 from .exact import as_int
 
-# Ten times the largest root count in the finite catalogue (E8 has 240).
-CLOSURE_BOUND = 2400
+# Closures larger than this are refused before they start: B100 and C100,
+# with 20,000 roots, are the largest that fit.  The cost of a closure grows
+# with its size times the rank, and A1000 would need a million roots.
+CLOSURE_CEILING = 20_000
 
 
-@dataclass(frozen=True)
+class ClosureCeilingError(ValueError):
+    """A finite root system of this rank may exceed the closure ceiling."""
+
+
+# Root counts of G2, F4, E7 and E8: the ranks at which an exceptional type
+# has more roots than B_k and C_k, which have 2k^2.
+_EXCEPTIONAL_ROOTS = {2: 12, 4: 48, 7: 126, 8: 240}
+
+
+def closure_bound(cartan: CartanMatrix) -> int:
+    """Largest root count of a finite root system with this diagram's
+    components: for each component of rank k, the most roots of any
+    irreducible type of rank k."""
+    return sum(
+        max(2 * len(c) ** 2, _EXCEPTIONAL_ROOTS.get(len(c), 0))
+        for c in cartan.components()
+    )
+
+
+# Slots: a large closure keeps tens of thousands of roots alive.
+@dataclass(frozen=True, slots=True)
 class Root:
     coords: tuple[int, ...]
 
@@ -54,15 +76,25 @@ class RootSystem:
         return root.coords in self.coord_set
 
 
-def generate_roots(cartan: CartanMatrix, closure_bound: int = CLOSURE_BOUND) -> RootSystem:
+def generate_roots(cartan: CartanMatrix) -> RootSystem:
     """Close the simple roots under the simple reflections.
 
     The closure of a finite-type matrix is the full root set.  Inputs that
     are not finite type make the orbit grow without bound and are rejected
-    once it exceeds ``closure_bound``.
+    once it exceeds ``closure_bound(cartan)``; ranks whose bound exceeds
+    ``CLOSURE_CEILING`` are rejected before the closure starts.
     """
     n = cartan.size
     a = cartan.entries
+    bound = closure_bound(cartan)
+    if bound > CLOSURE_CEILING:
+        raise ClosureCeilingError(
+            f"rank {n} admits up to {bound} roots, above the closure "
+            f"ceiling of {CLOSURE_CEILING}"
+        )
+    # The pairing of a root with simple root j needs only the nonzero
+    # entries of column j, at most four of them.
+    columns = [tuple((i, a[i][j]) for i in range(n) if a[i][j]) for j in range(n)]
     seen: set[tuple[int, ...]] = set()
     frontier: list[tuple[int, ...]] = []
     for i in range(n):
@@ -72,15 +104,17 @@ def generate_roots(cartan: CartanMatrix, closure_bound: int = CLOSURE_BOUND) -> 
     while frontier:
         fresh = []
         for c in frontier:
-            for j in range(n):
-                pairing = sum(c[i] * a[i][j] for i in range(n))
+            for j, column in enumerate(columns):
+                pairing = sum(c[i] * x for i, x in column)
+                if not pairing:
+                    continue
                 image = c[:j] + (c[j] - pairing,) + c[j + 1 :]
                 if image not in seen:
                     seen.add(image)
                     fresh.append(image)
-        if len(seen) > closure_bound:
+        if len(seen) > bound:
             raise NotFiniteTypeError(
-                f"reflection closure exceeded {closure_bound} vectors; "
+                f"reflection closure exceeded {bound} vectors; "
                 "input is not finite type"
             )
         frontier = fresh

@@ -2,7 +2,8 @@
 
 Elements act on simple-root coordinate rows, v -> v @ matrix, so the matrix
 rows are the images of the simple basis vectors.  Determinant expressions
-det(1 - q w) are evaluated exactly over rationals from these matrices.
+det(1 - q w) are evaluated exactly over rationals from these matrices, and
+the integer determinants det(w) and det(1 - w) by fraction-free elimination.
 
 The generator list S_0 is indexed by position: position 0 is the reflection
 in the highest root, positions 1..l are the simple reflections.  Subsets of
@@ -13,13 +14,15 @@ group element and are still counted separately.
 from __future__ import annotations
 
 import itertools
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .diagram import DecompositionLabel, TypeLabel, classify, parse_label
-from .exact import as_int, det
+from .exact import det, det_int
 from .invariants import degrees_of, degrees_of_type, nu, weyl_order
 from .identity import node_terms
 from .rootsys import (
@@ -93,7 +96,7 @@ def det_one_minus(matrix: Matrix, scalar: Fraction) -> Fraction:
 
 
 def matrix_det(matrix: Matrix) -> int:
-    return as_int(det([[Fraction(x) for x in row] for row in matrix]))
+    return det_int(matrix)
 
 
 def delta_value(w: WeylElement, q: Fraction | int, t: Fraction | int) -> Fraction:
@@ -112,7 +115,9 @@ class GroupTable:
 
     `simple` holds the element indices of s_1..s_l in node order and
     `s_theta` the index of the reflection in the highest root; together they
-    realize the generator list S_0.
+    realize the generator list S_0.  For the generator s at S_0 position p,
+    `right[p][i]` is the index of w_i * s and `left[p][i]` that of s * w_i,
+    so every product with a generator is a lookup.
     """
 
     decomposition: DecompositionLabel
@@ -120,6 +125,9 @@ class GroupTable:
     index: dict[Matrix, int] = field(repr=False)
     simple: tuple[int, ...]
     s_theta: int
+    right: tuple[array, ...] = field(repr=False)
+    left: tuple[array, ...] = field(repr=False)
+    _classes: ConjugacyClasses | None = field(default=None, init=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -128,15 +136,6 @@ class GroupTable:
     @property
     def rank(self) -> int:
         return len(self.simple)
-
-    def element_index(self, w: WeylElement) -> int:
-        try:
-            return self.index[w.matrix]
-        except KeyError:
-            raise ValueError("element does not belong to this group") from None
-
-    def product_index(self, i: int, j: int) -> int:
-        return self.index[_matmul(self.elements[i].matrix, self.elements[j].matrix)]
 
     def generator_positions(self) -> tuple[int, ...]:
         """Element indices for S_0 positions 0..l (position 0 = s_theta)."""
@@ -163,28 +162,55 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     identity = _identity_matrix(rank)
     elements: list[Matrix] = [identity]
     index: dict[Matrix, int] = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        fresh: list[Matrix] = []
-        for m in frontier:
-            for g in generators:
-                p = _matmul(m, g)
-                if p not in index:
-                    index[p] = len(elements)
-                    elements.append(p)
-                    fresh.append(p)
-        frontier = fresh
+    # Element j was first reached as elements[parent[j]] * generators[via[j]].
+    parent = [0]
+    via = [0]
+    # Each row of an element is the image of a simple root, so only |Phi|
+    # distinct rows occur; kept elements share them.
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    right = [array("I") for _ in generators]
+    # The list grows while it is walked, so elements are visited breadth
+    # first and in index order, and right[k] fills in index order.
+    for i, m in enumerate(elements):
+        for k, g in enumerate(generators):
+            p = _matmul(m, g)
+            j = index.get(p)
+            if j is None:
+                p = tuple(rows.setdefault(r, r) for r in p)
+                j = index[p] = len(elements)
+                elements.append(p)
+                parent.append(i)
+                via.append(k)
+            right[k].append(j)
     if len(elements) != expected:
         raise RuntimeError(
             f"closure produced {len(elements)} elements, expected {expected}"
         )
-    theta_matrix = reflection_matrix(rs, highest_root(rs))
+    simple = tuple(index[g] for g in generators)
+    s_theta = index[reflection_matrix(rs, highest_root(rs))]
+
+    def left_by(x: int) -> array:
+        # x * w_j = (x * w_parent) * s_via, so the words give every product.
+        column = array("I", [x])
+        for j in range(1, len(elements)):
+            column.append(right[via[j]][column[parent[j]]])
+        return column
+
+    left = [left_by(x) for x in simple]
+    left_theta = left_by(s_theta)
+    inverse = [0] * len(elements)
+    for j in range(1, len(elements)):
+        inverse[j] = left[via[j]][inverse[parent[j]]]
+    # s_theta is an involution, so w * s_theta = (s_theta * w^-1)^-1.
+    right_theta = array("I", (inverse[left_theta[inverse[j]]] for j in range(len(elements))))
     return GroupTable(
         decomposition=decomposition,
         elements=tuple(WeylElement(m) for m in elements),
         index=index,
-        simple=tuple(index[g] for g in generators),
-        s_theta=index[theta_matrix],
+        simple=simple,
+        s_theta=s_theta,
+        right=(right_theta, *right),
+        left=(left_theta, *left),
     )
 
 
@@ -212,8 +238,10 @@ class ConjugacyClasses:
 
 def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     """Orbits under conjugation by the simple reflections (involutions, so
-    conjugation is s * w * s)."""
-    gens = [table.elements[i].matrix for i in table.simple]
+    conjugation is s * w * s).  Computed once per table and kept on it."""
+    if table._classes is not None:
+        return table._classes
+    conjugators = [(table.left[p], table.right[p]) for p in range(1, table.rank + 1)]
     class_of = [-1] * table.order
     reps: list[int] = []
     sizes: list[int] = []
@@ -227,73 +255,34 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
         size = 1
         while stack:
             j = stack.pop()
-            m = table.elements[j].matrix
-            for s in gens:
-                k = table.index[_matmul(_matmul(s, m), s)]
+            for left, right in conjugators:
+                k = left[right[j]]
                 if class_of[k] == -1:
                     class_of[k] = cid
                     size += 1
                     stack.append(k)
         sizes.append(size)
-    return ConjugacyClasses(tuple(class_of), tuple(reps), tuple(sizes))
+    table._classes = ConjugacyClasses(tuple(class_of), tuple(reps), tuple(sizes))
+    return table._classes
 
 
 def reflection_subgroup(table: GroupTable, generators: Iterable[int]) -> tuple[int, ...]:
-    """Indices of the subgroup generated by the given element indices,
-    closed by breadth-first multiplication inside the ambient table."""
-    gens = sorted(set(generators))
-    members = {0}
-    frontier = [0]
-    while frontier:
-        fresh: list[int] = []
-        for i in frontier:
-            for g in gens:
-                j = table.product_index(i, g)
-                if j not in members:
-                    members.add(j)
-                    fresh.append(j)
-        frontier = fresh
+    """Indices of the subgroup generated by the given members of S_0 (as
+    element indices), closed breadth first through the right columns."""
+    position_of = {element: p for p, element in enumerate(table.generator_positions())}
+    try:
+        columns = [table.right[position_of[g]] for g in set(generators)]
+    except KeyError as exc:
+        raise ValueError(f"element {exc.args[0]} is not a member of S_0") from None
+    members = [0]
+    seen = {0}
+    for i in members:
+        for column in columns:
+            j = column[i]
+            if j not in seen:
+                seen.add(j)
+                members.append(j)
     return tuple(sorted(members))
-
-
-@dataclass(frozen=True)
-class SubgroupCosets:
-    """Left cosets x W_J of a reflection subgroup, one id per element."""
-
-    table: GroupTable
-    members: tuple[int, ...]
-    coset_of: tuple[int, ...]
-    representatives: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.representatives)
-
-
-def left_cosets(table: GroupTable, members: Sequence[int]) -> SubgroupCosets:
-    coset_of = [-1] * table.order
-    reps: list[int] = []
-    for i in range(table.order):
-        if coset_of[i] != -1:
-            continue
-        cid = len(reps)
-        reps.append(i)
-        for m in members:
-            coset_of[table.product_index(i, m)] = cid
-    if len(members) * len(reps) != table.order:
-        raise RuntimeError("coset partition does not tile the group")
-    return SubgroupCosets(table, tuple(members), tuple(coset_of), tuple(reps))
-
-
-def perm_character(cosets: SubgroupCosets, w: WeylElement) -> int:
-    """Number of left cosets fixed by left multiplication with w."""
-    table = cosets.table
-    widx = table.element_index(w)
-    fixed = 0
-    for rep in cosets.representatives:
-        if cosets.coset_of[table.product_index(widx, rep)] == cosets.coset_of[rep]:
-            fixed += 1
-    return fixed
 
 
 @dataclass(frozen=True)
@@ -428,24 +417,49 @@ class SubsetIdentityReport:
         }
 
 
+def coset_character(table: GroupTable, generators: Iterable[int]) -> tuple[int, ...]:
+    """Number of left cosets of W_J fixed by w, per conjugacy class of w,
+    where W_J is generated by the given members of S_0 (element indices).
+
+    This character is induced from the trivial character of W_J, so its
+    value on a class C is |W| * |C ∩ W_J| / (|C| * |W_J|) (Geck and
+    Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
+    Algebras, 2000, ch. 2): only the class counts of W_J are needed."""
+    classes = conjugacy_classes(table)
+    members = reflection_subgroup(table, generators)
+    values = [0] * classes.count
+    for cid, hits in Counter(classes.class_of[m] for m in members).items():
+        value, remainder = divmod(table.order * hits, classes.sizes[cid] * len(members))
+        if remainder:
+            raise RuntimeError(
+                f"coset character of a subgroup of order {len(members)} "
+                f"is not an integer on class {cid}"
+            )
+        values[cid] = value
+    return tuple(values)
+
+
 def _signed_character_sums(
     table: GroupTable,
-    classes: ConjugacyClasses,
     positions: Sequence[int],
     subsets: Iterable[tuple[int, ...]],
     sign_of: callable,
-) -> list[Fraction]:
+) -> list[int]:
     """Sum over subsets J of sign(J) * perm character of W/W_J, as a vector
     indexed by conjugacy class."""
-    totals = [0] * classes.count
-    reps = [table.elements[i] for i in classes.representatives]
+    totals = [0] * conjugacy_classes(table).count
     for subset in subsets:
-        members = reflection_subgroup(table, (positions[p] for p in subset))
-        cosets = left_cosets(table, members)
         sign = sign_of(subset)
-        for cid, w in enumerate(reps):
-            totals[cid] += sign * perm_character(cosets, w)
+        values = coset_character(table, (positions[p] for p in subset))
+        for cid, value in enumerate(values):
+            totals[cid] += sign * value
     return totals
+
+
+def _one_minus(matrix: Matrix) -> Matrix:
+    return tuple(
+        tuple(int(i == j) - x for j, x in enumerate(row)) for i, row in enumerate(matrix)
+    )
 
 
 def verify_steinberg(label: TypeLabel | str, cap: int = DEFAULT_CAP) -> SubsetIdentityReport:
@@ -463,14 +477,14 @@ def verify_steinberg(label: TypeLabel | str, cap: int = DEFAULT_CAP) -> SubsetId
         for subset in itertools.combinations(range(rank + 1), size)
     ]
     totals = _signed_character_sums(
-        table, classes, positions, subsets, lambda s: (-1) ** (rank - len(s))
+        table, positions, subsets, lambda s: (-1) ** (rank - len(s))
     )
     failures = []
     for i, w in enumerate(table.elements):
-        lhs = det_one_minus(w.matrix, Fraction(1))
+        lhs = det_int(_one_minus(w.matrix))
         rhs = totals[classes.class_of[i]]
         if lhs != rhs:
-            failures.append(ElementFailure(i, w.matrix, lhs, Fraction(rhs)))
+            failures.append(ElementFailure(i, w.matrix, Fraction(lhs), Fraction(rhs)))
     return SubsetIdentityReport(label, "steinberg", table.order, len(subsets), tuple(failures))
 
 
@@ -488,14 +502,14 @@ def verify_companion(label: TypeLabel | str, cap: int = DEFAULT_CAP) -> SubsetId
         for subset in itertools.combinations(range(rank), size)
     ]
     totals = _signed_character_sums(
-        table, classes, table.simple, subsets, lambda s: (-1) ** len(s)
+        table, table.simple, subsets, lambda s: (-1) ** len(s)
     )
     failures = []
     for i, w in enumerate(table.elements):
-        lhs = Fraction(matrix_det(w.matrix))
+        lhs = matrix_det(w.matrix)
         rhs = totals[classes.class_of[i]]
         if lhs != rhs:
-            failures.append(ElementFailure(i, w.matrix, lhs, Fraction(rhs)))
+            failures.append(ElementFailure(i, w.matrix, Fraction(lhs), Fraction(rhs)))
     return SubsetIdentityReport(label, "companion", table.order, len(subsets), tuple(failures))
 
 

@@ -1,0 +1,60 @@
+"""Brute-force coset oracle for the tests.
+
+It finds the left cosets x W_J of a subgroup by multiplying group elements,
+and counts the cosets that w fixes.  The library gets the same permutation
+characters from class counts; the tests compare the two.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+from rootvol.weylgrp import GroupTable, WeylElement
+
+
+def product_index(table: GroupTable, i: int, j: int) -> int:
+    return table.index[(table.elements[i] * table.elements[j]).matrix]
+
+
+@dataclass(frozen=True)
+class SubgroupCosets:
+    """Left cosets x W_J of a reflection subgroup, one id per element."""
+
+    table: GroupTable
+    members: tuple[int, ...]
+    coset_of: tuple[int, ...]
+    representatives: tuple[int, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.representatives)
+
+
+def left_cosets(table: GroupTable, members: Sequence[int]) -> SubgroupCosets:
+    coset_of = [-1] * table.order
+    reps: list[int] = []
+    for i in range(table.order):
+        if coset_of[i] != -1:
+            continue
+        cid = len(reps)
+        reps.append(i)
+        for m in members:
+            coset_of[product_index(table, i, m)] = cid
+    if len(members) * len(reps) != table.order:
+        raise RuntimeError("coset partition does not tile the group")
+    return SubgroupCosets(table, tuple(members), tuple(coset_of), tuple(reps))
+
+
+def perm_character(cosets: SubgroupCosets, w: WeylElement) -> int:
+    """Number of left cosets fixed by left multiplication with w."""
+    table = cosets.table
+    try:
+        widx = table.index[w.matrix]
+    except KeyError:
+        raise ValueError("element does not belong to this group") from None
+    fixed = 0
+    for rep in cosets.representatives:
+        if cosets.coset_of[product_index(table, widx, rep)] == cosets.coset_of[rep]:
+            fixed += 1
+    return fixed

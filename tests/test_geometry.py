@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootvol import geometry
 from rootvol.geometry import (
     as_decomposition,
     embedding_for,
@@ -111,6 +113,36 @@ def test_montecarlo_is_deterministic():
     b = montecarlo_nu("B2", 10_000, 3, workers=2)
     assert a.hits == b.hits
     assert a.as_dict() == b.as_dict()
+
+
+def test_montecarlo_thread_pool_is_capped_at_cpu_count(monkeypatch):
+    # The pool is replaced by one that records its size and runs each
+    # substream inline, so no thread is started for 2,000 substreams.
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(geometry, "ThreadPoolExecutor", InlineExecutor)
+    estimates = []
+    for cpus in (None, 4):
+        monkeypatch.setattr(geometry.os, "cpu_count", lambda: cpus)
+        estimates.append(montecarlo_nu("B2", 20_000, 7, workers=2_000))
+    assert sizes == [1, 4]
+    assert estimates[0].workers == 2_000
+    assert estimates[0].hits == estimates[1].hits
 
 
 def test_montecarlo_rank_one_exact_split():

@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootvol.cli import main
 from rootvol.diagram import (
     CartanMatrix,
     NotFiniteTypeError,
     cartan_of_decomposition,
+    cartan_of_type,
     extend,
     parse_decomposition,
     parse_label,
 )
+from rootvol.identity import verify_identity
 from rootvol.rootsys import (
+    ClosureCeilingError,
     Root,
     generate_roots,
     highest_root,
@@ -84,6 +88,31 @@ def test_highest_root_requires_irreducible():
 def test_generate_rejects_affine_matrix():
     with pytest.raises(NotFiniteTypeError):
         generate_roots(CartanMatrix(((2, -2), (-2, 2))))
+
+
+@pytest.mark.parametrize("name,count", [("A49", 2450), ("B35", 2450), ("C35", 2450), ("D40", 3120)])
+def test_large_admissible_ranks_close(name, count):
+    # a fixed bound of ten times the E8 root count once rejected these
+    label = parse_label(name)
+    assert len(system_of_type(label).roots) == count
+    assert verify_identity(label).passed
+
+
+def test_closure_bound_is_taken_per_component():
+    # E8xA1 has 242 roots at rank 9, more than any irreducible type of rank
+    # 9; each of 84 factors A1 counts for its own 2 roots, well below the
+    # closure ceiling.
+    rs = generate_roots(cartan_of_decomposition(parse_decomposition("E8xA1")))
+    assert len(rs.roots) == 242
+    rs = generate_roots(cartan_of_decomposition(parse_decomposition("x".join(["A1"] * 84))))
+    assert len(rs.roots) == 168
+
+
+def test_closure_ceiling_names_rank_and_ceiling(capsys):
+    with pytest.raises(ClosureCeilingError, match="rank 101 .* ceiling of 20000"):
+        generate_roots(cartan_of_type(parse_label("B101")))
+    assert main(["identity", "--type", "A101"]) == 2
+    assert "rank 101" in capsys.readouterr().err
 
 
 def test_reflection_matrix_rank_two_example():

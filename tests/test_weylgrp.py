@@ -2,23 +2,25 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from coset_oracle import left_cosets, perm_character
 from rootvol.diagram import parse_label
+from rootvol.exact import det, det_int
 from rootvol.identity import node_terms
 from rootvol.invariants import degrees_of, weyl_order
 from rootvol.weylgrp import (
     EnumerationCapError,
     WeylElement,
     conjugacy_classes,
+    coset_character,
     delta_value,
     det_one_minus,
     group_table_of,
-    left_cosets,
     matrix_det,
-    perm_character,
     reflection_subgroup,
     verify_companion,
     verify_restricted_expansion,
@@ -258,3 +260,48 @@ def test_element_membership_checked():
             left_cosets(table, reflection_subgroup(table, [])),
             WeylElement(((2, 0), (0, 1))),
         )
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3"])
+def test_coset_character_matches_brute_force_oracle(name):
+    # every subset of S_0: class counts against counting fixed cosets
+    table = group_table_of(name)
+    classes = conjugacy_classes(table)
+    positions = table.generator_positions()
+    for size in range(len(positions) + 1):
+        for subset in itertools.combinations(range(len(positions)), size):
+            gens = [positions[p] for p in subset]
+            values = coset_character(table, gens)
+            cosets = left_cosets(table, reflection_subgroup(table, gens))
+            for i, w in enumerate(table.elements):
+                assert values[classes.class_of[i]] == perm_character(cosets, w)
+
+
+def test_generator_columns_match_products():
+    table = group_table_of("B3")
+    for p, s in enumerate(table.generator_positions()):
+        generator = table.elements[s]
+        for i, w in enumerate(table.elements):
+            assert table.right[p][i] == table.index[(w * generator).matrix]
+            assert table.left[p][i] == table.index[(generator * w).matrix]
+
+
+def test_conjugacy_classes_computed_once_per_table():
+    table = group_table_of("G2")
+    assert conjugacy_classes(table) is conjugacy_classes(table)
+
+
+def test_reflection_subgroup_rejects_elements_outside_s0():
+    table = group_table_of("A2")
+    outside = next(i for i in range(table.order) if i not in table.generator_positions() and i)
+    with pytest.raises(ValueError, match="S_0"):
+        reflection_subgroup(table, [outside])
+
+
+def test_bareiss_determinants_match_exact_det_on_f4():
+    table = group_table_of("F4")
+    for w in table.elements:
+        m = w.matrix
+        one_minus = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(m)]
+        assert det_int(m) == det(m)
+        assert det_int(one_minus) == det(one_minus)
