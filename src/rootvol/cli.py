@@ -38,6 +38,12 @@ from .weylgrp import (
 )
 
 
+# Most labels one family sweep may expand to, checked from its endpoints
+# before any label is built.  Commands that close a root system stop at rank
+# 100 anyway.
+MAX_SWEEP_LENGTH = 1_000
+
+
 class UsageError(Exception):
     pass
 
@@ -75,7 +81,13 @@ def _parse_selector(text: str) -> list[DecompositionLabel]:
                     raise UsageError(f"sweep endpoints differ in family: {piece}")
                 if start.rank > end.rank:
                     raise UsageError(f"sweep endpoints out of order: {piece}")
-                for rank in range(start.rank, end.rank + 1):
+                ranks = range(start.rank, end.rank + 1)
+                if len(ranks) > MAX_SWEEP_LENGTH:
+                    raise UsageError(
+                        f"sweep {piece} has {len(ranks)} entries; at most"
+                        f" {MAX_SWEEP_LENGTH} are allowed"
+                    )
+                for rank in ranks:
                     out.append(DecompositionLabel((TypeLabel(start.family, rank),)))
             else:
                 out.append(parse_decomposition(piece))

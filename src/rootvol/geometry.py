@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,8 +31,12 @@ from .invariants import nu_of
 
 DEFAULT_TOL = 1e-9
 
-# Rows per batch when sampling; bounds peak memory, not the sample count.
-_BATCH_ROWS = 200_000
+# Rows per batch when sampling.  Only the arrays of one batch are alive at a
+# time, so sampling memory is bounded per batch, whatever the sample count.
+# At 4096 rows an E8 batch (256 KB of draws) keeps each matrix product in L2
+# and below the size at which BLAS starts threads of its own, which would
+# contend with the Monte Carlo worker threads.
+_BATCH_ROWS = 4096
 
 # Planar angle of the cone between two simple roots, as a fraction of the
 # full circle, keyed by the squared cosine of the angle between the roots.
@@ -64,12 +68,6 @@ class Embedding:
     @property
     def dimension(self) -> int:
         return self.factor.shape[0]
-
-    def cartesian_from_coords(self, coords: np.ndarray) -> np.ndarray:
-        return np.asarray(coords, dtype=float) @ self.factor
-
-    def coords_from_cartesian(self, point: np.ndarray) -> np.ndarray:
-        return np.asarray(point, dtype=float) @ self.inverse
 
 
 @lru_cache(maxsize=None)
@@ -163,19 +161,27 @@ class VolumeEstimate:
         }
 
 
+def _coordinate_batches(
+    embedding: Embedding, rng: np.random.Generator, count: int
+) -> Iterator[np.ndarray]:
+    """Simple-root coordinates of `count` Gaussian directions, as columns of
+    (dim, batch) arrays.  Each batch draws the next rows of the same
+    row-major stream that one (count, dim) draw would give."""
+    transform = embedding.inverse.T
+    remaining = count
+    while remaining > 0:
+        batch = min(remaining, _BATCH_ROWS)
+        yield transform @ rng.standard_normal((batch, embedding.dimension)).T
+        remaining -= batch
+
+
 def _count_cone0(
     embedding: Embedding, count: int, seed: int, worker: int, tol: float
 ) -> int:
     rng = np.random.default_rng([seed, worker])
-    inverse = embedding.inverse
-    dim = embedding.dimension
     hits = 0
-    remaining = count
-    while remaining > 0:
-        batch = min(remaining, _BATCH_ROWS)
-        coords = rng.standard_normal((batch, dim)) @ inverse
-        hits += int(np.count_nonzero(np.all(coords >= -tol, axis=1)))
-        remaining -= batch
+    for coords in _coordinate_batches(embedding, rng, count):
+        hits += int(np.count_nonzero(coords.min(axis=0) >= -tol))
     return hits
 
 
@@ -279,6 +285,8 @@ def partition_check(
     """Scan every cone for membership of each sampled direction: exactly one
     cone may contain it in its interior, and the constructive location must
     name that cone for every non-boundary sample."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
     if isinstance(label, str):
         label = parse_label(label)
     marked = extended_diagram(label)
@@ -287,38 +295,41 @@ def partition_check(
     embedding = embedding_for(label)
     dim = embedding.dimension
 
-    rng = np.random.default_rng(seed)
-    coords = rng.standard_normal((n_samples, dim)) @ embedding.inverse
-
-    # Coefficients of each sample in every cone basis.  Cone 0 keeps the
-    # simple basis; cone i swaps row i for the mark vector.
-    inside = np.zeros((dim + 1, n_samples), dtype=bool)
-    interior = np.zeros((dim + 1, n_samples), dtype=bool)
-    inside[0] = np.all(coords >= -tol, axis=1)
-    interior[0] = np.all(coords > tol, axis=1)
+    # Cone 0 keeps the simple basis; cone i swaps row i for the mark vector.
+    # Rows j*dim..(j+1)*dim of `to_cones` map simple-root coordinates to
+    # the coefficients in cone j's basis.
+    bases = np.repeat(np.eye(dim)[None], dim + 1, axis=0)
     for i in range(dim):
-        basis = np.eye(dim)
-        basis[i] = marks
-        cone_coords = coords @ np.linalg.inv(basis)
-        inside[i + 1] = np.all(cone_coords >= -tol, axis=1)
-        interior[i + 1] = np.all(cone_coords > tol, axis=1)
+        bases[i + 1, i] = marks
+    to_cones = np.concatenate([np.linalg.inv(basis).T for basis in bases])
 
-    inside_counts = inside.sum(axis=0)
-    interior_counts = interior.sum(axis=0)
-    failures = (interior_counts >= 2) | (inside_counts == 0)
-    boundary = ~failures & ((inside_counts >= 2) | (interior_counts == 0))
-    clean = ~failures & ~boundary
+    counts = np.zeros(dim + 1, dtype=np.int64)
+    boundary_count = failure_count = mismatch_count = 0
+    rng = np.random.default_rng(seed)
+    for coords in _coordinate_batches(embedding, rng, n_samples):
+        batch = coords.shape[1]
+        lowest = (to_cones @ coords).reshape(dim + 1, dim, batch).min(axis=1)
+        inside = lowest >= -tol
+        interior = lowest > tol
 
-    # Constructive assignment, vectorized to mirror locate_cone: smallest
-    # index wins ties of b_i / n_i.
-    nonneg = np.all(coords >= 0, axis=1)
-    ratios = coords / marks
-    assigned = np.where(nonneg, 0, np.argmax(ratios, axis=1) + 1)
+        inside_counts = inside.sum(axis=0)
+        interior_counts = interior.sum(axis=0)
+        failures = (interior_counts >= 2) | (inside_counts == 0)
+        boundary = ~failures & ((inside_counts >= 2) | (interior_counts == 0))
+        clean = ~failures & ~boundary
 
-    scanned = np.argmax(interior, axis=0)
-    mismatches = int(np.count_nonzero(clean & (assigned != scanned)))
+        # Constructive assignment, vectorized to mirror locate_cone: smallest
+        # index wins ties of b_i / n_i.
+        nonneg = coords.min(axis=0) >= 0
+        ratios = coords / marks[:, None]
+        assigned = np.where(nonneg, 0, np.argmax(ratios, axis=0) + 1)
 
-    counts = np.bincount(assigned, minlength=dim + 1)
+        scanned = np.argmax(interior, axis=0)
+        mismatch_count += int(np.count_nonzero(clean & (assigned != scanned)))
+        boundary_count += int(np.count_nonzero(boundary))
+        failure_count += int(np.count_nonzero(failures))
+        counts += np.bincount(assigned, minlength=dim + 1)
+
     return PartitionReport(
         label=label,
         samples=n_samples,
@@ -326,9 +337,9 @@ def partition_check(
         tol=tol,
         counts=tuple(int(c) for c in counts),
         expected=tuple(term.nu_value for term in terms),
-        boundary_count=int(np.count_nonzero(boundary)),
-        failure_count=int(np.count_nonzero(failures)),
-        mismatch_count=mismatches,
+        boundary_count=boundary_count,
+        failure_count=failure_count,
+        mismatch_count=mismatch_count,
     )
 
 

@@ -1,0 +1,33 @@
+"""Command line inputs that must fail with a usage error, not exhaust the
+machine or end in a traceback."""
+
+from __future__ import annotations
+
+import pytest
+
+from rootvol import cli
+from rootvol.cli import MAX_SWEEP_LENGTH, main
+
+
+def test_sweep_at_the_cap_is_accepted():
+    assert len(cli._parse_selector(f"A1..A{MAX_SWEEP_LENGTH}")) == MAX_SWEEP_LENGTH
+
+
+@pytest.mark.parametrize("end", [MAX_SWEEP_LENGTH + 1, 100_000_000])
+def test_sweep_past_the_cap_is_a_usage_error(monkeypatch, capsys, end):
+    def no_labels(*args):
+        raise AssertionError("a label was built before the sweep length was checked")
+
+    monkeypatch.setattr(cli, "TypeLabel", no_labels)
+    assert main(["nu", "--type", f"A1..A{end}"]) == 2
+    err = capsys.readouterr().err
+    assert f"{end} entries" in err
+    assert f"at most {MAX_SWEEP_LENGTH}" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_partition_without_samples_is_a_usage_error(capsys, samples):
+    assert main(["partition", "--type", "A2", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_samples must be positive" in captured.err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ from rootvol.identity import extended_diagram
 from rootvol.invariants import nu_of
 from rootvol.diagram import parse_decomposition, parse_label
 
+import geometry_oracle
+
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
 
@@ -44,8 +47,8 @@ def test_embedding_reproduces_gram(name):
 def test_embedding_roundtrip():
     emb = embedding_for("B3")
     coords = np.array([0.3, -1.2, 2.5])
-    point = emb.cartesian_from_coords(coords)
-    assert np.allclose(emb.coords_from_cartesian(point), coords, atol=1e-10)
+    point = coords @ emb.factor
+    assert np.allclose(point @ emb.inverse, coords, atol=1e-10)
 
 
 def test_locate_cone_rank_one():
@@ -179,6 +182,65 @@ def test_partition_check_passes(name):
     assert sum(report.counts) == report.samples
     assert report.failure_count == 0
     assert report.mismatch_count == 0
+
+
+ORACLE_TYPES = ["A1", "A2", "B2", "G2", "B3", "F4", "E8"]
+# Six batches and a remainder, so each of up to three substreams spans a
+# batch boundary and ends in a partial batch.
+ORACLE_SAMPLES = 6 * geometry._BATCH_ROWS + 5
+# Walls of width 0.05 put many samples on the boundary; with a negative
+# width, samples fall in no cone or in two, so every counter is exercised.
+ORACLE_TOLS = [geometry.DEFAULT_TOL, 0.05, -0.05]
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("tol", ORACLE_TOLS)
+def test_montecarlo_matches_whole_array_oracle(name, workers, tol):
+    est = montecarlo_nu(name, ORACLE_SAMPLES, 13, workers=workers, tol=tol)
+    want = geometry_oracle.montecarlo_hits(name, ORACLE_SAMPLES, 13, workers, tol)
+    assert est.hits == want
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+@pytest.mark.parametrize("tol", ORACLE_TOLS)
+def test_partition_matches_whole_array_oracle(name, tol):
+    got = partition_check(name, ORACLE_SAMPLES, 17, tol)
+    want = geometry_oracle.partition_check(name, ORACLE_SAMPLES, 17, tol)
+    if tol > 0.01:
+        assert want.boundary_count > 0
+    if tol < 0:
+        assert want.failure_count > 0
+    assert got.counts == want.counts
+    assert got.boundary_count == want.boundary_count
+    assert got.failure_count == want.failure_count
+    assert got.mismatch_count == want.mismatch_count
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fn", [partition_check, montecarlo_nu], ids=["partition", "montecarlo"])
+def test_sampling_memory_does_not_grow_with_sample_count(fn):
+    # tracemalloc counts numpy buffers.  A warm-up call fills the caches, so
+    # the traced calls allocate only their batches and a few Python objects.
+    fn("E8", 1_000, 0)
+    small = _traced_peak(fn, "E8", 200_000, 0)
+    large = _traced_peak(fn, "E8", 800_000, 0)
+    assert abs(large - small) < 64 * 1024
+    assert large < 8 * 1024 * 1024
+
+
+def test_partition_requires_a_sample():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_samples"):
+            partition_check("A2", n, 0)
 
 
 def test_partition_counts_track_cone_fractions():
