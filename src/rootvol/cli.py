@@ -50,11 +50,14 @@ class UsageError(Exception):
 
 @dataclass
 class Outcome:
+    """A command's verdict and its three renderings.  Each rendering is built
+    only when its format is asked for."""
+
     ok: bool
-    payload: dict
-    text: str
+    payload: Callable[[], dict]
+    text: Callable[[], str]
     tsv_header: list[str]
-    tsv_rows: list[list[str]]
+    tsv_rows: Callable[[], list[list[str]]]
 
 
 def _fraction(text: str) -> Fraction:
@@ -127,16 +130,18 @@ def _bool(value: bool) -> str:
 
 def _cmd_nu(args: argparse.Namespace) -> Outcome:
     rows = [{"type": str(d), "nu": str(nu_of(d))} for d in _parse_selector(args.type)]
-    if len(rows) == 1:
-        text = rows[0]["nu"]
-    else:
-        text = "\n".join(f"{r['type']} {r['nu']}" for r in rows)
+
+    def text() -> str:
+        if len(rows) == 1:
+            return rows[0]["nu"]
+        return "\n".join(f"{r['type']} {r['nu']}" for r in rows)
+
     return Outcome(
         ok=True,
-        payload={"command": "nu", "reports": rows, "pass": True},
+        payload=lambda: {"command": "nu", "reports": rows, "pass": True},
         text=text,
         tsv_header=["type", "nu"],
-        tsv_rows=[[r["type"], r["nu"]] for r in rows],
+        tsv_rows=lambda: [[r["type"], r["nu"]] for r in rows],
     )
 
 
@@ -144,18 +149,22 @@ def _cmd_identity(args: argparse.Namespace) -> Outcome:
     labels = _single_labels(_parse_selector(args.type))
     reports = [verify_identity(label) for label in labels]
     ok = all(r.passed for r in reports)
-    rows = []
-    for r in reports:
-        for t in r.terms:
-            scaled = t.scaled
-            scaled_text = str(scaled.numerator if scaled.denominator == 1 else scaled)
-            rows.append([str(r.label), str(t.node), str(t.decomposition), str(t.nu_value), scaled_text])
+
+    def tsv_rows() -> list[list[str]]:
+        rows = []
+        for r in reports:
+            for t in r.terms:
+                scaled = t.scaled
+                scaled_text = str(scaled.numerator if scaled.denominator == 1 else scaled)
+                rows.append([str(r.label), str(t.node), str(t.decomposition), str(t.nu_value), scaled_text])
+        return rows
+
     return Outcome(
         ok=ok,
-        payload={"command": "identity", "reports": [report_as_dict(r) for r in reports], "pass": ok},
-        text="\n\n".join(report_as_text(r) for r in reports),
+        payload=lambda: {"command": "identity", "reports": [report_as_dict(r) for r in reports], "pass": ok},
+        text=lambda: "\n\n".join(report_as_text(r) for r in reports),
         tsv_header=["type", "node", "decomposition", "nu", "scaled"],
-        tsv_rows=rows,
+        tsv_rows=tsv_rows,
     )
 
 
@@ -184,18 +193,17 @@ def _cmd_series(args: argparse.Namespace) -> Outcome:
             }
         )
     ok = all(r["pass"] for r in reports)
-    lines = [
-        f"part {r['part']}: n = {r['n_min']}..{r['n_max']}"
-        f"  direct {'PASS' if r['direct_pass'] else 'FAIL'}"
-        f"  series {'PASS' if r['series_pass'] else 'FAIL'}"
-        for r in reports
-    ]
     return Outcome(
         ok=ok,
-        payload={"command": "series", "reports": reports, "pass": ok},
-        text="\n".join(lines),
+        payload=lambda: {"command": "series", "reports": reports, "pass": ok},
+        text=lambda: "\n".join(
+            f"part {r['part']}: n = {r['n_min']}..{r['n_max']}"
+            f"  direct {'PASS' if r['direct_pass'] else 'FAIL'}"
+            f"  series {'PASS' if r['series_pass'] else 'FAIL'}"
+            for r in reports
+        ),
         tsv_header=["part", "n_min", "n_max", "direct_pass", "series_pass", "pass"],
-        tsv_rows=[
+        tsv_rows=lambda: [
             [str(r["part"]), str(r["n_min"]), str(r["n_max"]), _bool(r["direct_pass"]), _bool(r["series_pass"]), _bool(r["pass"])]
             for r in reports
         ],
@@ -207,22 +215,28 @@ def _cmd_solomon(args: argparse.Namespace) -> Outcome:
     points = _parse_points(args.points) if args.points else None
     reports = [verify_solomon(label, points, args.cap) for label in labels]
     ok = all(r.passed for r in reports)
-    lines = []
-    rows = []
-    for r in reports:
-        lines.append(f"solomon {r.label}: group order {r.group_order}")
-        for p in (*r.points, r.specialization):
-            lines.append(
-                f"  q={p.q} t={p.t}  lhs={p.lhs}  rhs={p.rhs}  {'ok' if p.passed else 'MISMATCH'}"
-            )
-            rows.append([str(r.label), str(p.q), str(p.t), str(p.lhs), str(p.rhs), _bool(p.passed)])
-        lines.append(f"  {'PASS' if r.passed else 'FAIL'}")
+
+    def text() -> str:
+        lines = []
+        for r in reports:
+            lines.append(f"solomon {r.label}: group order {r.group_order}")
+            for p in (*r.points, r.specialization):
+                lines.append(
+                    f"  q={p.q} t={p.t}  lhs={p.lhs}  rhs={p.rhs}  {'ok' if p.passed else 'MISMATCH'}"
+                )
+            lines.append(f"  {'PASS' if r.passed else 'FAIL'}")
+        return "\n".join(lines)
+
     return Outcome(
         ok=ok,
-        payload={"command": "solomon", "reports": [r.as_dict() for r in reports], "pass": ok},
-        text="\n".join(lines),
+        payload=lambda: {"command": "solomon", "reports": [r.as_dict() for r in reports], "pass": ok},
+        text=text,
         tsv_header=["type", "q", "t", "lhs", "rhs", "pass"],
-        tsv_rows=rows,
+        tsv_rows=lambda: [
+            [str(r.label), str(p.q), str(p.t), str(p.lhs), str(p.rhs), _bool(p.passed)]
+            for r in reports
+            for p in (*r.points, r.specialization)
+        ],
     )
 
 
@@ -230,17 +244,16 @@ def _cmd_subset_identity(args: argparse.Namespace, verify: Callable, name: str) 
     labels = _single_labels(_parse_selector(args.type))
     reports = [verify(label, args.cap) for label in labels]
     ok = all(r.passed for r in reports)
-    lines = [
-        f"{name} {r.label}: {r.group_order} elements, {r.subset_count} subsets,"
-        f" {len(r.failures)} failing  {'PASS' if r.passed else 'FAIL'}"
-        for r in reports
-    ]
     return Outcome(
         ok=ok,
-        payload={"command": name, "reports": [r.as_dict() for r in reports], "pass": ok},
-        text="\n".join(lines),
+        payload=lambda: {"command": name, "reports": [r.as_dict() for r in reports], "pass": ok},
+        text=lambda: "\n".join(
+            f"{name} {r.label}: {r.group_order} elements, {r.subset_count} subsets,"
+            f" {len(r.failures)} failing  {'PASS' if r.passed else 'FAIL'}"
+            for r in reports
+        ),
         tsv_header=["type", "group_order", "subsets", "failing_elements", "pass"],
-        tsv_rows=[
+        tsv_rows=lambda: [
             [str(r.label), str(r.group_order), str(r.subset_count), str(len(r.failures)), _bool(r.passed)]
             for r in reports
         ],
@@ -252,27 +265,34 @@ def _cmd_expansion(args: argparse.Namespace) -> Outcome:
     t_samples = _parse_t_list(args.points) if args.points else None
     reports = [verify_restricted_expansion(label, t_samples, args.cap) for label in labels]
     ok = all(r.passed for r in reports)
-    lines = []
-    rows = []
-    for r in reports:
-        lines.append(f"expansion {r.label}: group order {r.group_order}")
-        for kind, checks in (("sample", r.samples), ("probe", r.probes)):
-            for p in checks:
-                lines.append(
-                    f"  {kind} t={p.t}  lhs={p.lhs}  rhs={p.rhs}  {'ok' if p.passed else 'MISMATCH'}"
-                )
-                rows.append([str(r.label), kind, str(p.t), str(p.lhs), str(p.rhs), _bool(p.passed)])
-        lines.append(
-            f"  node terms approach their limits monotonically:"
-            f" {'yes' if r.gaps_decreasing else 'NO'}"
-        )
-        lines.append(f"  {'PASS' if r.passed else 'FAIL'}")
+
+    def text() -> str:
+        lines = []
+        for r in reports:
+            lines.append(f"expansion {r.label}: group order {r.group_order}")
+            for kind, checks in (("sample", r.samples), ("probe", r.probes)):
+                for p in checks:
+                    lines.append(
+                        f"  {kind} t={p.t}  lhs={p.lhs}  rhs={p.rhs}  {'ok' if p.passed else 'MISMATCH'}"
+                    )
+            lines.append(
+                f"  node terms approach their limits monotonically:"
+                f" {'yes' if r.gaps_decreasing else 'NO'}"
+            )
+            lines.append(f"  {'PASS' if r.passed else 'FAIL'}")
+        return "\n".join(lines)
+
     return Outcome(
         ok=ok,
-        payload={"command": "expansion", "reports": [r.as_dict() for r in reports], "pass": ok},
-        text="\n".join(lines),
+        payload=lambda: {"command": "expansion", "reports": [r.as_dict() for r in reports], "pass": ok},
+        text=text,
         tsv_header=["type", "kind", "t", "lhs", "rhs", "pass"],
-        tsv_rows=rows,
+        tsv_rows=lambda: [
+            [str(r.label), kind, str(p.t), str(p.lhs), str(p.rhs), _bool(p.passed)]
+            for r in reports
+            for kind, checks in (("sample", r.samples), ("probe", r.probes))
+            for p in checks
+        ],
     )
 
 
@@ -282,23 +302,21 @@ def _cmd_volume(args: argparse.Namespace) -> Outcome:
         montecarlo_nu(d, args.samples, args.seed, workers=args.workers) for d in selectors
     ]
     ok = all(e.within(4) for e in estimates)
-    lines = [
-        f"{e.decomposition} estimate={e.estimate:.6f} exact={e.exact}"
-        f" ({float(e.exact):.6f}) stderr={e.stderr:.6f} z={e.z_score:+.2f}"
-        f" {'PASS' if e.within(4) else 'FAIL'}"
-        for e in estimates
-    ]
-    reports = []
-    for e in estimates:
-        entry = e.as_dict()
-        entry["pass"] = e.within(4)
-        reports.append(entry)
     return Outcome(
         ok=ok,
-        payload={"command": "volume", "reports": reports, "pass": ok},
-        text="\n".join(lines),
+        payload=lambda: {
+            "command": "volume",
+            "reports": [{**e.as_dict(), "pass": e.within(4)} for e in estimates],
+            "pass": ok,
+        },
+        text=lambda: "\n".join(
+            f"{e.decomposition} estimate={e.estimate:.6f} exact={e.exact}"
+            f" ({float(e.exact):.6f}) stderr={e.stderr:.6f} z={e.z_score:+.2f}"
+            f" {'PASS' if e.within(4) else 'FAIL'}"
+            for e in estimates
+        ),
         tsv_header=["type", "samples", "seed", "workers", "estimate", "stderr", "exact", "z_score", "pass"],
-        tsv_rows=[
+        tsv_rows=lambda: [
             [
                 str(e.decomposition),
                 str(e.samples),
@@ -319,20 +337,24 @@ def _cmd_partition(args: argparse.Namespace) -> Outcome:
     labels = _single_labels(_parse_selector(args.type))
     reports = [partition_check(label, args.samples, args.seed) for label in labels]
     ok = all(r.passed for r in reports)
-    lines = []
-    for r in reports:
-        z_text = ",".join(f"{z:+.2f}" for z in r.z_scores)
-        lines.append(
-            f"{r.label} samples={r.samples} counts={list(r.counts)} z=[{z_text}]"
-            f" boundary={r.boundary_count} failures={r.failure_count}"
-            f" mismatches={r.mismatch_count} {'PASS' if r.passed else 'FAIL'}"
-        )
+
+    def text() -> str:
+        lines = []
+        for r in reports:
+            z_text = ",".join(f"{z:+.2f}" for z in r.z_scores)
+            lines.append(
+                f"{r.label} samples={r.samples} counts={list(r.counts)} z=[{z_text}]"
+                f" boundary={r.boundary_count} failures={r.failure_count}"
+                f" mismatches={r.mismatch_count} {'PASS' if r.passed else 'FAIL'}"
+            )
+        return "\n".join(lines)
+
     return Outcome(
         ok=ok,
-        payload={"command": "partition", "reports": [r.as_dict() for r in reports], "pass": ok},
-        text="\n".join(lines),
+        payload=lambda: {"command": "partition", "reports": [r.as_dict() for r in reports], "pass": ok},
+        text=text,
         tsv_header=["type", "samples", "seed", "counts", "boundary", "failures", "mismatches", "pass"],
-        tsv_rows=[
+        tsv_rows=lambda: [
             [
                 str(r.label),
                 str(r.samples),
@@ -351,17 +373,21 @@ def _cmd_partition(args: argparse.Namespace) -> Outcome:
 def _cmd_report_all(args: argparse.Namespace) -> Outcome:
     results = acceptance.run_all()
     ok = all(r.passed for r in results)
-    lines = [
-        f"[criterion {r.number}] {'PASS' if r.passed else 'FAIL'} {r.name} ({r.seconds:.2f}s)"
-        for r in results
-    ]
-    lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
+
+    def text() -> str:
+        lines = [
+            f"[criterion {r.number}] {'PASS' if r.passed else 'FAIL'} {r.name} ({r.seconds:.2f}s)"
+            for r in results
+        ]
+        lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
+        return "\n".join(lines)
+
     return Outcome(
         ok=ok,
-        payload={"command": "report-all", "criteria": [r.as_dict() for r in results], "pass": ok},
-        text="\n".join(lines),
+        payload=lambda: {"command": "report-all", "criteria": [r.as_dict() for r in results], "pass": ok},
+        text=text,
         tsv_header=["criterion", "name", "pass", "seconds"],
-        tsv_rows=[
+        tsv_rows=lambda: [
             [str(r.number), r.name, _bool(r.passed), f"{r.seconds:.3f}"] for r in results
         ],
     )
@@ -453,12 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _render(outcome: Outcome, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(outcome.payload, indent=2)
+        return json.dumps(outcome.payload(), indent=2)
     if fmt == "tsv":
         lines = ["\t".join(outcome.tsv_header)]
-        lines.extend("\t".join(row) for row in outcome.tsv_rows)
+        lines.extend("\t".join(row) for row in outcome.tsv_rows())
         return "\n".join(lines)
-    return outcome.text
+    return outcome.text()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -470,6 +496,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if code in (0, None) else 2
     try:
         outcome = args.handler(args)
+        rendered = _render(outcome, args.format)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -479,7 +506,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    rendered = _render(outcome, args.format)
     print(rendered)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -18,8 +18,10 @@ Extended diagrams carry the added node at index 0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, compress, repeat
 from typing import TYPE_CHECKING, Sequence
 
 from .exact import as_int, det
@@ -132,33 +134,39 @@ class CartanMatrix:
     not by the constructor, because extended diagrams violate them."""
 
     entries: tuple[tuple[int, ...], ...]
+    # The nonzero off-diagonal columns of each row, ascending: the edges of
+    # the diagram, found by the validation pass and used by every graph walk.
+    _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.entries)
-        for i, row in enumerate(self.entries):
-            if len(row) != n:
-                raise ValueError("Cartan matrix must be square")
-            for j, a in enumerate(row):
-                if not isinstance(a, int):
-                    raise ValueError("Cartan entries must be integers")
-                if i == j and a != 2:
-                    raise ValueError("diagonal entries must equal 2")
-                if i != j and a > 0:
-                    raise ValueError("off-diagonal entries must be <= 0")
-                if i != j and (a == 0) != (self.entries[j][i] == 0):
+        rows = self.entries
+        n = len(rows)
+        if any(map(n.__ne__, map(len, rows))):
+            raise ValueError("Cartan matrix must be square")
+        flat = tuple(chain.from_iterable(rows))
+        if not all(map(isinstance, flat, repeat(int))):
+            raise ValueError("Cartan entries must be integers")
+        if flat[:: n + 1].count(2) != n:
+            raise ValueError("diagonal entries must equal 2")
+        columns = range(n)
+        neighbors = []
+        for i, row in enumerate(rows):
+            edges = tuple(filter(i.__ne__, compress(columns, row)))
+            if edges and max(map(row.__getitem__, edges)) > 0:
+                raise ValueError("off-diagonal entries must be <= 0")
+            neighbors.append(edges)
+        for i, edges in enumerate(neighbors):
+            for j in edges:
+                if not rows[j][i]:
                     raise ValueError("zero pattern must be symmetric")
+        object.__setattr__(self, "_neighbors", tuple(neighbors))
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(self.size) if j != i and self.entries[i][j] != 0)
-
-    def submatrix(self, keep: Sequence[int]) -> CartanMatrix:
-        return CartanMatrix(
-            tuple(tuple(self.entries[i][j] for j in keep) for i in keep)
-        )
+        return self._neighbors[i]
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted index tuples, ordered by least node."""
@@ -173,7 +181,7 @@ class CartanMatrix:
             while stack:
                 x = stack.pop()
                 comp.append(x)
-                for u in self.neighbors(x):
+                for u in self._neighbors[x]:
                     if u not in seen:
                         seen.add(u)
                         stack.append(u)
@@ -183,23 +191,24 @@ class CartanMatrix:
     def symmetrizer(self) -> tuple[Fraction, ...] | None:
         """Positive rationals d with d_i * a_ij = d_j * a_ji, normalized to
         minimum 1 on each component; None if the matrix is not symmetrizable."""
+        a = self.entries
         d: list[Fraction | None] = [None] * self.size
         for comp in self.components():
             d[comp[0]] = Fraction(1)
             stack = [comp[0]]
             while stack:
                 i = stack.pop()
-                for j in self.neighbors(i):
-                    value = d[i] * self.entries[j][i] / self.entries[i][j]
+                for j in self._neighbors[i]:
                     if d[j] is None:
-                        d[j] = value
+                        d[j] = d[i] * a[j][i] / a[i][j]
                         stack.append(j)
             low = min(d[k] for k in comp)
             for k in comp:
                 d[k] /= low
-        for i in range(self.size):
-            for j in range(self.size):
-                if self.entries[i][j] * d[j] != self.entries[j][i] * d[i]:
+        # Zero entries and the diagonal hold for any d; check the edges.
+        for i, row in enumerate(self._neighbors):
+            for j in row:
+                if a[i][j] * d[j] != a[j][i] * d[i]:
                     return None
         return tuple(d)
 
@@ -208,10 +217,15 @@ class CartanMatrix:
         d = self.symmetrizer()
         if d is None:
             raise NotFiniteTypeError("matrix is not symmetrizable")
-        return tuple(
-            tuple(self.entries[i][j] * d[j] for j in range(self.size))
-            for i in range(self.size)
-        )
+        zero = Fraction(0)
+        rows = []
+        for i, neighbors in enumerate(self._neighbors):
+            row = [zero] * self.size
+            row[i] = 2 * d[i]
+            for j in neighbors:
+                row[j] = self.entries[i][j] * d[j]
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def is_finite_type(self) -> bool:
         """Exact test: symmetrizable with positive definite pairing matrix."""
@@ -230,6 +244,7 @@ class CartanMatrix:
         return True
 
 
+@lru_cache(maxsize=None)
 def cartan_of_type(label: TypeLabel) -> CartanMatrix:
     """Cartan matrix of an irreducible type in the canonical numbering."""
     fam, n = label.family, label.rank
@@ -283,22 +298,28 @@ def cartan_of_decomposition(decomposition: DecompositionLabel) -> CartanMatrix:
 
 
 def _permuted_equal(cartan: CartanMatrix, order: Sequence[int], target: CartanMatrix) -> bool:
-    k = len(order)
-    return all(
-        cartan.entries[order[p]][order[q]] == target.entries[p][q]
-        for p in range(k)
-        for q in range(k)
-    )
+    """Whether node p of target is node order[p] of cartan, with the same
+    bonds.  Both matrices have diagonal 2 and a symmetric zero pattern, so
+    equal degrees and equal entries on the target's edges suffice."""
+    for p, v in enumerate(order):
+        row = cartan.entries[v]
+        edges = target.neighbors(p)
+        if len(cartan.neighbors(v)) != len(edges):
+            return False
+        for q in edges:
+            if row[order[q]] != target.entries[p][q]:
+                return False
+    return True
 
 
-def _classify_path(cartan: CartanMatrix, adj: dict[int, list[int]], nodes: Sequence[int]):
-    ends = [v for v in nodes if len(adj[v]) == 1]
+def _classify_path(cartan: CartanMatrix, nodes: Sequence[int]):
+    ends = [v for v in nodes if len(cartan.neighbors(v)) == 1]
     if len(ends) != 2:
         return None
     order = [min(ends)]
     while len(order) < len(nodes):
         prev = order[-2] if len(order) > 1 else None
-        step = [u for u in adj[order[-1]] if u != prev]
+        step = [u for u in cartan.neighbors(order[-1]) if u != prev]
         if len(step) != 1:
             return None
         order.append(step[0])
@@ -326,13 +347,13 @@ def _classify_path(cartan: CartanMatrix, adj: dict[int, list[int]], nodes: Seque
     return None
 
 
-def _classify_branch(cartan: CartanMatrix, adj: dict[int, list[int]], branch: int):
+def _classify_branch(cartan: CartanMatrix, branch: int):
     arms: list[list[int]] = []
-    for first in sorted(adj[branch]):
+    for first in cartan.neighbors(branch):
         arm = [first]
         prev = branch
         while True:
-            step = [u for u in adj[arm[-1]] if u != prev]
+            step = [u for u in cartan.neighbors(arm[-1]) if u != prev]
             if not step:
                 break
             if len(step) != 1:
@@ -370,13 +391,15 @@ def _classify_branch(cartan: CartanMatrix, adj: dict[int, list[int]], branch: in
 def _classify_component(cartan: CartanMatrix, nodes: Sequence[int]):
     if len(nodes) == 1:
         return TypeLabel("A", 1)
-    adj = {v: [u for u in nodes if u != v and cartan.entries[v][u] != 0] for v in nodes}
-    branch = [v for v in nodes if len(adj[v]) >= 3]
-    if any(len(adj[v]) >= 4 for v in nodes) or len(branch) >= 2:
+    # A component is closed under adjacency, so its nodes' edge lists are
+    # its own.
+    degrees = [len(cartan.neighbors(v)) for v in nodes]
+    branch = [v for v, k in zip(nodes, degrees) if k >= 3]
+    if max(degrees) >= 4 or len(branch) >= 2:
         return None
     if branch:
-        return _classify_branch(cartan, adj, branch[0])
-    return _classify_path(cartan, adj, nodes)
+        return _classify_branch(cartan, branch[0])
+    return _classify_path(cartan, nodes)
 
 
 def classify(cartan: CartanMatrix) -> DecompositionLabel:
@@ -425,7 +448,7 @@ def extend(label: TypeLabel, rootsystem: RootSystem) -> MarkedDiagram:
     g = rootsystem.gram
     n = base.size
     tc = theta.coords
-    pair = [sum(tc[i] * g[i][j] for i in range(n)) for j in range(n)]
+    pair = [tc[j] * g[j][j] + sum(tc[i] * g[i][j] for i in base.neighbors(j)) for j in range(n)]
     theta_norm = sum(tc[j] * pair[j] for j in range(n))
     row0 = [2] + [as_int(Fraction(-2) * pair[j] / g[j][j]) for j in range(n)]
     col0 = [as_int(Fraction(-2) * pair[j] / theta_norm) for j in range(n)]
@@ -440,5 +463,7 @@ def delete_node(diagram: MarkedDiagram, node: int) -> CartanMatrix:
     """Remove one node (0 removes the added node and restores the original)."""
     if not 0 <= node <= diagram.rank:
         raise IndexError(f"node {node} out of range 0..{diagram.rank}")
-    keep = [k for k in range(diagram.rank + 1) if k != node]
-    return diagram.cartan.submatrix(keep)
+    rows = diagram.cartan.entries
+    return CartanMatrix(
+        tuple(row[:node] + row[node + 1 :] for row in rows[:node] + rows[node + 1 :])
+    )

@@ -41,10 +41,7 @@ def degrees_of(decomposition: DecompositionLabel) -> tuple[int, ...]:
 
 def nu(degrees: Sequence[int]) -> Fraction:
     """Product of (d - 1)/d over the degrees; 1 for the trivial system."""
-    value = Fraction(1)
-    for d in degrees:
-        value *= Fraction(d - 1, d)
-    return value
+    return Fraction(math.prod(d - 1 for d in degrees), math.prod(degrees))
 
 
 def weyl_order(degrees: Sequence[int]) -> int:

@@ -7,9 +7,13 @@ so a coordinate row vector v maps to v @ M.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .diagram import (
     CartanMatrix,
@@ -22,9 +26,13 @@ from .diagram import (
 from .exact import as_int
 
 # Closures larger than this are refused before they start: B100 and C100,
-# with 20,000 roots, are the largest that fit.  The cost of a closure grows
-# with its size times the rank, and A1000 would need a million roots.
+# with 20,000 roots, are the largest that fit.  Each root's pairings cost a
+# row of an integer product, so a closure costs about |roots| * rank^2
+# operations in numpy, and A1000 would need a million roots.
 CLOSURE_CEILING = 20_000
+
+# Bound on |entry| * (rank * largest Cartan entry + 1) before a product.
+_INT64_HEADROOM = 2**63 - 1
 
 
 class ClosureCeilingError(ValueError):
@@ -83,61 +91,71 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
     are not finite type make the orbit grow without bound and are rejected
     once it exceeds ``closure_bound(cartan)``; ranks whose bound exceeds
     ``CLOSURE_CEILING`` are rejected before the closure starts.
+
+    The closure runs level by level on int64 rows: one product gives the
+    pairings of a whole frontier with every simple root, each nonzero
+    pairing gives one image, and images are deduplicated by their bytes.
     """
     n = cartan.size
-    a = cartan.entries
     bound = closure_bound(cartan)
     if bound > CLOSURE_CEILING:
         raise ClosureCeilingError(
             f"rank {n} admits up to {bound} roots, above the closure "
             f"ceiling of {CLOSURE_CEILING}"
         )
-    # The pairing of a root with simple root j needs only the nonzero
-    # entries of column j, at most four of them.
-    columns = [tuple((i, a[i][j]) for i in range(n) if a[i][j]) for j in range(n)]
-    seen: set[tuple[int, ...]] = set()
-    frontier: list[tuple[int, ...]] = []
-    for i in range(n):
-        unit = tuple(1 if k == i else 0 for k in range(n))
-        seen.add(unit)
-        frontier.append(unit)
-    while frontier:
-        fresh = []
-        for c in frontier:
-            for j, column in enumerate(columns):
-                pairing = sum(c[i] * x for i, x in column)
-                if not pairing:
-                    continue
-                image = c[:j] + (c[j] - pairing,) + c[j + 1 :]
-                if image not in seen:
-                    seen.add(image)
-                    fresh.append(image)
+    largest = max(map(abs, itertools.chain.from_iterable(cartan.entries)), default=0)
+    # A frontier entry above this could overflow int64 in the next product.
+    # Finite-type roots have entries of at most 6.
+    limit = _INT64_HEADROOM // (n * largest + 1)
+    if limit < 6:
+        raise NotFiniteTypeError(f"Cartan entry {largest} is too large for a finite type")
+    a = np.array(cartan.entries, dtype=np.int64).reshape(n, n)
+    frontier = np.eye(n, dtype=np.int64)
+    as_bytes = np.dtype((np.void, 8 * n))
+    seen = set(frontier.view(as_bytes).ravel().tolist())
+    levels = [frontier]
+    while len(frontier):
+        if int(np.abs(frontier).max()) > limit:
+            raise NotFiniteTypeError(
+                f"reflection closure produced an entry above {limit}; "
+                "input is not finite type"
+            )
+        pairing = frontier @ a
+        rows, cols = np.nonzero(pairing)
+        images = frontier[rows]
+        images[np.arange(len(rows)), cols] -= pairing[rows, cols]
+        fresh = set(images.view(as_bytes).ravel().tolist()) - seen
+        seen |= fresh
         if len(seen) > bound:
             raise NotFiniteTypeError(
                 f"reflection closure exceeded {bound} vectors; "
                 "input is not finite type"
             )
-        frontier = fresh
-    for c in seen:
-        if any(x > 0 for x in c) and any(x < 0 for x in c):
-            raise NotFiniteTypeError("closure produced a mixed-sign vector")
-    ordered = sorted(seen, key=lambda c: (sum(c), c))
-    roots = tuple(Root(c) for c in ordered)
-    positive = tuple(r for r in roots if r.height > 0)
+        frontier = np.frombuffer(b"".join(fresh), dtype=np.int64).reshape(-1, n)
+        levels.append(frontier)
+    del seen
+    if any(((c > 0).any(axis=1) & (c < 0).any(axis=1)).any() for c in levels):
+        raise NotFiniteTypeError("closure produced a mixed-sign vector")
+    # One level at a time, so that only one level's lists are alive at once.
+    ordered = []
+    for level in levels:
+        ordered.extend(map(tuple, level.tolist()))
+    del levels
+    ordered.sort(key=lambda c: (sum(c), c))
+    roots = tuple(map(Root, ordered))
+    positive = roots[bisect.bisect_right(ordered, 0, key=sum) :]
     theta = None
     if n >= 1 and len(cartan.components()) == 1:
-        top = max(r.height for r in positive)
-        peaks = [r for r in positive if r.height == top]
-        if len(peaks) != 1:
+        if len(positive) > 1 and positive[-2].height == positive[-1].height:
             raise NotFiniteTypeError("highest root is not unique")
-        theta = peaks[0]
+        theta = positive[-1]
     return RootSystem(
         cartan=cartan,
         roots=roots,
         positive=positive,
         gram=cartan.gram() if n else (),
         theta=theta,
-        coord_set=frozenset(seen),
+        coord_set=frozenset(ordered),
     )
 
 

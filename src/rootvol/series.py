@@ -190,6 +190,9 @@ def check_binomial_identity(part: int, n: int) -> BinomialCheck:
     return BinomialCheck(part, n, lhs, rhs)
 
 
+_MIN_PRODUCT_ORDER = 64
+
+
 @lru_cache(maxsize=None)
 def _products(order: int) -> tuple[RationalSeries, RationalSeries, RationalSeries]:
     f = central_binomial_series(order)
@@ -203,4 +206,6 @@ def series_coefficient(part: int, n: int) -> Fraction:
     Equals 4^n, 4^(n-1), 4^(n-2) respectively on the parts' valid ranges.
     """
     _validate_part_range(part, n)
-    return _products(max(n, 1))[part - 1][n]
+    # Truncated products are prefix-stable, so one product at an order
+    # rounded up to a power of two serves every smaller n.
+    return _products(max(_MIN_PRODUCT_ORDER, 1 << (n - 1).bit_length()))[part - 1][n]

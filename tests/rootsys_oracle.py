@@ -1,0 +1,77 @@
+"""Pure-Python oracles for root closure and diagram matching, for the tests.
+
+``reflection_closure`` closes the simple roots one tuple at a time, pairing
+each root with the nonzero entries of each Cartan column.  The library
+closes whole levels as integer arrays; the tests require the same roots,
+order, highest root and errors from both.
+
+``dense_permuted_equal`` compares every entry of a relabeled matrix with a
+catalogue matrix, where the library compares edges only.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from rootvol.diagram import CartanMatrix, NotFiniteTypeError
+from rootvol.rootsys import Root, RootSystem, closure_bound
+
+
+def reflection_closure(cartan: CartanMatrix) -> RootSystem:
+    n = cartan.size
+    a = cartan.entries
+    bound = closure_bound(cartan)
+    columns = [tuple((i, a[i][j]) for i in range(n) if a[i][j]) for j in range(n)]
+    seen: set[tuple[int, ...]] = set()
+    frontier: list[tuple[int, ...]] = []
+    for i in range(n):
+        unit = tuple(1 if k == i else 0 for k in range(n))
+        seen.add(unit)
+        frontier.append(unit)
+    while frontier:
+        fresh = []
+        for c in frontier:
+            for j, column in enumerate(columns):
+                pairing = sum(c[i] * x for i, x in column)
+                if not pairing:
+                    continue
+                image = c[:j] + (c[j] - pairing,) + c[j + 1 :]
+                if image not in seen:
+                    seen.add(image)
+                    fresh.append(image)
+        if len(seen) > bound:
+            raise NotFiniteTypeError(
+                f"reflection closure exceeded {bound} vectors; "
+                "input is not finite type"
+            )
+        frontier = fresh
+    for c in seen:
+        if any(x > 0 for x in c) and any(x < 0 for x in c):
+            raise NotFiniteTypeError("closure produced a mixed-sign vector")
+    ordered = sorted(seen, key=lambda c: (sum(c), c))
+    roots = tuple(Root(c) for c in ordered)
+    positive = tuple(r for r in roots if r.height > 0)
+    theta = None
+    if n >= 1 and len(cartan.components()) == 1:
+        top = max(r.height for r in positive)
+        peaks = [r for r in positive if r.height == top]
+        if len(peaks) != 1:
+            raise NotFiniteTypeError("highest root is not unique")
+        theta = peaks[0]
+    return RootSystem(
+        cartan=cartan,
+        roots=roots,
+        positive=positive,
+        gram=cartan.gram() if n else (),
+        theta=theta,
+        coord_set=frozenset(seen),
+    )
+
+
+def dense_permuted_equal(cartan: CartanMatrix, order: Sequence[int], target: CartanMatrix) -> bool:
+    k = len(order)
+    return all(
+        cartan.entries[order[p]][order[q]] == target.entries[p][q]
+        for p in range(k)
+        for q in range(k)
+    )

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from rootvol import cli
+from rootvol import cli, geometry
 from rootvol.cli import MAX_SWEEP_LENGTH, main
 
 
@@ -31,3 +31,15 @@ def test_partition_without_samples_is_a_usage_error(capsys, samples):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "n_samples must be positive" in captured.err
+
+
+def test_volume_past_the_worker_cap_is_a_usage_error(monkeypatch, capsys):
+    def no_pool(*args):
+        raise AssertionError("a pool was built before the worker count was checked")
+
+    monkeypatch.setattr(geometry, "ThreadPoolExecutor", no_pool)
+    workers = str(geometry.MAX_WORKERS + 1)
+    assert main(["volume", "--type", "A1", "--samples", "20000", "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"between 1 and {geometry.MAX_WORKERS}" in captured.err

@@ -23,7 +23,10 @@ from rootvol.diagram import (
     parse_decomposition,
     parse_label,
 )
+from rootvol import diagram
 from rootvol.rootsys import system_of_type
+
+import rootsys_oracle
 
 ALL_LABELS = (
     [f"A{n}" for n in range(1, 9)]
@@ -102,6 +105,7 @@ def test_cartan_shapes():
         ((2, 1), (1, 2)),  # positive off-diagonal
         ((2, -1), (0, 2)),  # zero pattern not symmetric
         ((2, -1.0), (-1, 2)),  # non-integer
+        ((2, 0, -1), (0, 2, -1), (-1,)),  # ragged: the last row is short
     ],
 )
 def test_cartan_matrix_rejects_invalid(entries):
@@ -180,6 +184,53 @@ def test_classify_invariant_under_relabeling(name, rng):
         tuple(tuple(cartan.entries[order[i]][order[j]] for j in range(cartan.size)) for i in range(cartan.size))
     )
     assert classify(shuffled) == classify(cartan)
+
+
+def _shuffled(cartan, order):
+    n = cartan.size
+    return CartanMatrix(
+        tuple(tuple(cartan.entries[order[i]][order[j]] for j in range(n)) for i in range(n))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ALL_LABELS), st.sampled_from(ALL_LABELS), st.randoms(use_true_random=False))
+def test_edge_comparison_matches_dense_comparison(name, other, rng):
+    cartan = cartan_of_type(parse_label(name))
+    order = list(range(cartan.size))
+    rng.shuffle(order)
+    shuffled = _shuffled(cartan, order)
+    # Node p of the catalogue matrix is node inverse[p] of the shuffled one.
+    inverse = [0] * cartan.size
+    for v, p in enumerate(order):
+        inverse[p] = v
+    guess = list(range(cartan.size))
+    rng.shuffle(guess)
+    target = cartan_of_type(parse_label(other))
+    for relabel in (inverse, inverse[::-1], guess):
+        for t in (cartan, target):
+            if t.size == cartan.size:
+                want = rootsys_oracle.dense_permuted_equal(shuffled, relabel, t)
+                assert diagram._permuted_equal(shuffled, relabel, t) == want
+    assert diagram._permuted_equal(shuffled, inverse, cartan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_LABELS), st.randoms(use_true_random=False))
+def test_classify_of_shuffled_node_deletions_matches_dense_comparison(name, rng):
+    label = parse_label(name)
+    marked = extend(label, system_of_type(label))
+    matrices = []
+    for node in range(marked.rank + 1):
+        deleted = delete_node(marked, node)
+        order = list(range(deleted.size))
+        rng.shuffle(order)
+        matrices.append(_shuffled(deleted, order))
+    got = [classify(m) for m in matrices]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diagram, "_permuted_equal", rootsys_oracle.dense_permuted_equal)
+        want = [classify(m) for m in matrices]
+    assert got == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -148,6 +148,16 @@ def test_montecarlo_thread_pool_is_capped_at_cpu_count(monkeypatch):
     assert estimates[0].hits == estimates[1].hits
 
 
+def test_montecarlo_refuses_more_than_max_workers(monkeypatch):
+    # A refused count builds no pool and draws no substream.
+    built = []
+    monkeypatch.setattr(geometry, "ThreadPoolExecutor", lambda max_workers: built.append(max_workers))
+    monkeypatch.setattr(geometry, "_count_cone0", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=f"between 1 and {geometry.MAX_WORKERS}"):
+        montecarlo_nu("B2", 20_000, 7, workers=geometry.MAX_WORKERS + 1)
+    assert built == []
+
+
 def test_montecarlo_rank_one_exact_split():
     est = montecarlo_nu("A1", 20_000, 5)
     assert est.exact == Fraction(1, 2)

@@ -27,6 +27,8 @@ from rootvol.rootsys import (
     system_of_type,
 )
 
+import rootsys_oracle
+
 ROOT_COUNTS = {
     "A1": 2,
     "A2": 6,
@@ -90,7 +92,20 @@ def test_generate_rejects_affine_matrix():
         generate_roots(CartanMatrix(((2, -2), (-2, 2))))
 
 
-@pytest.mark.parametrize("name,count", [("A49", 2450), ("B35", 2450), ("C35", 2450), ("D40", 3120)])
+@pytest.mark.parametrize(
+    "name,count",
+    [
+        ("A49", 2450),
+        ("B35", 2450),
+        ("C35", 2450),
+        ("D40", 3120),
+        # rank 100 is the largest that the closure ceiling admits
+        ("A100", 10100),
+        ("B100", 20000),
+        ("C100", 20000),
+        ("D100", 19800),
+    ],
+)
 def test_large_admissible_ranks_close(name, count):
     # a fixed bound of ten times the E8 root count once rejected these
     label = parse_label(name)
@@ -113,6 +128,64 @@ def test_closure_ceiling_names_rank_and_ceiling(capsys):
         generate_roots(cartan_of_type(parse_label("B101")))
     assert main(["identity", "--type", "A101"]) == 2
     assert "rank 101" in capsys.readouterr().err
+
+
+CATALOGUE = (
+    "G2",
+    "F4",
+    "E6",
+    "E7",
+    "E8",
+    *(f"A{n}" for n in range(1, 25)),
+    *(f"B{n}" for n in range(2, 25)),
+    *(f"C{n}" for n in range(2, 25)),
+    *(f"D{n}" for n in range(4, 25)),
+)
+
+
+def _assert_same_closure(cartan):
+    got = generate_roots(cartan)
+    want = rootsys_oracle.reflection_closure(cartan)
+    assert got.roots == want.roots
+    assert got.positive == want.positive
+    assert got.theta == want.theta
+    assert got.coord_set == want.coord_set
+
+
+@pytest.mark.parametrize("name", CATALOGUE)
+def test_closure_matches_tuple_oracle(name):
+    _assert_same_closure(cartan_of_type(parse_label(name)))
+
+
+@pytest.mark.parametrize("name", ["E8xA1", "x".join(["A1"] * 84)])
+def test_closure_of_products_matches_tuple_oracle(name):
+    _assert_same_closure(cartan_of_decomposition(parse_decomposition(name)))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ((2, -2), (-2, 2)),  # affine A1
+        ((2, -2, 0), (-2, 2, -1), (0, -1, 2)),  # indefinite
+    ],
+)
+def test_closure_rejects_infinite_types_as_the_oracle_does(entries):
+    cartan = CartanMatrix(entries)
+    with pytest.raises(NotFiniteTypeError) as want:
+        rootsys_oracle.reflection_closure(cartan)
+    with pytest.raises(NotFiniteTypeError) as got:
+        generate_roots(cartan)
+    assert str(got.value) == str(want.value)
+
+
+def test_closure_refuses_entries_that_could_overflow():
+    # Finite types have Cartan entries of at least -3 and roots with entries
+    # of at most 6.  The first matrix would overflow int64 in its first
+    # product; the second grows its roots by a factor of 10^9 a level.
+    with pytest.raises(NotFiniteTypeError, match="too large"):
+        generate_roots(CartanMatrix(((2, -(2**62)), (-1, 2))))
+    with pytest.raises(NotFiniteTypeError, match="entry above"):
+        generate_roots(CartanMatrix(((2, -(10**9)), (-(10**9), 2))))
 
 
 def test_reflection_matrix_rank_two_example():
