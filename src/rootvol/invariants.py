@@ -44,6 +44,20 @@ def nu(degrees: Sequence[int]) -> Fraction:
     return Fraction(math.prod(d - 1 for d in degrees), math.prod(degrees))
 
 
+def degree_product(degrees: Sequence[int], q: Fraction, t: Fraction) -> Fraction:
+    """prod (1 - q t^(d-1)) / (1 - t^d) over the degrees, exactly; 1 for the
+    trivial system.  With q = r/s and t = a/b each factor is
+    (s b^(d-1) - r a^(d-1)) b / ((b^d - a^d) s), so one Fraction is formed.
+    Raises ZeroDivisionError where t^d = 1."""
+    r, s = Fraction(q).as_integer_ratio()
+    a, b = Fraction(t).as_integer_ratio()
+    numerator = denominator = 1
+    for d in degrees:
+        numerator *= (s * b ** (d - 1) - r * a ** (d - 1)) * b
+        denominator *= (b**d - a**d) * s
+    return Fraction(numerator, denominator)
+
+
 def weyl_order(degrees: Sequence[int]) -> int:
     """Product of the degrees."""
     return math.prod(degrees)

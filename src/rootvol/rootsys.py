@@ -27,8 +27,9 @@ from .exact import as_int
 
 # Closures larger than this are refused before they start: B100 and C100,
 # with 20,000 roots, are the largest that fit.  Each root's pairings cost a
-# row of an integer product, so a closure costs about |roots| * rank^2
-# operations in numpy, and A1000 would need a million roots.
+# few operations per simple root, and each of its images copies a row, so a
+# closure costs about |roots| * rank operations in numpy, and A1000 would
+# need a million roots.
 CLOSURE_CEILING = 20_000
 
 # Bound on |entry| * (rank * largest Cartan entry + 1) before a product.
@@ -92,9 +93,10 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
     once it exceeds ``closure_bound(cartan)``; ranks whose bound exceeds
     ``CLOSURE_CEILING`` are rejected before the closure starts.
 
-    The closure runs level by level on int64 rows: one product gives the
-    pairings of a whole frontier with every simple root, each nonzero
-    pairing gives one image, and images are deduplicated by their bytes.
+    The closure runs level by level on int64 rows: one gather over the
+    nonzero entries of each Cartan column gives the pairings of a whole
+    frontier with every simple root, each nonzero pairing gives one image,
+    and images are deduplicated by their bytes.
     """
     n = cartan.size
     bound = closure_bound(cartan)
@@ -110,6 +112,16 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
     if limit < 6:
         raise NotFiniteTypeError(f"Cartan entry {largest} is too large for a finite type")
     a = np.array(cartan.entries, dtype=np.int64).reshape(n, n)
+    # Row j of `support` lists the nonzero rows of Cartan column j, padded
+    # with row 0 at weight 0, so the pairing with simple root j is a sum
+    # over at most a few columns of the frontier, not over all n.
+    nonzero = [np.flatnonzero(column) for column in a.T]
+    width = max(map(len, nonzero), default=0)
+    support = np.zeros((n, width), dtype=np.intp)
+    weight = np.zeros((n, width), dtype=np.int64)
+    for j, rows in enumerate(nonzero):
+        support[j, : len(rows)] = rows
+        weight[j, : len(rows)] = a[rows, j]
     frontier = np.eye(n, dtype=np.int64)
     as_bytes = np.dtype((np.void, 8 * n))
     seen = set(frontier.view(as_bytes).ravel().tolist())
@@ -120,7 +132,7 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
                 f"reflection closure produced an entry above {limit}; "
                 "input is not finite type"
             )
-        pairing = frontier @ a
+        pairing = (frontier[:, support] * weight).sum(axis=2)
         rows, cols = np.nonzero(pairing)
         images = frontier[rows]
         images[np.arange(len(rows)), cols] -= pairing[rows, cols]
@@ -182,10 +194,11 @@ def reflection_matrix(rs: RootSystem, alpha: Root) -> tuple[tuple[int, ...], ...
     n = rs.rank
     g = rs.gram
     c = alpha.coords
-    norm = sum(c[i] * c[j] * g[i][j] for i in range(n) for j in range(n))
+    support = [i for i in range(n) if c[i]]
+    norm = sum(c[i] * c[j] * g[i][j] for i in support for j in support)
     rows = []
     for i in range(n):
-        coeff = as_int(2 * sum(g[i][j] * c[j] for j in range(n)) / norm)
+        coeff = as_int(2 * sum(g[i][j] * c[j] for j in support) / norm)
         rows.append(tuple((1 if i == k else 0) - coeff * c[k] for k in range(n)))
     return tuple(rows)
 

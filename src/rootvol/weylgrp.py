@@ -1,9 +1,11 @@
 """Explicit Weyl groups as integer matrix groups, and the character identities.
 
 Elements act on simple-root coordinate rows, v -> v @ matrix, so the matrix
-rows are the images of the simple basis vectors.  Determinant expressions
-det(1 - q w) are evaluated exactly over rationals from these matrices, and
-the integer determinants det(w) and det(1 - w) by fraction-free elimination.
+rows are the images of the simple basis vectors.  The graded identities
+use det(1 - x w) as an integer polynomial, one per conjugacy class, found
+by Faddeev-LeVerrier and evaluated exactly at rational points;
+`det_one_minus` evaluates it by exact elimination instead.  The integer
+determinants det(w) and det(1 - w) come from fraction-free elimination.
 
 The generator list S_0 is indexed by position: position 0 is the reflection
 in the highest root, positions 1..l are the simple reflections.  Subsets of
@@ -21,9 +23,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .diagram import DecompositionLabel, TypeLabel, classify, parse_label
 from .exact import det, det_int
-from .invariants import degrees_of, degrees_of_type, nu, weyl_order
+from .invariants import degree_product, degrees_of, degrees_of_type, nu, weyl_order
 from .identity import node_terms
 from .rootsys import (
     Root,
@@ -66,10 +70,6 @@ class EnumerationCapError(RuntimeError):
         self.cap = cap
 
 
-def _identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
     cols = tuple(zip(*b))
     return tuple(
@@ -77,7 +77,8 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-@dataclass(frozen=True)
+# Slots: an enumerated group keeps one element per member alive.
+@dataclass(frozen=True, slots=True)
 class WeylElement:
     matrix: Matrix
 
@@ -128,6 +129,7 @@ class GroupTable:
     right: tuple[array, ...] = field(repr=False)
     left: tuple[array, ...] = field(repr=False)
     _classes: ConjugacyClasses | None = field(default=None, init=False, repr=False)
+    _charpolys: dict[tuple[int, ...], int] | None = field(default=None, init=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -143,8 +145,20 @@ class GroupTable:
 
 
 def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
-    """Breadth-first closure of the simple reflections; the expected order
-    is checked against the cap before any multiplication happens."""
+    """Closure of the simple reflections, one length layer at a time; the
+    expected order is checked against the cap before any multiplication.
+
+    Right multiplication by a simple reflection changes the length by one
+    (Humphreys, Reflection Groups and Coxeter Groups, 1990, 1.6-1.7), so
+    the images of layer l lie in layers l - 1 and l + 1.  2 rho, the sum of
+    the positive roots, is regular, so only the identity fixes it (ibid.
+    1.12) and the row w(2 rho) = 2 rho @ w determines w.  Each layer is the
+    (m, n) int64 array of these rows; one batched product with the stacked
+    simple reflections forms all its images, which are matched by their
+    bytes against layer l - 1 and against each other.  New elements keep
+    the order of their first (parent, generator) pair, the order of a
+    breadth-first walk.
+    """
     if len(rs.cartan.components()) != 1:
         raise ValueError("group enumeration requires an irreducible system")
     decomposition = classify(rs.cartan)
@@ -159,59 +173,98 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
         reflection_matrix(rs, Root(tuple(int(j == i) for j in range(rank))))
         for i in range(rank)
     ]
-    identity = _identity_matrix(rank)
-    elements: list[Matrix] = [identity]
-    index: dict[Matrix, int] = {identity: 0}
-    # Element j was first reached as elements[parent[j]] * generators[via[j]].
-    parent = [0]
-    via = [0]
-    # Each row of an element is the image of a simple root, so only |Phi|
-    # distinct rows occur; kept elements share them.
-    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-    right = [array("I") for _ in generators]
-    # The list grows while it is walked, so elements are visited breadth
-    # first and in index order, and right[k] fills in index order.
-    for i, m in enumerate(elements):
-        for k, g in enumerate(generators):
-            p = _matmul(m, g)
-            j = index.get(p)
-            if j is None:
-                p = tuple(rows.setdefault(r, r) for r in p)
-                j = index[p] = len(elements)
-                elements.append(p)
-                parent.append(i)
-                via.append(k)
-            right[k].append(j)
-    if len(elements) != expected:
-        raise RuntimeError(
-            f"closure produced {len(elements)} elements, expected {expected}"
+    stacked = np.array(generators, dtype=np.int64).reshape(rank, rank, rank)
+    as_key = np.dtype((np.void, 8 * rank))
+    frontier = np.array([r.coords for r in rs.positive], dtype=np.int64).sum(axis=0)[None]
+    previous = frontier[:0]
+    # right[i, k] is the index of w_i * s_k; element j was first reached as
+    # w_parent[j] * s_via[j].  Layer l holds the indices from starts[l + 1]
+    # up to starts[l + 2]; layer -1 is empty.
+    right: list[np.ndarray] = []
+    parent = [np.zeros(1, dtype=np.int64)]
+    via = [np.zeros(1, dtype=np.int64)]
+    starts = [0, 0, 1]
+    while len(frontier) and starts[-1] <= expected:
+        previous_start, start, count = starts[-3:]
+        images = np.matmul(frontier[:, None, None], stacked).reshape(-1, rank)
+        _, first, found = np.unique(
+            np.concatenate((previous, images)).view(as_key).ravel(),
+            return_index=True,
+            return_inverse=True,
         )
+        seen = first < len(previous)
+        fresh = np.flatnonzero(~seen)
+        fresh = fresh[np.argsort(first[fresh])]
+        slot = np.empty(len(first), dtype=np.int64)
+        slot[seen] = previous_start + first[seen]
+        slot[fresh] = count + np.arange(len(fresh))
+        right.append(slot[found[len(previous) :]].reshape(-1, rank))
+        origin = first[fresh] - len(previous)
+        parent.append(start + origin // rank)
+        via.append(origin % rank)
+        previous, frontier = frontier, images[origin]
+        starts.append(count + len(fresh))
+    order = starts[-1]
+    if order != expected:
+        raise RuntimeError(f"closure produced {order} elements, expected {expected}")
+
+    right_simple = np.concatenate(right)
+    parent_of = np.concatenate(parent)
+    via_of = np.concatenate(via)
+    layer_slices = [slice(a, b) for a, b in zip(starts[2:], starts[3:])]
+    elements, index = _tuple_elements(rs, stacked, parent_of, via_of, layer_slices)
     simple = tuple(index[g] for g in generators)
     s_theta = index[reflection_matrix(rs, highest_root(rs))]
-
-    def left_by(x: int) -> array:
-        # x * w_j = (x * w_parent) * s_via, so the words give every product.
-        column = array("I", [x])
-        for j in range(1, len(elements)):
-            column.append(right[via[j]][column[parent[j]]])
-        return column
-
-    left = [left_by(x) for x in simple]
-    left_theta = left_by(s_theta)
-    inverse = [0] * len(elements)
-    for j in range(1, len(elements)):
-        inverse[j] = left[via[j]][inverse[parent[j]]]
+    # x * w_j = (x * w_parent) * s_via: each layer's left products come from
+    # the layer before it.  The columns are s_1..s_l, then s_theta.
+    left = np.empty((order, rank + 1), dtype=np.int64)
+    left[0] = (*simple, s_theta)
+    for part in layer_slices:
+        left[part] = right_simple[left[parent_of[part]], via_of[part, None]]
+    # w_j^-1 = s_via * w_parent^-1, in the same layer as w_j.
+    inverse = np.zeros(order, dtype=np.int64)
+    for part in layer_slices:
+        inverse[part] = left[inverse[parent_of[part]], via_of[part]]
     # s_theta is an involution, so w * s_theta = (s_theta * w^-1)^-1.
-    right_theta = array("I", (inverse[left_theta[inverse[j]]] for j in range(len(elements))))
+    right_theta = inverse[left[inverse, rank]]
+
+    def column(values: np.ndarray) -> array:
+        return array("I", values.astype(np.uintc).tobytes())
+
     return GroupTable(
         decomposition=decomposition,
-        elements=tuple(WeylElement(m) for m in elements),
+        elements=elements,
         index=index,
         simple=simple,
         s_theta=s_theta,
-        right=(right_theta, *right),
-        left=(left_theta, *left),
+        right=(column(right_theta), *map(column, right_simple.T)),
+        left=(column(left[:, rank]), *map(column, left[:, :rank].T)),
     )
+
+
+def _tuple_elements(
+    rs: RootSystem,
+    stacked: np.ndarray,
+    parent_of: np.ndarray,
+    via_of: np.ndarray,
+    layer_slices: Sequence[slice],
+) -> tuple[tuple[WeylElement, ...], dict[Matrix, int]]:
+    """The elements as tuple matrices, and their index.  Row i of w is the
+    root w(alpha_i), and row i of w * s is s applied to row i of w, so each
+    layer's rows are root indices looked up from the layer before it.  The
+    matrices share the root system's coordinate tuples as rows."""
+    roots = [r.coords for r in rs.roots]
+    position = {coords: i for i, coords in enumerate(roots)}
+    # reflected[i, k] is the index of the root s_k(root i).
+    images = np.matmul(np.array(roots, dtype=np.int64), stacked).tolist()
+    reflected = np.array([[position[tuple(v)] for v in image] for image in images]).T
+    rank = len(stacked)
+    rows = np.empty((len(parent_of), rank), dtype=np.int64)
+    rows[0] = [position[tuple(int(i == j) for j in range(rank))] for i in range(rank)]
+    for part in layer_slices:
+        rows[part] = reflected[rows[parent_of[part]], via_of[part, None]]
+    matrices = [tuple(map(roots.__getitem__, ids)) for ids in rows.tolist()]
+    return tuple(map(WeylElement, matrices)), {m: i for i, m in enumerate(matrices)}
 
 
 @lru_cache(maxsize=None)
@@ -264,6 +317,52 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
         sizes.append(size)
     table._classes = ConjugacyClasses(tuple(class_of), tuple(reps), tuple(sizes))
     return table._classes
+
+
+def one_minus_charpoly(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Coefficients c_0..c_n of det(1 - x M) = sum c_k x^k for an integer
+    matrix M, by Faddeev-LeVerrier in exact integers: c_0 = 1, N_1 = I,
+    c_k = -tr(M N_k) / k and N_(k+1) = M N_k + c_k I.  Every division is
+    exact for an integer matrix; one that is not raises ValueError."""
+    n = len(matrix)
+    columns = tuple(zip(*matrix))
+    coeffs = [1]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        # N_k is a polynomial in M, so N_k M = M N_k.
+        power = [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in power]
+        trace = sum(power[i][i] for i in range(n))
+        coeff, remainder = divmod(-trace, k)
+        if remainder:
+            raise ValueError(f"Faddeev-LeVerrier step {k}: trace {trace} is not divisible by {k}")
+        coeffs.append(coeff)
+        for i in range(n):
+            power[i][i] += coeff
+    return tuple(coeffs)
+
+
+def charpoly_histogram(table: GroupTable) -> dict[tuple[int, ...], int]:
+    """Maps the coefficients of det(1 - x w) to the number of elements w
+    that have them, from one representative per conjugacy class.  Computed
+    once per table and kept on it."""
+    if table._charpolys is None:
+        classes = conjugacy_classes(table)
+        counts: Counter[tuple[int, ...]] = Counter()
+        for rep, size in zip(classes.representatives, classes.sizes):
+            counts[one_minus_charpoly(table.elements[rep].matrix)] += size
+        table._charpolys = dict(counts)
+    return table._charpolys
+
+
+def _horner(coeffs: Sequence[int], x: Fraction) -> Fraction:
+    """sum c_k x^k, by Horner in integers on the homogeneous form: for
+    x = a/b and degree n, b^n sum c_k x^k = sum c_k a^k b^(n-k)."""
+    a, b = x.numerator, x.denominator
+    value, scale = 0, 1
+    for c in reversed(coeffs):
+        value = value * a + c * scale
+        scale *= b
+    return Fraction(value, scale // b)
 
 
 def reflection_subgroup(table: GroupTable, generators: Iterable[int]) -> tuple[int, ...]:
@@ -332,12 +431,13 @@ class SolomonReport:
         }
 
 
-def _group_average_delta(
-    table: GroupTable, classes: ConjugacyClasses, q: Fraction, t: Fraction
-) -> Fraction:
-    total = Fraction(0)
-    for rep, size in zip(classes.representatives, classes.sizes):
-        total += size * delta_value(table.elements[rep], q, t)
+def _group_average(table: GroupTable, term: callable) -> Fraction:
+    """Average over the group of term(p), where p is the coefficient tuple of
+    det(1 - x w)."""
+    total = sum(
+        (count * term(coeffs) for coeffs, count in charpoly_histogram(table).items()),
+        Fraction(0),
+    )
     return total / table.order
 
 
@@ -348,7 +448,8 @@ def verify_solomon(
 ) -> SolomonReport:
     """Group average of det(1-qw)/det(1-tw) against the degree product
     prod (1 - q t^(d-1)) / (1 - t^d), exactly at each sample point, plus the
-    (q,t) = (1,0) specialization whose value must be exactly 1."""
+    (q,t) = (1,0) specialization whose value must be exactly 1.  The group
+    average evaluates the histogram of det(1 - x w) at q and t."""
     if isinstance(label, str):
         label = parse_label(label)
     if sample_points is None:
@@ -358,23 +459,14 @@ def verify_solomon(
         if abs(t) == 1:
             raise ValueError(f"sample point with |t| = 1 is not allowed: t = {t}")
     table = group_table_of(label, cap)
-    classes = conjugacy_classes(table)
     degrees = degrees_of_type(label)
 
-    def rhs_at(q: Fraction, t: Fraction) -> Fraction:
-        value = Fraction(1)
-        for d in degrees:
-            value *= Fraction(1 - q * t ** (d - 1), 1 - t**d)
-        return value
+    def check_at(q: Fraction, t: Fraction) -> PointCheck:
+        lhs = _group_average(table, lambda p: _horner(p, q) / _horner(p, t))
+        return PointCheck(q, t, lhs, degree_product(degrees, q, t))
 
-    checks = tuple(
-        PointCheck(q, t, _group_average_delta(table, classes, q, t), rhs_at(q, t))
-        for q, t in points
-    )
-    q1, t0 = Fraction(1), Fraction(0)
-    specialization = PointCheck(
-        q1, t0, _group_average_delta(table, classes, q1, t0), rhs_at(q1, t0)
-    )
+    checks = tuple(check_at(q, t) for q, t in points)
+    specialization = check_at(Fraction(1), Fraction(0))
     return SolomonReport(label, table.order, checks, specialization)
 
 
@@ -553,16 +645,6 @@ def _node_degree_lists(label: TypeLabel) -> list[tuple[int, ...]]:
     return [degrees_of(term.decomposition) for term in node_terms(label)]
 
 
-def _expansion_rhs_terms(degree_lists: Sequence[tuple[int, ...]], t: Fraction) -> list[Fraction]:
-    terms = []
-    for degrees in degree_lists:
-        value = Fraction(1)
-        for d in degrees:
-            value *= Fraction(1 - t ** (d - 1), 1 - t**d)
-        terms.append(value)
-    return terms
-
-
 def verify_restricted_expansion(
     label: TypeLabel | str,
     t_samples: Sequence[Fraction | int] | None = None,
@@ -579,22 +661,13 @@ def verify_restricted_expansion(
         if abs(t) == 1:
             raise ValueError(f"sample with |t| = 1 is not allowed: t = {t}")
     table = group_table_of(label, cap)
-    classes = conjugacy_classes(table)
     degree_lists = _node_degree_lists(label)
     nu_values = [nu(degrees) for degrees in degree_lists]
 
-    def lhs_at(t: Fraction) -> Fraction:
-        total = Fraction(0)
-        for rep, size in zip(classes.representatives, classes.sizes):
-            m = table.elements[rep].matrix
-            numerator = det_one_minus(m, Fraction(1)) ** 2
-            total += size * numerator / det_one_minus(m, t)
-        return total / table.order
-
     def check_at(t: Fraction) -> tuple[PointCheck, list[Fraction]]:
-        terms = _expansion_rhs_terms(degree_lists, t)
-        rhs = sum(terms, Fraction(0))
-        return PointCheck(Fraction(1), t, lhs_at(t), rhs), terms
+        lhs = _group_average(table, lambda p: _horner(p, Fraction(1)) ** 2 / _horner(p, t))
+        terms = [degree_product(degrees, Fraction(1), t) for degrees in degree_lists]
+        return PointCheck(Fraction(1), t, lhs, sum(terms, Fraction(0))), terms
 
     sample_checks = tuple(check_at(t)[0] for t in samples)
     probe_checks: list[PointCheck] = []

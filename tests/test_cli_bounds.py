@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from rootvol import cli, geometry
-from rootvol.cli import MAX_SWEEP_LENGTH, main
+from rootvol.cli import MAX_SERIES_ORDER, MAX_SWEEP_LENGTH, main
 
 
 def test_sweep_at_the_cap_is_accepted():
@@ -43,3 +43,31 @@ def test_volume_past_the_worker_cap_is_a_usage_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"between 1 and {geometry.MAX_WORKERS}" in captured.err
+
+
+def _no_coefficients(*args):
+    raise AssertionError("a coefficient was computed before the order was checked")
+
+
+def test_series_past_the_order_cap_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "check_binomial_identity", _no_coefficients)
+    monkeypatch.setattr(cli, "series_coefficient", _no_coefficients)
+    assert main(["series", "--order", str(MAX_SERIES_ORDER + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--order {MAX_SERIES_ORDER + 1}" in captured.err
+    assert f"at most {MAX_SERIES_ORDER}" in captured.err
+
+
+def test_series_at_the_order_cap_is_accepted(monkeypatch, capsys):
+    # Stand-ins that pass, so the cap is checked without paying for order 256.
+    class Passed:
+        passed = True
+
+    checked = []
+    monkeypatch.setattr(cli, "check_binomial_identity", lambda part, n: checked.append(n) or Passed)
+    # Part 1 says that coefficient n is 4^n.
+    monkeypatch.setattr(cli, "series_coefficient", lambda part, n: 4**n)
+    assert main(["series", "--order", str(MAX_SERIES_ORDER), "--part", "1"]) == 0
+    assert max(checked) == MAX_SERIES_ORDER
+    assert f"n = 0..{MAX_SERIES_ORDER}" in capsys.readouterr().out

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from rootvol.diagram import DecompositionLabel, parse_decomposition, parse_label
 from rootvol.invariants import (
+    degree_product,
     degrees_of,
     degrees_of_type,
     exponents_from_heights,
@@ -124,3 +125,25 @@ def test_sum_of_exponents_counts_positive_roots():
     for name in ("B4", "D5", "F4", "E6"):
         rs = system_of_type(parse_label(name))
         assert sum(exponents_from_heights(rs)) == len(rs.positive)
+
+
+@given(
+    st.lists(st.integers(2, 30), max_size=8),
+    st.fractions(max_denominator=50),
+    st.fractions(max_denominator=50).filter(lambda t: abs(t) != 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_degree_product_matches_the_factor_by_factor_product(degrees, q, t):
+    expected = Fraction(1)
+    for d in degrees:
+        expected *= (1 - q * t ** (d - 1)) / (1 - t**d)
+    assert degree_product(degrees, q, t) == expected
+
+
+def test_degree_product_special_values():
+    assert degree_product((), Fraction(3), Fraction(1, 2)) == 1
+    # q = 1, t = 0 gives 1 for every type; q = 0 gives prod 1/(1 - t^d).
+    assert degree_product(degrees_of_type(parse_label("E8")), 1, 0) == 1
+    assert degree_product((2, 3), 0, Fraction(1, 2)) == Fraction(4, 3) * Fraction(8, 7)
+    with pytest.raises(ZeroDivisionError):
+        degree_product((2,), Fraction(1, 2), Fraction(-1))

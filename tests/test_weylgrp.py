@@ -3,24 +3,31 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import weylgrp_oracle
 from coset_oracle import left_cosets, perm_character
 from rootvol.diagram import parse_label
 from rootvol.exact import det, det_int
 from rootvol.identity import node_terms
 from rootvol.invariants import degrees_of, weyl_order
+from rootvol.rootsys import system_of_type
 from rootvol.weylgrp import (
     EnumerationCapError,
     WeylElement,
+    charpoly_histogram,
     conjugacy_classes,
     coset_character,
     delta_value,
     det_one_minus,
+    enumerate_group,
     group_table_of,
     matrix_det,
+    one_minus_charpoly,
     reflection_subgroup,
     verify_companion,
     verify_restricted_expansion,
@@ -305,3 +312,65 @@ def test_bareiss_determinants_match_exact_det_on_f4():
         one_minus = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(m)]
         assert det_int(m) == det(m)
         assert det_int(one_minus) == det(one_minus)
+
+
+BATTERY = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2", "F4"]
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_layered_enumeration_matches_breadth_first_oracle(name):
+    rs = system_of_type(parse_label(name))
+    table = enumerate_group(rs)
+    oracle = weylgrp_oracle.enumerate_group(rs)
+    assert table.elements == oracle.elements
+    assert list(table.index.items()) == list(oracle.index.items())
+    assert table.simple == oracle.simple
+    assert table.s_theta == oracle.s_theta
+    assert table.right == oracle.right
+    assert table.left == oracle.left
+
+
+def test_enumeration_cap_is_checked_before_any_product(monkeypatch):
+    def no_products(*args):
+        raise AssertionError("a product was formed before the cap was checked")
+
+    rs = system_of_type(parse_label("F4"))
+    monkeypatch.setattr(np, "matmul", no_products)
+    with pytest.raises(EnumerationCapError):
+        enumerate_group(rs, cap=1151)
+
+
+@pytest.mark.parametrize("name", ["F4", "B4", "A5", "D4"])
+def test_charpoly_matches_exact_determinants_on_every_element(name):
+    points = (Fraction(1), Fraction(-2, 3), Fraction(7, 5))
+    for w in group_table_of(name).elements:
+        coeffs = one_minus_charpoly(w.matrix)
+        assert len(coeffs) == len(w.matrix) + 1
+        for x in points:
+            assert sum(c * x**k for k, c in enumerate(coeffs)) == det_one_minus(w.matrix, x)
+
+
+def test_charpoly_rejects_a_non_integral_step():
+    # tr(M) = 1/2 is not divisible by 1 in the integers.
+    with pytest.raises(ValueError, match="step 1"):
+        one_minus_charpoly(((Fraction(1, 2), 0), (0, 0)))
+    # tr(M) = 0 passes step 1; tr(M^2) = 3 is not divisible by 2.
+    with pytest.raises(ValueError, match="step 2: trace 3 is not divisible by 2"):
+        one_minus_charpoly(((0, Fraction(3, 2)), (1, 0)))
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_charpoly_histogram_counts_every_element(name):
+    table = group_table_of(name)
+    histogram = charpoly_histogram(table)
+    assert histogram is charpoly_histogram(table)
+    assert sum(histogram.values()) == table.order
+    # Only the identity has det(1 - x w) = (1 - x)^n.
+    n = table.rank
+    assert histogram[tuple(math.comb(n, k) * (-1) ** k for k in range(n + 1))] == 1
+
+
+def test_e6_enumerates_with_a_raised_cap():
+    table = group_table_of("E6", cap=60_000)
+    assert table.order == 51_840
+    assert conjugacy_classes(table).count == 25

@@ -1,0 +1,89 @@
+"""Breadth-first Weyl group enumeration on tuple matrices, for the tests.
+
+``enumerate_group`` multiplies one element by one generator at a time and
+records each new product in the order it is first reached.  The library
+enumerates whole length layers as integer arrays; the tests require the
+same elements, indices and generator columns from both.
+"""
+
+from __future__ import annotations
+
+from array import array
+
+from rootvol.diagram import classify
+from rootvol.invariants import degrees_of, weyl_order
+from rootvol.rootsys import Root, RootSystem, highest_root, reflection_matrix
+from rootvol.weylgrp import DEFAULT_CAP, EnumerationCapError, GroupTable, Matrix, WeylElement
+
+
+def _identity_matrix(n: int) -> Matrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
+    if len(rs.cartan.components()) != 1:
+        raise ValueError("group enumeration requires an irreducible system")
+    decomposition = classify(rs.cartan)
+    if decomposition is None:
+        raise ValueError("system is not of finite type")
+    expected = weyl_order(degrees_of(decomposition))
+    if expected > cap:
+        raise EnumerationCapError(expected, cap)
+
+    rank = rs.rank
+    generators = [
+        reflection_matrix(rs, Root(tuple(int(j == i) for j in range(rank))))
+        for i in range(rank)
+    ]
+    identity = _identity_matrix(rank)
+    elements: list[Matrix] = [identity]
+    index: dict[Matrix, int] = {identity: 0}
+    # Element j was first reached as elements[parent[j]] * generators[via[j]].
+    parent = [0]
+    via = [0]
+    right = [array("I") for _ in generators]
+    # The list grows while it is walked, so elements are visited breadth
+    # first and in index order, and right[k] fills in index order.
+    for i, m in enumerate(elements):
+        for k, g in enumerate(generators):
+            p = _matmul(m, g)
+            j = index.get(p)
+            if j is None:
+                j = index[p] = len(elements)
+                elements.append(p)
+                parent.append(i)
+                via.append(k)
+            right[k].append(j)
+    if len(elements) != expected:
+        raise RuntimeError(f"closure produced {len(elements)} elements, expected {expected}")
+    simple = tuple(index[g] for g in generators)
+    s_theta = index[reflection_matrix(rs, highest_root(rs))]
+
+    def left_by(x: int) -> array:
+        # x * w_j = (x * w_parent) * s_via, so the words give every product.
+        column = array("I", [x])
+        for j in range(1, len(elements)):
+            column.append(right[via[j]][column[parent[j]]])
+        return column
+
+    left = [left_by(x) for x in simple]
+    left_theta = left_by(s_theta)
+    inverse = [0] * len(elements)
+    for j in range(1, len(elements)):
+        inverse[j] = left[via[j]][inverse[parent[j]]]
+    # s_theta is an involution, so w * s_theta = (s_theta * w^-1)^-1.
+    right_theta = array("I", (inverse[left_theta[inverse[j]]] for j in range(len(elements))))
+    return GroupTable(
+        decomposition=decomposition,
+        elements=tuple(WeylElement(m) for m in elements),
+        index=index,
+        simple=simple,
+        s_theta=s_theta,
+        right=(right_theta, *right),
+        left=(left_theta, *left),
+    )
