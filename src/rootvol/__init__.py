@@ -78,7 +78,6 @@ from .weylgrp import (
     WeylElement,
     conjugacy_classes,
     coset_character,
-    delta_value,
     enumerate_group,
     group_table_of,
     reflection_subgroup,

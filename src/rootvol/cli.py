@@ -47,6 +47,11 @@ MAX_SWEEP_LENGTH = 1_000
 # doubling of the order: about 2 s at 256 and 15 s at 512 on a 2-vCPU VM.
 MAX_SERIES_ORDER = 256
 
+# Largest `--cap` for the Weyl group commands: it admits E7 (2,903,040
+# elements) and refuses E8 (696,729,600), whose enumeration would exhaust
+# the machine.
+MAX_CAP = 3_000_000
+
 
 class UsageError(Exception):
     pass
@@ -112,6 +117,18 @@ def _single_labels(selectors: Sequence[DecompositionLabel]) -> list[TypeLabel]:
             raise UsageError(f"this command needs irreducible types, got {d}")
         labels.append(d.factors[0])
     return labels
+
+
+def _cap(text: str) -> int:
+    """`--cap`, checked while the arguments are parsed, before any root is
+    closed."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= cap <= MAX_CAP:
+        raise argparse.ArgumentTypeError(f"{cap} is not between 1 and {MAX_CAP}")
+    return cap
 
 
 def _parse_points(text: str) -> list[tuple[Fraction, Fraction]]:
@@ -438,26 +455,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solomon", help="graded pairing factorization at sample points")
     _add_type_flag(p)
     p.add_argument("--points", help="sample points, e.g. '2,1/2;1/3,-1/2'")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     _add_common_flags(p)
     p.set_defaults(handler=_cmd_solomon)
 
     p = sub.add_parser("steinberg", help="alternating character identity over proper subsets")
     _add_type_flag(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     _add_common_flags(p)
     p.set_defaults(handler=lambda a: _cmd_subset_identity(a, verify_steinberg, "steinberg"))
 
     p = sub.add_parser("companion", help="determinant identity over standard subsets")
     _add_type_flag(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     _add_common_flags(p)
     p.set_defaults(handler=lambda a: _cmd_subset_identity(a, verify_companion, "companion"))
 
     p = sub.add_parser("expansion", help="restricted expansion over deleted-node degrees")
     _add_type_flag(p)
     p.add_argument("--points", help="t samples, e.g. '1/2,-1/3,2/5'")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     _add_common_flags(p)
     p.set_defaults(handler=_cmd_expansion)
 

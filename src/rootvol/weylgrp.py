@@ -1,11 +1,12 @@
-"""Explicit Weyl groups as integer matrix groups, and the character identities.
+"""Explicit Weyl groups as tables of root ids, and the character identities.
 
 Elements act on simple-root coordinate rows, v -> v @ matrix, so the matrix
-rows are the images of the simple basis vectors.  The graded identities
-use det(1 - x w) as an integer polynomial, one per conjugacy class, found
-by Faddeev-LeVerrier and evaluated exactly at rational points;
-`det_one_minus` evaluates it by exact elimination instead.  The integer
-determinants det(w) and det(1 - w) come from fraction-free elimination.
+rows are the images of the simple basis vectors, and a table stores each
+element as the ids of the roots w(alpha_1)..w(alpha_l).  Every identity
+reads det(1 - x w) as an integer polynomial, one per conjugacy class, found
+by Faddeev-LeVerrier: Solomon and the expansion evaluate it exactly at
+rational points, and Steinberg and the companion read det(1 - w) and det(w)
+from its coefficients.
 
 The generator list S_0 is indexed by position: position 0 is the reflection
 in the highest root, positions 1..l are the simple reflections.  Subsets of
@@ -21,12 +22,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .diagram import DecompositionLabel, TypeLabel, classify, parse_label
-from .exact import det, det_int
 from .invariants import degree_product, degrees_of, degrees_of_type, nu, weyl_order
 from .identity import node_terms
 from .rootsys import (
@@ -86,58 +86,41 @@ class WeylElement:
         return WeylElement(_matmul(self.matrix, other.matrix))
 
 
-def det_one_minus(matrix: Matrix, scalar: Fraction) -> Fraction:
-    """det(1 - scalar * matrix), exact."""
-    n = len(matrix)
-    rows = [
-        [Fraction(int(i == j)) - scalar * matrix[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    return det(rows)
-
-
-def matrix_det(matrix: Matrix) -> int:
-    return det_int(matrix)
-
-
-def delta_value(w: WeylElement, q: Fraction | int, t: Fraction | int) -> Fraction:
-    """det(1 - qw) / det(1 - tw).  Requires |t| != 1 so the denominator
-    cannot vanish (eigenvalues of w are roots of unity)."""
-    q = Fraction(q)
-    t = Fraction(t)
-    if abs(t) == 1:
-        raise ValueError("delta_value requires |t| != 1")
-    return det_one_minus(w.matrix, q) / det_one_minus(w.matrix, t)
-
-
 @dataclass(eq=False)
 class GroupTable:
     """A fully enumerated Weyl group.
 
-    `simple` holds the element indices of s_1..s_l in node order and
-    `s_theta` the index of the reflection in the highest root; together they
-    realize the generator list S_0.  For the generator s at S_0 position p,
-    `right[p][i]` is the index of w_i * s and `left[p][i]` that of s * w_i,
-    so every product with a generator is a lookup.
+    Row i of `root_ids` holds the ids of the roots w_i(alpha_1)..w_i(alpha_l),
+    the rows of the matrix of w_i, as positions in `roots`; `element(i)`
+    builds that matrix.  `simple` holds the element indices of s_1..s_l in
+    node order and `s_theta` the index of the reflection in the highest
+    root; together they realize the generator list S_0.  For the generator
+    s at S_0 position p, `right[p][i]` is the index of w_i * s and
+    `left[p][i]` that of s * w_i, so every product with a generator is a
+    lookup.
     """
 
     decomposition: DecompositionLabel
-    elements: tuple[WeylElement, ...]
-    index: dict[Matrix, int] = field(repr=False)
+    root_ids: np.ndarray = field(repr=False)
+    roots: tuple[tuple[int, ...], ...] = field(repr=False)
     simple: tuple[int, ...]
     s_theta: int
     right: tuple[array, ...] = field(repr=False)
     left: tuple[array, ...] = field(repr=False)
     _classes: ConjugacyClasses | None = field(default=None, init=False, repr=False)
-    _charpolys: dict[tuple[int, ...], int] | None = field(default=None, init=False, repr=False)
+    _charpolys: tuple[tuple[int, ...], ...] | None = field(default=None, init=False, repr=False)
+    _histogram: dict[tuple[int, ...], int] | None = field(default=None, init=False, repr=False)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.root_ids)
 
     @property
     def rank(self) -> int:
         return len(self.simple)
+
+    def element(self, i: int) -> WeylElement:
+        return WeylElement(tuple(self.roots[r] for r in self.root_ids[i].tolist()))
 
     def generator_positions(self) -> tuple[int, ...]:
         """Element indices for S_0 positions 0..l (position 0 = s_theta)."""
@@ -169,10 +152,8 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
         raise EnumerationCapError(expected, cap)
 
     rank = rs.rank
-    generators = [
-        reflection_matrix(rs, Root(tuple(int(j == i) for j in range(rank))))
-        for i in range(rank)
-    ]
+    units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    generators = [reflection_matrix(rs, Root(unit)) for unit in units]
     stacked = np.array(generators, dtype=np.int64).reshape(rank, rank, rank)
     as_key = np.dtype((np.void, 8 * rank))
     frontier = np.array([r.coords for r in rs.positive], dtype=np.int64).sum(axis=0)[None]
@@ -212,9 +193,20 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     parent_of = np.concatenate(parent)
     via_of = np.concatenate(via)
     layer_slices = [slice(a, b) for a, b in zip(starts[2:], starts[3:])]
-    elements, index = _tuple_elements(rs, stacked, parent_of, via_of, layer_slices)
-    simple = tuple(index[g] for g in generators)
-    s_theta = index[reflection_matrix(rs, highest_root(rs))]
+    roots = tuple(r.coords for r in rs.roots)
+    position = {coords: i for i, coords in enumerate(roots)}
+    # reflected[i, k] is the id of the root s_k(root i).  Row i of w * s is
+    # s applied to row i of w, so each layer's rows are looked up from the
+    # rows of the layer before it.
+    reflections = np.matmul(np.array(roots, dtype=np.int64), stacked).tolist()
+    reflected = np.array([[position[tuple(v)] for v in image] for image in reflections]).T
+    root_ids = np.empty((order, rank), dtype=np.int64)
+    root_ids[0] = [position[unit] for unit in units]
+    for part in layer_slices:
+        root_ids[part] = reflected[root_ids[parent_of[part]], via_of[part, None]]
+    simple = tuple(right_simple[0].tolist())
+    theta_ids = [position[row] for row in reflection_matrix(rs, highest_root(rs))]
+    s_theta = int(np.flatnonzero((root_ids == theta_ids).all(axis=1))[0])
     # x * w_j = (x * w_parent) * s_via: each layer's left products come from
     # the layer before it.  The columns are s_1..s_l, then s_theta.
     left = np.empty((order, rank + 1), dtype=np.int64)
@@ -233,8 +225,8 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
 
     return GroupTable(
         decomposition=decomposition,
-        elements=elements,
-        index=index,
+        root_ids=root_ids,
+        roots=roots,
         simple=simple,
         s_theta=s_theta,
         right=(column(right_theta), *map(column, right_simple.T)),
@@ -242,40 +234,20 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     )
 
 
-def _tuple_elements(
-    rs: RootSystem,
-    stacked: np.ndarray,
-    parent_of: np.ndarray,
-    via_of: np.ndarray,
-    layer_slices: Sequence[slice],
-) -> tuple[tuple[WeylElement, ...], dict[Matrix, int]]:
-    """The elements as tuple matrices, and their index.  Row i of w is the
-    root w(alpha_i), and row i of w * s is s applied to row i of w, so each
-    layer's rows are root indices looked up from the layer before it.  The
-    matrices share the root system's coordinate tuples as rows."""
-    roots = [r.coords for r in rs.roots]
-    position = {coords: i for i, coords in enumerate(roots)}
-    # reflected[i, k] is the index of the root s_k(root i).
-    images = np.matmul(np.array(roots, dtype=np.int64), stacked).tolist()
-    reflected = np.array([[position[tuple(v)] for v in image] for image in images]).T
-    rank = len(stacked)
-    rows = np.empty((len(parent_of), rank), dtype=np.int64)
-    rows[0] = [position[tuple(int(i == j) for j in range(rank))] for i in range(rank)]
-    for part in layer_slices:
-        rows[part] = reflected[rows[parent_of[part]], via_of[part, None]]
-    matrices = [tuple(map(roots.__getitem__, ids)) for ids in rows.tolist()]
-    return tuple(map(WeylElement, matrices)), {m: i for i, m in enumerate(matrices)}
-
-
 @lru_cache(maxsize=None)
-def _group_table_cached(label: TypeLabel, cap: int) -> GroupTable:
-    return enumerate_group(system_of_type(label), cap)
+def _group_table_cached(label: TypeLabel) -> GroupTable:
+    return enumerate_group(system_of_type(label), weyl_order(degrees_of_type(label)))
 
 
 def group_table_of(label: TypeLabel | str, cap: int = DEFAULT_CAP) -> GroupTable:
+    """The table of W(label), kept per label: the cap is checked against the
+    expected order before the cache is read or any root is closed."""
     if isinstance(label, str):
         label = parse_label(label)
-    return _group_table_cached(label, cap)
+    expected = weyl_order(degrees_of_type(label))
+    if expected > cap:
+        raise EnumerationCapError(expected, cap)
+    return _group_table_cached(label)
 
 
 @dataclass(frozen=True)
@@ -341,17 +313,27 @@ def one_minus_charpoly(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def charpoly_histogram(table: GroupTable) -> dict[tuple[int, ...], int]:
-    """Maps the coefficients of det(1 - x w) to the number of elements w
-    that have them, from one representative per conjugacy class.  Computed
-    once per table and kept on it."""
+def class_charpolys(table: GroupTable) -> tuple[tuple[int, ...], ...]:
+    """Coefficients of det(1 - x w) per conjugacy class, indexed by class
+    id, from one representative each.  Computed once per table and kept on
+    it."""
     if table._charpolys is None:
         classes = conjugacy_classes(table)
-        counts: Counter[tuple[int, ...]] = Counter()
-        for rep, size in zip(classes.representatives, classes.sizes):
-            counts[one_minus_charpoly(table.elements[rep].matrix)] += size
-        table._charpolys = dict(counts)
+        table._charpolys = tuple(
+            one_minus_charpoly(table.element(rep).matrix) for rep in classes.representatives
+        )
     return table._charpolys
+
+
+def charpoly_histogram(table: GroupTable) -> dict[tuple[int, ...], int]:
+    """Maps the coefficients of det(1 - x w) to the number of elements w
+    that have them.  Computed once per table and kept on it."""
+    if table._histogram is None:
+        counts: Counter[tuple[int, ...]] = Counter()
+        for coeffs, size in zip(class_charpolys(table), conjugacy_classes(table).sizes):
+            counts[coeffs] += size
+        table._histogram = dict(counts)
+    return table._histogram
 
 
 def _horner(coeffs: Sequence[int], x: Fraction) -> Fraction:
@@ -431,7 +413,7 @@ class SolomonReport:
         }
 
 
-def _group_average(table: GroupTable, term: callable) -> Fraction:
+def _group_average(table: GroupTable, term: Callable[[tuple[int, ...]], Fraction]) -> Fraction:
     """Average over the group of term(p), where p is the coefficient tuple of
     det(1 - x w)."""
     total = sum(
@@ -535,7 +517,7 @@ def _signed_character_sums(
     table: GroupTable,
     positions: Sequence[int],
     subsets: Iterable[tuple[int, ...]],
-    sign_of: callable,
+    sign_of: Callable[[tuple[int, ...]], int],
 ) -> list[int]:
     """Sum over subsets J of sign(J) * perm character of W/W_J, as a vector
     indexed by conjugacy class."""
@@ -548,45 +530,48 @@ def _signed_character_sums(
     return totals
 
 
-def _one_minus(matrix: Matrix) -> Matrix:
+def _class_failures(
+    table: GroupTable, lhs: Sequence[int], rhs: Sequence[int]
+) -> tuple[ElementFailure, ...]:
+    """Every member of each class whose two sides differ, in index order."""
+    failing = {cid for cid, (a, b) in enumerate(zip(lhs, rhs)) if a != b}
+    if not failing:
+        return ()
     return tuple(
-        tuple(int(i == j) - x for j, x in enumerate(row)) for i, row in enumerate(matrix)
+        ElementFailure(i, table.element(i).matrix, Fraction(lhs[cid]), Fraction(rhs[cid]))
+        for i, cid in enumerate(conjugacy_classes(table).class_of)
+        if cid in failing
     )
 
 
 def verify_steinberg(label: TypeLabel | str, cap: int = DEFAULT_CAP) -> SubsetIdentityReport:
     """det(1 - w) = sum over proper subsets J of S_0 of
-    (-1)^(l - |J|) * (number of cosets of W_J fixed by w), for every w."""
+    (-1)^(l - |J|) * (number of cosets of W_J fixed by w), for every w.
+    The left side is det(1 - x w) at x = 1, the sum of its coefficients."""
     if isinstance(label, str):
         label = parse_label(label)
     table = group_table_of(label, cap)
-    classes = conjugacy_classes(table)
     rank = table.rank
-    positions = table.generator_positions()
     subsets = [
         subset
         for size in range(rank + 1)
         for subset in itertools.combinations(range(rank + 1), size)
     ]
     totals = _signed_character_sums(
-        table, positions, subsets, lambda s: (-1) ** (rank - len(s))
+        table, table.generator_positions(), subsets, lambda s: (-1) ** (rank - len(s))
     )
-    failures = []
-    for i, w in enumerate(table.elements):
-        lhs = det_int(_one_minus(w.matrix))
-        rhs = totals[classes.class_of[i]]
-        if lhs != rhs:
-            failures.append(ElementFailure(i, w.matrix, Fraction(lhs), Fraction(rhs)))
-    return SubsetIdentityReport(label, "steinberg", table.order, len(subsets), tuple(failures))
+    lhs = [sum(coeffs) for coeffs in class_charpolys(table)]
+    failures = _class_failures(table, lhs, totals)
+    return SubsetIdentityReport(label, "steinberg", table.order, len(subsets), failures)
 
 
 def verify_companion(label: TypeLabel | str, cap: int = DEFAULT_CAP) -> SubsetIdentityReport:
     """det(w) = sum over all subsets J of S of
-    (-1)^|J| * (number of cosets of W_J fixed by w), for every w."""
+    (-1)^|J| * (number of cosets of W_J fixed by w), for every w.
+    The left side is (-1)^l times the top coefficient of det(1 - x w)."""
     if isinstance(label, str):
         label = parse_label(label)
     table = group_table_of(label, cap)
-    classes = conjugacy_classes(table)
     rank = table.rank
     subsets = [
         subset
@@ -596,13 +581,9 @@ def verify_companion(label: TypeLabel | str, cap: int = DEFAULT_CAP) -> SubsetId
     totals = _signed_character_sums(
         table, table.simple, subsets, lambda s: (-1) ** len(s)
     )
-    failures = []
-    for i, w in enumerate(table.elements):
-        lhs = matrix_det(w.matrix)
-        rhs = totals[classes.class_of[i]]
-        if lhs != rhs:
-            failures.append(ElementFailure(i, w.matrix, Fraction(lhs), Fraction(rhs)))
-    return SubsetIdentityReport(label, "companion", table.order, len(subsets), tuple(failures))
+    lhs = [(-1) ** rank * coeffs[-1] for coeffs in class_charpolys(table)]
+    failures = _class_failures(table, lhs, totals)
+    return SubsetIdentityReport(label, "companion", table.order, len(subsets), failures)
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from rootvol.weylgrp import GroupTable, WeylElement
+from rootvol.weylgrp import GroupTable, Matrix, WeylElement
 
 
-def product_index(table: GroupTable, i: int, j: int) -> int:
-    return table.index[(table.elements[i] * table.elements[j]).matrix]
+def product_index(
+    elements: Sequence[WeylElement], index: dict[Matrix, int], i: int, j: int
+) -> int:
+    return index[(elements[i] * elements[j]).matrix]
 
 
 @dataclass(frozen=True)
 class SubgroupCosets:
-    """Left cosets x W_J of a reflection subgroup, one id per element."""
+    """Left cosets x W_J of a reflection subgroup, one id per element.
 
-    table: GroupTable
+    `elements` are the group's matrices from `table.element`, and `index`
+    maps each matrix back to its element index."""
+
+    elements: tuple[WeylElement, ...]
+    index: dict[Matrix, int]
     members: tuple[int, ...]
     coset_of: tuple[int, ...]
     representatives: tuple[int, ...]
@@ -32,6 +38,8 @@ class SubgroupCosets:
 
 
 def left_cosets(table: GroupTable, members: Sequence[int]) -> SubgroupCosets:
+    elements = tuple(table.element(i) for i in range(table.order))
+    index = {w.matrix: i for i, w in enumerate(elements)}
     coset_of = [-1] * table.order
     reps: list[int] = []
     for i in range(table.order):
@@ -40,21 +48,21 @@ def left_cosets(table: GroupTable, members: Sequence[int]) -> SubgroupCosets:
         cid = len(reps)
         reps.append(i)
         for m in members:
-            coset_of[product_index(table, i, m)] = cid
+            coset_of[product_index(elements, index, i, m)] = cid
     if len(members) * len(reps) != table.order:
         raise RuntimeError("coset partition does not tile the group")
-    return SubgroupCosets(table, tuple(members), tuple(coset_of), tuple(reps))
+    return SubgroupCosets(elements, index, tuple(members), tuple(coset_of), tuple(reps))
 
 
 def perm_character(cosets: SubgroupCosets, w: WeylElement) -> int:
     """Number of left cosets fixed by left multiplication with w."""
-    table = cosets.table
     try:
-        widx = table.index[w.matrix]
+        widx = cosets.index[w.matrix]
     except KeyError:
         raise ValueError("element does not belong to this group") from None
     fixed = 0
     for rep in cosets.representatives:
-        if cosets.coset_of[product_index(table, widx, rep)] == cosets.coset_of[rep]:
+        product = product_index(cosets.elements, cosets.index, widx, rep)
+        if cosets.coset_of[product] == cosets.coset_of[rep]:
             fixed += 1
     return fixed

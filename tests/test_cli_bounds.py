@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from rootvol import cli, geometry
-from rootvol.cli import MAX_SERIES_ORDER, MAX_SWEEP_LENGTH, main
+from rootvol import cli, geometry, rootsys, weylgrp
+from rootvol.cli import MAX_CAP, MAX_SERIES_ORDER, MAX_SWEEP_LENGTH, main
 
 
 def test_sweep_at_the_cap_is_accepted():
@@ -71,3 +71,24 @@ def test_series_at_the_order_cap_is_accepted(monkeypatch, capsys):
     assert main(["series", "--order", str(MAX_SERIES_ORDER), "--part", "1"]) == 0
     assert max(checked) == MAX_SERIES_ORDER
     assert f"n = 0..{MAX_SERIES_ORDER}" in capsys.readouterr().out
+
+
+def _no_enumeration(*args):
+    raise AssertionError("roots were closed or a group enumerated before the cap was checked")
+
+
+@pytest.mark.parametrize("command", ["solomon", "steinberg", "companion", "expansion"])
+@pytest.mark.parametrize("cap", ["1000000000", str(MAX_CAP + 1), "0", "-3"])
+def test_cap_outside_its_bounds_is_a_usage_error(monkeypatch, capsys, command, cap):
+    monkeypatch.setattr(weylgrp, "enumerate_group", _no_enumeration)
+    monkeypatch.setattr(weylgrp, "system_of_type", _no_enumeration)
+    monkeypatch.setattr(rootsys, "generate_roots", _no_enumeration)
+    assert main([command, "--type", "E8", "--cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"between 1 and {MAX_CAP}" in captured.err
+
+
+def test_cap_at_its_bound_is_accepted(capsys):
+    assert main(["steinberg", "--type", "A2", "--cap", str(MAX_CAP)]) == 0
+    assert "steinberg A2: 6 elements" in capsys.readouterr().out

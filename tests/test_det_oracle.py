@@ -5,7 +5,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootvol.exact import det, det_int
+from det_oracle import det_int
+from rootvol.exact import det
 
 
 @st.composite

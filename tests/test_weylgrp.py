@@ -11,8 +11,10 @@ import pytest
 
 import weylgrp_oracle
 from coset_oracle import left_cosets, perm_character
+from det_oracle import delta_value, det_int, det_one_minus, one_minus
+from rootvol import weylgrp
 from rootvol.diagram import parse_label
-from rootvol.exact import det, det_int
+from rootvol.exact import det
 from rootvol.identity import node_terms
 from rootvol.invariants import degrees_of, weyl_order
 from rootvol.rootsys import system_of_type
@@ -20,13 +22,11 @@ from rootvol.weylgrp import (
     EnumerationCapError,
     WeylElement,
     charpoly_histogram,
+    class_charpolys,
     conjugacy_classes,
     coset_character,
-    delta_value,
-    det_one_minus,
     enumerate_group,
     group_table_of,
-    matrix_det,
     one_minus_charpoly,
     reflection_subgroup,
     verify_companion,
@@ -34,6 +34,11 @@ from rootvol.weylgrp import (
     verify_solomon,
     verify_steinberg,
 )
+
+
+def elements_of(table):
+    return [table.element(i) for i in range(table.order)]
+
 
 ORDERS = {"A1": 2, "A2": 6, "B2": 8, "G2": 12, "A3": 24, "B3": 48, "C3": 48, "D4": 192, "A5": 720, "F4": 1152}
 
@@ -49,42 +54,43 @@ def test_cap_precheck_names_expected_order():
 
 
 def test_elements_have_unit_determinant():
+    # det(w) is (-1)^n times the top coefficient of det(1 - x w).
     table = group_table_of("B3")
-    assert all(abs(matrix_det(w.matrix)) == 1 for w in table.elements)
+    assert all(abs(coeffs[-1]) == 1 for coeffs in class_charpolys(table))
 
 
 def test_generators_are_involutions():
     table = group_table_of("A3")
-    identity = table.elements[0]
+    identity = table.element(0)
     for idx in (*table.simple, table.s_theta):
-        s = table.elements[idx]
+        s = table.element(idx)
         assert (s * s).matrix == identity.matrix
 
 
 def test_delta_value_identity_element():
     table = group_table_of("A2")
-    e = table.elements[0]
+    e = table.element(0)
     q, t = Fraction(1, 3), Fraction(1, 2)
     assert delta_value(e, q, t) == ((1 - q) / (1 - t)) ** 2
 
 
 def test_delta_value_rank_one_reflection():
     table = group_table_of("A1")
-    s = table.elements[table.simple[0]]
+    s = table.element(table.simple[0])
     assert delta_value(s, Fraction(1), Fraction(1, 2)) == Fraction(4, 3)
 
 
 def test_delta_value_rejects_unit_t():
     table = group_table_of("A1")
     with pytest.raises(ValueError):
-        delta_value(table.elements[0], Fraction(1), Fraction(1))
+        delta_value(table.element(0), Fraction(1), Fraction(1))
     with pytest.raises(ValueError):
-        delta_value(table.elements[0], Fraction(1), Fraction(-1))
+        delta_value(table.element(0), Fraction(1), Fraction(-1))
 
 
 def test_delta_at_one_zero_is_det_one_minus_w():
     table = group_table_of("B2")
-    for w in table.elements:
+    for w in elements_of(table):
         assert delta_value(w, Fraction(1), Fraction(0)) == det_one_minus(w.matrix, Fraction(1))
 
 
@@ -92,7 +98,7 @@ def test_average_det_one_minus_is_one():
     for name in ("A1", "A3", "B3", "G2"):
         table = group_table_of(name)
         total = sum(
-            (det_one_minus(w.matrix, Fraction(1)) for w in table.elements), Fraction(0)
+            (det_one_minus(w.matrix, Fraction(1)) for w in elements_of(table)), Fraction(0)
         )
         assert total == table.order
 
@@ -111,7 +117,7 @@ def test_class_function_property_of_characters():
     classes = conjugacy_classes(table)
     members = reflection_subgroup(table, [table.simple[0]])
     cosets = left_cosets(table, members)
-    values = [perm_character(cosets, w) for w in table.elements]
+    values = [perm_character(cosets, w) for w in elements_of(table)]
     for i, value in enumerate(values):
         rep = classes.representatives[classes.class_of[i]]
         assert value == values[rep]
@@ -121,8 +127,8 @@ def test_perm_character_regular_action():
     table = group_table_of("A2")
     cosets = left_cosets(table, reflection_subgroup(table, []))
     assert cosets.count == table.order
-    assert perm_character(cosets, table.elements[0]) == table.order
-    for w in table.elements[1:]:
+    assert perm_character(cosets, table.element(0)) == table.order
+    for w in elements_of(table)[1:]:
         assert perm_character(cosets, w) == 0
 
 
@@ -131,7 +137,7 @@ def test_perm_character_full_subgroup():
     members = reflection_subgroup(table, list(table.simple))
     cosets = left_cosets(table, members)
     assert cosets.count == 1
-    assert all(perm_character(cosets, w) == 1 for w in table.elements)
+    assert all(perm_character(cosets, w) == 1 for w in elements_of(table))
 
 
 def test_perm_character_sums_to_group_order():
@@ -139,7 +145,7 @@ def test_perm_character_sums_to_group_order():
     table = group_table_of("G2")
     for gens in ([], [table.simple[0]], [table.s_theta], list(table.simple)):
         cosets = left_cosets(table, reflection_subgroup(table, gens))
-        assert sum(perm_character(cosets, w) for w in table.elements) == table.order
+        assert sum(perm_character(cosets, w) for w in elements_of(table)) == table.order
 
 
 def test_rank_one_redundant_generator():
@@ -196,9 +202,9 @@ def test_steinberg_rank_one_values():
     report = verify_steinberg("A1")
     assert report.passed
     assert report.subset_count == 3
-    s = table.elements[table.simple[0]]
+    s = table.element(table.simple[0])
     assert det_one_minus(s.matrix, Fraction(1)) == 2
-    assert det_one_minus(table.elements[0].matrix, Fraction(1)) == 0
+    assert det_one_minus(table.element(0).matrix, Fraction(1)) == 0
 
 
 def test_steinberg_subset_counts():
@@ -211,9 +217,10 @@ def test_companion_counts_and_values():
     report = verify_companion("B2")
     assert report.passed
     assert report.subset_count == 4
+    # In A1 the reflection is -1: det(1 - x s) = 1 + x, and det(s) = -1.
     table = group_table_of("A1")
-    s = table.elements[table.simple[0]]
-    assert matrix_det(s.matrix) == -1
+    classes = conjugacy_classes(table)
+    assert class_charpolys(table)[classes.class_of[table.simple[0]]] == (1, 1)
 
 
 def test_subset_identities_small_types():
@@ -280,17 +287,19 @@ def test_coset_character_matches_brute_force_oracle(name):
             gens = [positions[p] for p in subset]
             values = coset_character(table, gens)
             cosets = left_cosets(table, reflection_subgroup(table, gens))
-            for i, w in enumerate(table.elements):
+            for i, w in enumerate(elements_of(table)):
                 assert values[classes.class_of[i]] == perm_character(cosets, w)
 
 
 def test_generator_columns_match_products():
     table = group_table_of("B3")
+    elements = elements_of(table)
+    index = {w.matrix: i for i, w in enumerate(elements)}
     for p, s in enumerate(table.generator_positions()):
-        generator = table.elements[s]
-        for i, w in enumerate(table.elements):
-            assert table.right[p][i] == table.index[(w * generator).matrix]
-            assert table.left[p][i] == table.index[(generator * w).matrix]
+        generator = elements[s]
+        for i, w in enumerate(elements):
+            assert table.right[p][i] == index[(w * generator).matrix]
+            assert table.left[p][i] == index[(generator * w).matrix]
 
 
 def test_conjugacy_classes_computed_once_per_table():
@@ -305,16 +314,22 @@ def test_reflection_subgroup_rejects_elements_outside_s0():
         reflection_subgroup(table, [outside])
 
 
-def test_bareiss_determinants_match_exact_det_on_f4():
-    table = group_table_of("F4")
-    for w in table.elements:
-        m = w.matrix
-        one_minus = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(m)]
-        assert det_int(m) == det(m)
-        assert det_int(one_minus) == det(one_minus)
-
-
 BATTERY = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2", "F4"]
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_class_determinants_match_every_element(name):
+    # det(1 - w) = sum of the coefficients of det(1 - x w), and
+    # det(w) = (-1)^n times the top one; both by elimination per element.
+    table = group_table_of(name)
+    classes = conjugacy_classes(table)
+    polys = class_charpolys(table)
+    n = table.rank
+    for i, w in enumerate(elements_of(table)):
+        coeffs = polys[classes.class_of[i]]
+        m = w.matrix
+        assert (-1) ** n * coeffs[-1] == det(m) == det_int(m)
+        assert sum(coeffs) == det(one_minus(m)) == det_int(one_minus(m))
 
 
 @pytest.mark.parametrize("name", BATTERY)
@@ -322,8 +337,9 @@ def test_layered_enumeration_matches_breadth_first_oracle(name):
     rs = system_of_type(parse_label(name))
     table = enumerate_group(rs)
     oracle = weylgrp_oracle.enumerate_group(rs)
-    assert table.elements == oracle.elements
-    assert list(table.index.items()) == list(oracle.index.items())
+    elements = elements_of(table)
+    assert elements == list(oracle.elements)
+    assert list(oracle.index.items()) == [(w.matrix, i) for i, w in enumerate(elements)]
     assert table.simple == oracle.simple
     assert table.s_theta == oracle.s_theta
     assert table.right == oracle.right
@@ -343,7 +359,7 @@ def test_enumeration_cap_is_checked_before_any_product(monkeypatch):
 @pytest.mark.parametrize("name", ["F4", "B4", "A5", "D4"])
 def test_charpoly_matches_exact_determinants_on_every_element(name):
     points = (Fraction(1), Fraction(-2, 3), Fraction(7, 5))
-    for w in group_table_of(name).elements:
+    for w in elements_of(group_table_of(name)):
         coeffs = one_minus_charpoly(w.matrix)
         assert len(coeffs) == len(w.matrix) + 1
         for x in points:
@@ -374,3 +390,45 @@ def test_e6_enumerates_with_a_raised_cap():
     table = group_table_of("E6", cap=60_000)
     assert table.order == 51_840
     assert conjugacy_classes(table).count == 25
+
+
+def test_table_is_cached_by_type_not_by_cap():
+    table = group_table_of("F4")
+    assert group_table_of("F4", cap=60_000) is table
+    assert group_table_of(parse_label("F4"), cap=table.order) is table
+    with pytest.raises(EnumerationCapError, match="1152"):
+        group_table_of("F4", cap=table.order - 1)
+
+
+@pytest.mark.parametrize("verify", [verify_steinberg, verify_companion])
+def test_a_failing_class_lists_its_members(monkeypatch, verify):
+    # Shift one class's value of the regular character (the empty subset
+    # J, which both identities take with a nonzero sign), so exactly that
+    # class's right-hand total moves.
+    table = group_table_of("B3")
+    classes = conjugacy_classes(table)
+    target = classes.class_of[table.simple[0]]
+    real = weylgrp.coset_character
+
+    def shifted(table, generators):
+        generators = list(generators)
+        values = list(real(table, generators))
+        if not generators:
+            values[target] += 1
+        return tuple(values)
+
+    honest = verify("B3")
+    monkeypatch.setattr(weylgrp, "coset_character", shifted)
+    report = verify("B3")
+    assert honest.passed and not report.passed
+    members = [i for i in range(table.order) if classes.class_of[i] == target]
+    assert len(members) == classes.sizes[target] > 1
+    assert [f.element for f in report.failures] == members
+    assert [f.matrix for f in report.failures] == [table.element(i).matrix for i in members]
+    assert len({(f.lhs, f.rhs) for f in report.failures}) == 1
+    assert abs(report.failures[0].rhs - report.failures[0].lhs) == 1
+    first = report.as_dict()["failures"][0]
+    assert list(first) == ["element", "matrix", "lhs", "rhs"]
+    assert first["element"] == members[0]
+    assert first["matrix"] == [list(row) for row in table.element(members[0]).matrix]
+    assert report.as_dict()["pass"] is False

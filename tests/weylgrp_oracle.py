@@ -1,19 +1,21 @@
 """Breadth-first Weyl group enumeration on tuple matrices, for the tests.
 
 ``enumerate_group`` multiplies one element by one generator at a time and
-records each new product in the order it is first reached.  The library
-enumerates whole length layers as integer arrays; the tests require the
-same elements, indices and generator columns from both.
+records each new product in the order it is first reached, as a tuple
+matrix with its index in a dict.  The library enumerates whole length
+layers as integer arrays of root ids; the tests require the same elements,
+indices and generator columns from both.
 """
 
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 
 from rootvol.diagram import classify
 from rootvol.invariants import degrees_of, weyl_order
 from rootvol.rootsys import Root, RootSystem, highest_root, reflection_matrix
-from rootvol.weylgrp import DEFAULT_CAP, EnumerationCapError, GroupTable, Matrix, WeylElement
+from rootvol.weylgrp import DEFAULT_CAP, EnumerationCapError, Matrix, WeylElement
 
 
 def _identity_matrix(n: int) -> Matrix:
@@ -25,7 +27,20 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
-def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
+@dataclass(frozen=True)
+class OracleTable:
+    """The walk's record: elements in index order, the matrix -> index dict,
+    and the generator indices and columns in the library's layout."""
+
+    elements: tuple[WeylElement, ...]
+    index: dict[Matrix, int]
+    simple: tuple[int, ...]
+    s_theta: int
+    right: tuple[array, ...]
+    left: tuple[array, ...]
+
+
+def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> OracleTable:
     if len(rs.cartan.components()) != 1:
         raise ValueError("group enumeration requires an irreducible system")
     decomposition = classify(rs.cartan)
@@ -78,8 +93,7 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
         inverse[j] = left[via[j]][inverse[parent[j]]]
     # s_theta is an involution, so w * s_theta = (s_theta * w^-1)^-1.
     right_theta = array("I", (inverse[left_theta[inverse[j]]] for j in range(len(elements))))
-    return GroupTable(
-        decomposition=decomposition,
+    return OracleTable(
         elements=tuple(WeylElement(m) for m in elements),
         index=index,
         simple=simple,
