@@ -49,11 +49,9 @@ from .rootsys import (
     ClosureCeilingError,
     Root,
     RootSystem,
-    Subsystem,
     generate_roots,
     highest_root,
     reflection_matrix,
-    subsystem,
     system_of_type,
 )
 from .series import (
@@ -63,7 +61,6 @@ from .series import (
     central_binomial_series,
     check_binomial_identity,
     half_ratio_series,
-    integrate,
     inverse,
     series_coefficient,
     series_of,

@@ -13,13 +13,13 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from operator import attrgetter, methodcaller
+from typing import Any, Callable, Iterable, Sequence
 
 from . import acceptance
 from .diagram import (
     DecompositionLabel,
     InadmissibleLabelError,
-    NotFiniteTypeError,
     TypeLabel,
     parse_decomposition,
     parse_label,
@@ -31,6 +31,9 @@ from .series import check_binomial_identity, series_coefficient
 from .weylgrp import (
     DEFAULT_CAP,
     EnumerationCapError,
+    ExpansionReport,
+    PointCheck,
+    SolomonReport,
     verify_companion,
     verify_restricted_expansion,
     verify_solomon,
@@ -53,20 +56,60 @@ MAX_SERIES_ORDER = 256
 MAX_CAP = 3_000_000
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
 @dataclass
 class Outcome:
-    """A command's verdict and its three renderings.  Each rendering is built
-    only when its format is asked for."""
+    """A command's reports and how to render one report in each format:
+    `entry` gives its JSON object, `text` its text block and `tsv_rows` its
+    rows of TSV cells; `passed` gives its verdict.  `key` names the JSON
+    report list, `separator` joins the text blocks, and `overall_line` ends
+    the text with the overall verdict.  `_render` builds only the format
+    asked for."""
 
-    ok: bool
-    payload: Callable[[], dict]
-    text: Callable[[], str]
-    tsv_header: list[str]
-    tsv_rows: Callable[[], list[list[str]]]
+    reports: Sequence[Any]
+    text: Callable[[Any], str]
+    tsv_header: tuple[str, ...]
+    tsv_rows: Callable[[Any], Iterable[Sequence[Any]]]
+    entry: Callable[[Any], dict] = methodcaller("as_dict")
+    passed: Callable[[Any], bool] = attrgetter("passed")
+    key: str = "reports"
+    separator: str = "\n"
+    overall_line: bool = False
+
+    @property
+    def ok(self) -> bool:
+        return all(self.passed(r) for r in self.reports)
+
+
+def _verdict(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _mark(ok: bool) -> str:
+    return "ok" if ok else "MISMATCH"
+
+
+def _cell(value: Any) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _render(command: str, outcome: Outcome, fmt: str) -> str:
+    reports = outcome.reports
+    if fmt == "json":
+        entries = [outcome.entry(r) for r in reports]
+        return json.dumps({"command": command, outcome.key: entries, "pass": outcome.ok}, indent=2)
+    if fmt == "tsv":
+        rows = [outcome.tsv_header, *(row for r in reports for row in outcome.tsv_rows(r))]
+        return "\n".join("\t".join(map(_cell, row)) for row in rows)
+    text = outcome.separator.join(outcome.text(r) for r in reports)
+    if outcome.overall_line:
+        text += f"\noverall: {_verdict(outcome.ok)}"
+    return text
 
 
 def _fraction(text: str) -> Fraction:
@@ -141,51 +184,27 @@ def _parse_points(text: str) -> list[tuple[Fraction, Fraction]]:
     return points
 
 
-def _parse_t_list(text: str) -> list[Fraction]:
-    return [_fraction(chunk) for chunk in text.split(",")]
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
 def _cmd_nu(args: argparse.Namespace) -> Outcome:
     rows = [{"type": str(d), "nu": str(nu_of(d))} for d in _parse_selector(args.type)]
-
-    def text() -> str:
-        if len(rows) == 1:
-            return rows[0]["nu"]
-        return "\n".join(f"{r['type']} {r['nu']}" for r in rows)
-
     return Outcome(
-        ok=True,
-        payload=lambda: {"command": "nu", "reports": rows, "pass": True},
-        text=text,
-        tsv_header=["type", "nu"],
-        tsv_rows=lambda: [[r["type"], r["nu"]] for r in rows],
+        rows,
+        text=lambda r: r["nu"] if len(rows) == 1 else f"{r['type']} {r['nu']}",
+        tsv_header=("type", "nu"),
+        tsv_rows=lambda r: [(r["type"], r["nu"])],
+        entry=dict,
+        passed=lambda r: True,
     )
 
 
 def _cmd_identity(args: argparse.Namespace) -> Outcome:
     labels = _single_labels(_parse_selector(args.type))
-    reports = [verify_identity(label) for label in labels]
-    ok = all(r.passed for r in reports)
-
-    def tsv_rows() -> list[list[str]]:
-        rows = []
-        for r in reports:
-            for t in r.terms:
-                scaled = t.scaled
-                scaled_text = str(scaled.numerator if scaled.denominator == 1 else scaled)
-                rows.append([str(r.label), str(t.node), str(t.decomposition), str(t.nu_value), scaled_text])
-        return rows
-
     return Outcome(
-        ok=ok,
-        payload=lambda: {"command": "identity", "reports": [report_as_dict(r) for r in reports], "pass": ok},
-        text=lambda: "\n\n".join(report_as_text(r) for r in reports),
-        tsv_header=["type", "node", "decomposition", "nu", "scaled"],
-        tsv_rows=tsv_rows,
+        [verify_identity(label) for label in labels],
+        text=report_as_text,
+        tsv_header=("type", "node", "decomposition", "nu", "scaled"),
+        tsv_rows=lambda r: [(r.label, t.node, t.decomposition, t.nu_value, t.scaled) for t in r.terms],
+        entry=report_as_dict,
+        separator="\n\n",
     )
 
 
@@ -193,16 +212,14 @@ def _cmd_series(args: argparse.Namespace) -> Outcome:
     order = args.order
     if order > MAX_SERIES_ORDER:
         raise UsageError(f"--order {order} is too large; at most {MAX_SERIES_ORDER} is allowed")
-    parts = [args.part] if args.part else [1, 2, 3]
     reports = []
-    for part in parts:
+    for part in [args.part] if args.part else [1, 2, 3]:
         low = 0 if part == 1 else 2
         if order < low:
             raise UsageError(f"part {part} needs order >= {low}")
         direct_ok = all(check_binomial_identity(part, n).passed for n in range(low, order + 1))
-        target = {1: 0, 2: -1, 3: -2}[part]
         series_ok = all(
-            series_coefficient(part, n) == Fraction(4 ** (n + target))
+            series_coefficient(part, n) == Fraction(4 ** (n + 1 - part))
             for n in range(low, order + 1)
         )
         reports.append(
@@ -215,218 +232,144 @@ def _cmd_series(args: argparse.Namespace) -> Outcome:
                 "pass": direct_ok and series_ok,
             }
         )
-    ok = all(r["pass"] for r in reports)
     return Outcome(
-        ok=ok,
-        payload=lambda: {"command": "series", "reports": reports, "pass": ok},
-        text=lambda: "\n".join(
+        reports,
+        text=lambda r: (
             f"part {r['part']}: n = {r['n_min']}..{r['n_max']}"
-            f"  direct {'PASS' if r['direct_pass'] else 'FAIL'}"
-            f"  series {'PASS' if r['series_pass'] else 'FAIL'}"
-            for r in reports
+            f"  direct {_verdict(r['direct_pass'])}  series {_verdict(r['series_pass'])}"
         ),
-        tsv_header=["part", "n_min", "n_max", "direct_pass", "series_pass", "pass"],
-        tsv_rows=lambda: [
-            [str(r["part"]), str(r["n_min"]), str(r["n_max"]), _bool(r["direct_pass"]), _bool(r["series_pass"]), _bool(r["pass"])]
-            for r in reports
-        ],
+        tsv_header=("part", "n_min", "n_max", "direct_pass", "series_pass", "pass"),
+        tsv_rows=lambda r: [tuple(r.values())],
+        entry=dict,
+        passed=lambda r: r["pass"],
     )
+
+
+def _solomon_text(r: SolomonReport) -> str:
+    lines = [f"solomon {r.label}: group order {r.group_order}"]
+    for p in (*r.points, r.specialization):
+        lines.append(f"  q={p.q} t={p.t}  lhs={p.lhs}  rhs={p.rhs}  {_mark(p.passed)}")
+    lines.append(f"  {_verdict(r.passed)}")
+    return "\n".join(lines)
 
 
 def _cmd_solomon(args: argparse.Namespace) -> Outcome:
     labels = _single_labels(_parse_selector(args.type))
     points = _parse_points(args.points) if args.points else None
-    reports = [verify_solomon(label, points, args.cap) for label in labels]
-    ok = all(r.passed for r in reports)
-
-    def text() -> str:
-        lines = []
-        for r in reports:
-            lines.append(f"solomon {r.label}: group order {r.group_order}")
-            for p in (*r.points, r.specialization):
-                lines.append(
-                    f"  q={p.q} t={p.t}  lhs={p.lhs}  rhs={p.rhs}  {'ok' if p.passed else 'MISMATCH'}"
-                )
-            lines.append(f"  {'PASS' if r.passed else 'FAIL'}")
-        return "\n".join(lines)
-
     return Outcome(
-        ok=ok,
-        payload=lambda: {"command": "solomon", "reports": [r.as_dict() for r in reports], "pass": ok},
-        text=text,
-        tsv_header=["type", "q", "t", "lhs", "rhs", "pass"],
-        tsv_rows=lambda: [
-            [str(r.label), str(p.q), str(p.t), str(p.lhs), str(p.rhs), _bool(p.passed)]
-            for r in reports
-            for p in (*r.points, r.specialization)
+        [verify_solomon(label, points, args.cap) for label in labels],
+        text=_solomon_text,
+        tsv_header=("type", "q", "t", "lhs", "rhs", "pass"),
+        tsv_rows=lambda r: [
+            (r.label, p.q, p.t, p.lhs, p.rhs, p.passed) for p in (*r.points, r.specialization)
         ],
     )
 
 
-def _cmd_subset_identity(args: argparse.Namespace, verify: Callable, name: str) -> Outcome:
+def _cmd_subset_identity(args: argparse.Namespace) -> Outcome:
+    verify = {"steinberg": verify_steinberg, "companion": verify_companion}[args.command]
     labels = _single_labels(_parse_selector(args.type))
-    reports = [verify(label, args.cap) for label in labels]
-    ok = all(r.passed for r in reports)
     return Outcome(
-        ok=ok,
-        payload=lambda: {"command": name, "reports": [r.as_dict() for r in reports], "pass": ok},
-        text=lambda: "\n".join(
-            f"{name} {r.label}: {r.group_order} elements, {r.subset_count} subsets,"
-            f" {len(r.failures)} failing  {'PASS' if r.passed else 'FAIL'}"
-            for r in reports
+        [verify(label, args.cap) for label in labels],
+        text=lambda r: (
+            f"{args.command} {r.label}: {r.group_order} elements, {r.subset_count} subsets,"
+            f" {len(r.failures)} failing  {_verdict(r.passed)}"
         ),
-        tsv_header=["type", "group_order", "subsets", "failing_elements", "pass"],
-        tsv_rows=lambda: [
-            [str(r.label), str(r.group_order), str(r.subset_count), str(len(r.failures)), _bool(r.passed)]
-            for r in reports
-        ],
+        tsv_header=("type", "group_order", "subsets", "failing_elements", "pass"),
+        tsv_rows=lambda r: [(r.label, r.group_order, r.subset_count, len(r.failures), r.passed)],
     )
+
+
+def _expansion_checks(r: ExpansionReport) -> list[tuple[str, PointCheck]]:
+    return [("sample", p) for p in r.samples] + [("probe", p) for p in r.probes]
+
+
+def _expansion_text(r: ExpansionReport) -> str:
+    lines = [f"expansion {r.label}: group order {r.group_order}"]
+    for kind, p in _expansion_checks(r):
+        lines.append(f"  {kind} t={p.t}  lhs={p.lhs}  rhs={p.rhs}  {_mark(p.passed)}")
+    monotone = "yes" if r.gaps_decreasing else "NO"
+    lines.append(f"  node terms approach their limits monotonically: {monotone}")
+    lines.append(f"  {_verdict(r.passed)}")
+    return "\n".join(lines)
 
 
 def _cmd_expansion(args: argparse.Namespace) -> Outcome:
     labels = _single_labels(_parse_selector(args.type))
-    t_samples = _parse_t_list(args.points) if args.points else None
-    reports = [verify_restricted_expansion(label, t_samples, args.cap) for label in labels]
-    ok = all(r.passed for r in reports)
-
-    def text() -> str:
-        lines = []
-        for r in reports:
-            lines.append(f"expansion {r.label}: group order {r.group_order}")
-            for kind, checks in (("sample", r.samples), ("probe", r.probes)):
-                for p in checks:
-                    lines.append(
-                        f"  {kind} t={p.t}  lhs={p.lhs}  rhs={p.rhs}  {'ok' if p.passed else 'MISMATCH'}"
-                    )
-            lines.append(
-                f"  node terms approach their limits monotonically:"
-                f" {'yes' if r.gaps_decreasing else 'NO'}"
-            )
-            lines.append(f"  {'PASS' if r.passed else 'FAIL'}")
-        return "\n".join(lines)
-
+    t_samples = [_fraction(t) for t in args.points.split(",")] if args.points else None
     return Outcome(
-        ok=ok,
-        payload=lambda: {"command": "expansion", "reports": [r.as_dict() for r in reports], "pass": ok},
-        text=text,
-        tsv_header=["type", "kind", "t", "lhs", "rhs", "pass"],
-        tsv_rows=lambda: [
-            [str(r.label), kind, str(p.t), str(p.lhs), str(p.rhs), _bool(p.passed)]
-            for r in reports
-            for kind, checks in (("sample", r.samples), ("probe", r.probes))
-            for p in checks
+        [verify_restricted_expansion(label, t_samples, args.cap) for label in labels],
+        text=_expansion_text,
+        tsv_header=("type", "kind", "t", "lhs", "rhs", "pass"),
+        tsv_rows=lambda r: [
+            (r.label, kind, p.t, p.lhs, p.rhs, p.passed) for kind, p in _expansion_checks(r)
         ],
     )
 
 
 def _cmd_volume(args: argparse.Namespace) -> Outcome:
     selectors = _parse_selector(args.type)
-    estimates = [
-        montecarlo_nu(d, args.samples, args.seed, workers=args.workers) for d in selectors
-    ]
-    ok = all(e.within(4) for e in estimates)
     return Outcome(
-        ok=ok,
-        payload=lambda: {
-            "command": "volume",
-            "reports": [{**e.as_dict(), "pass": e.within(4)} for e in estimates],
-            "pass": ok,
-        },
-        text=lambda: "\n".join(
+        [montecarlo_nu(d, args.samples, args.seed, workers=args.workers) for d in selectors],
+        text=lambda e: (
             f"{e.decomposition} estimate={e.estimate:.6f} exact={e.exact}"
             f" ({float(e.exact):.6f}) stderr={e.stderr:.6f} z={e.z_score:+.2f}"
-            f" {'PASS' if e.within(4) else 'FAIL'}"
-            for e in estimates
+            f" {_verdict(e.within(4))}"
         ),
-        tsv_header=["type", "samples", "seed", "workers", "estimate", "stderr", "exact", "z_score", "pass"],
-        tsv_rows=lambda: [
-            [
-                str(e.decomposition),
-                str(e.samples),
-                str(e.seed),
-                str(e.workers),
+        tsv_header=("type", "samples", "seed", "workers", "estimate", "stderr", "exact", "z_score", "pass"),
+        tsv_rows=lambda e: [
+            (
+                e.decomposition,
+                e.samples,
+                e.seed,
+                e.workers,
                 f"{e.estimate:.6f}",
                 f"{e.stderr:.6f}",
-                str(e.exact),
+                e.exact,
                 f"{e.z_score:+.3f}",
-                _bool(e.within(4)),
-            ]
-            for e in estimates
+                e.within(4),
+            )
         ],
+        entry=lambda e: {**e.as_dict(), "pass": e.within(4)},
+        passed=lambda e: e.within(4),
     )
 
 
 def _cmd_partition(args: argparse.Namespace) -> Outcome:
     labels = _single_labels(_parse_selector(args.type))
-    reports = [partition_check(label, args.samples, args.seed) for label in labels]
-    ok = all(r.passed for r in reports)
-
-    def text() -> str:
-        lines = []
-        for r in reports:
-            z_text = ",".join(f"{z:+.2f}" for z in r.z_scores)
-            lines.append(
-                f"{r.label} samples={r.samples} counts={list(r.counts)} z=[{z_text}]"
-                f" boundary={r.boundary_count} failures={r.failure_count}"
-                f" mismatches={r.mismatch_count} {'PASS' if r.passed else 'FAIL'}"
-            )
-        return "\n".join(lines)
-
     return Outcome(
-        ok=ok,
-        payload=lambda: {"command": "partition", "reports": [r.as_dict() for r in reports], "pass": ok},
-        text=text,
-        tsv_header=["type", "samples", "seed", "counts", "boundary", "failures", "mismatches", "pass"],
-        tsv_rows=lambda: [
-            [
-                str(r.label),
-                str(r.samples),
-                str(r.seed),
-                " ".join(str(c) for c in r.counts),
-                str(r.boundary_count),
-                str(r.failure_count),
-                str(r.mismatch_count),
-                _bool(r.passed),
-            ]
-            for r in reports
+        [partition_check(label, args.samples, args.seed) for label in labels],
+        text=lambda r: (
+            f"{r.label} samples={r.samples} counts={list(r.counts)}"
+            f" z=[{','.join(f'{z:+.2f}' for z in r.z_scores)}]"
+            f" boundary={r.boundary_count} failures={r.failure_count}"
+            f" mismatches={r.mismatch_count} {_verdict(r.passed)}"
+        ),
+        tsv_header=("type", "samples", "seed", "counts", "boundary", "failures", "mismatches", "pass"),
+        tsv_rows=lambda r: [
+            (
+                r.label,
+                r.samples,
+                r.seed,
+                " ".join(map(str, r.counts)),
+                r.boundary_count,
+                r.failure_count,
+                r.mismatch_count,
+                r.passed,
+            )
         ],
     )
 
 
 def _cmd_report_all(args: argparse.Namespace) -> Outcome:
-    results = acceptance.run_all()
-    ok = all(r.passed for r in results)
-
-    def text() -> str:
-        lines = [
-            f"[criterion {r.number}] {'PASS' if r.passed else 'FAIL'} {r.name} ({r.seconds:.2f}s)"
-            for r in results
-        ]
-        lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
-        return "\n".join(lines)
-
     return Outcome(
-        ok=ok,
-        payload=lambda: {"command": "report-all", "criteria": [r.as_dict() for r in results], "pass": ok},
-        text=text,
-        tsv_header=["criterion", "name", "pass", "seconds"],
-        tsv_rows=lambda: [
-            [str(r.number), r.name, _bool(r.passed), f"{r.seconds:.3f}"] for r in results
-        ],
+        acceptance.run_all(),
+        text=lambda r: f"[criterion {r.number}] {_verdict(r.passed)} {r.name} ({r.seconds:.2f}s)",
+        tsv_header=("criterion", "name", "pass", "seconds"),
+        tsv_rows=lambda r: [(r.number, r.name, r.passed, f"{r.seconds:.3f}")],
+        key="criteria",
+        overall_line=True,
     )
-
-
-def _add_type_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--type",
-        required=True,
-        help="type selector: label (B3), product (A1xC3), sweep (B2..B12), comma list",
-    )
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "tsv"), default="text")
-    parser.add_argument("--output", help="also write the report to this file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,80 +377,75 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rootvol",
         description="Root system cone fractions: exact identities, Weyl group checks, Monte Carlo volumes.",
     )
+    type_flag = (
+        "--type",
+        {
+            "required": True,
+            "help": "type selector: label (B3), product (A1xC3), sweep (B2..B12), comma list",
+        },
+    )
+    cap = ("--cap", {"type": _cap, "default": DEFAULT_CAP})
+    seed = ("--seed", {"type": int, "default": 0})
+    common = [
+        ("--format", {"choices": ("text", "json", "tsv"), "default": "text"}),
+        ("--output", {"help": "also write the report to this file"}),
+    ]
+    # Subcommand -> (help, handler, flags before --format and --output).
+    commands = {
+        "nu": ("exact cone fraction of a type or product", _cmd_nu, [type_flag]),
+        "identity": ("node deletion decomposition and exact sum", _cmd_identity, [type_flag]),
+        "series": (
+            "central binomial identities, both routes",
+            _cmd_series,
+            [
+                ("--order", {"type": int, "default": 30, "help": "largest n checked"}),
+                ("--part", {"type": int, "choices": (1, 2, 3), "help": "restrict to one part"}),
+            ],
+        ),
+        "solomon": (
+            "graded pairing factorization at sample points",
+            _cmd_solomon,
+            [type_flag, ("--points", {"help": "sample points, e.g. '2,1/2;1/3,-1/2'"}), cap],
+        ),
+        "steinberg": (
+            "alternating character identity over proper subsets",
+            _cmd_subset_identity,
+            [type_flag, cap],
+        ),
+        "companion": (
+            "determinant identity over standard subsets",
+            _cmd_subset_identity,
+            [type_flag, cap],
+        ),
+        "expansion": (
+            "restricted expansion over deleted-node degrees",
+            _cmd_expansion,
+            [type_flag, ("--points", {"help": "t samples, e.g. '1/2,-1/3,2/5'"}), cap],
+        ),
+        "volume": (
+            "Monte Carlo cone volume fraction",
+            _cmd_volume,
+            [
+                type_flag,
+                ("--samples", {"type": int, "default": 1_000_000}),
+                seed,
+                ("--workers", {"type": int, "default": 1}),
+            ],
+        ),
+        "partition": (
+            "cone partition scan against constructive location",
+            _cmd_partition,
+            [type_flag, ("--samples", {"type": int, "default": 10_000}), seed],
+        ),
+        "report-all": ("run the full acceptance battery", _cmd_report_all, []),
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("nu", help="exact cone fraction of a type or product")
-    _add_type_flag(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_nu)
-
-    p = sub.add_parser("identity", help="node deletion decomposition and exact sum")
-    _add_type_flag(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_identity)
-
-    p = sub.add_parser("series", help="central binomial identities, both routes")
-    p.add_argument("--order", type=int, default=30, help="largest n checked")
-    p.add_argument("--part", type=int, choices=(1, 2, 3), help="restrict to one part")
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_series)
-
-    p = sub.add_parser("solomon", help="graded pairing factorization at sample points")
-    _add_type_flag(p)
-    p.add_argument("--points", help="sample points, e.g. '2,1/2;1/3,-1/2'")
-    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_solomon)
-
-    p = sub.add_parser("steinberg", help="alternating character identity over proper subsets")
-    _add_type_flag(p)
-    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
-    _add_common_flags(p)
-    p.set_defaults(handler=lambda a: _cmd_subset_identity(a, verify_steinberg, "steinberg"))
-
-    p = sub.add_parser("companion", help="determinant identity over standard subsets")
-    _add_type_flag(p)
-    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
-    _add_common_flags(p)
-    p.set_defaults(handler=lambda a: _cmd_subset_identity(a, verify_companion, "companion"))
-
-    p = sub.add_parser("expansion", help="restricted expansion over deleted-node degrees")
-    _add_type_flag(p)
-    p.add_argument("--points", help="t samples, e.g. '1/2,-1/3,2/5'")
-    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_expansion)
-
-    p = sub.add_parser("volume", help="Monte Carlo cone volume fraction")
-    _add_type_flag(p)
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_volume)
-
-    p = sub.add_parser("partition", help="cone partition scan against constructive location")
-    _add_type_flag(p)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_partition)
-
-    p = sub.add_parser("report-all", help="run the full acceptance battery")
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_report_all)
-
+    for name, (help_text, handler, flags) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in (*flags, *common):
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
-
-
-def _render(outcome: Outcome, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(outcome.payload(), indent=2)
-    if fmt == "tsv":
-        lines = ["\t".join(outcome.tsv_header)]
-        lines.extend("\t".join(row) for row in outcome.tsv_rows())
-        return "\n".join(lines)
-    return outcome.text()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -515,24 +453,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return 0 if code in (0, None) else 2
+        return 0 if exc.code in (0, None) else 2
     try:
         outcome = args.handler(args)
-        rendered = _render(outcome, args.format)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InadmissibleLabelError, NotFiniteTypeError, ValueError) as exc:
+        rendered = _render(args.command, outcome, args.format)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(rendered)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --output {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
+    print(rendered)
     return 0 if outcome.ok else 1
 
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import chain, compress, repeat
 from typing import TYPE_CHECKING, Sequence
 
-from .exact import as_int, det
+from .exact import as_int
 
 if TYPE_CHECKING:
     from .rootsys import RootSystem
@@ -129,9 +129,9 @@ def parse_decomposition(text: str) -> DecompositionLabel:
 @dataclass(frozen=True)
 class CartanMatrix:
     """Integer matrix with diagonal 2, nonpositive off-diagonal entries, and
-    a symmetric zero pattern.  Finite-type constraints (bond products at most
-    3, positive definite symmetrization) are checked by ``is_finite_type``,
-    not by the constructor, because extended diagrams violate them."""
+    a symmetric zero pattern.  The constructor does not require finite type,
+    because extended diagrams are not of finite type; ``classify`` raises
+    NotFiniteTypeError for a component that matches no finite-type diagram."""
 
     entries: tuple[tuple[int, ...], ...]
     # The nonzero off-diagonal columns of each row, ascending: the edges of
@@ -226,22 +226,6 @@ class CartanMatrix:
                 row[j] = self.entries[i][j] * d[j]
             rows.append(tuple(row))
         return tuple(rows)
-
-    def is_finite_type(self) -> bool:
-        """Exact test: symmetrizable with positive definite pairing matrix."""
-        for i in range(self.size):
-            for j in range(i + 1, self.size):
-                if self.entries[i][j] * self.entries[j][i] > 3:
-                    return False
-        d = self.symmetrizer()
-        if d is None:
-            return False
-        g = self.gram()
-        for k in range(1, self.size + 1):
-            minor = det([row[:k] for row in g[:k]])
-            if minor <= 0:
-                return False
-        return True
 
 
 @lru_cache(maxsize=None)

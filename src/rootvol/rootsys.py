@@ -17,11 +17,9 @@ import numpy as np
 
 from .diagram import (
     CartanMatrix,
-    MarkedDiagram,
     NotFiniteTypeError,
     TypeLabel,
     cartan_of_type,
-    delete_node,
 )
 from .exact import as_int
 
@@ -201,33 +199,3 @@ def reflection_matrix(rs: RootSystem, alpha: Root) -> tuple[tuple[int, ...], ...
         coeff = as_int(2 * sum(g[i][j] * c[j] for j in support) / norm)
         rows.append(tuple((1 if i == k else 0) - coeff * c[k] for k in range(n)))
     return tuple(rows)
-
-
-@dataclass(frozen=True)
-class Subsystem:
-    """Node-deletion subsystem computed two independent ways: by filtering
-    the ambient roots that are integral over the deleted basis, and by
-    regenerating from the deleted Cartan matrix."""
-
-    node: int
-    filtered: tuple[Root, ...]
-    system: RootSystem
-
-
-def subsystem(rs: RootSystem, diagram: MarkedDiagram, node: int) -> Subsystem:
-    if diagram.rank != rs.rank:
-        raise ValueError("diagram and root system ranks differ")
-    if not 0 <= node <= diagram.rank:
-        raise IndexError(f"node {node} out of range 0..{diagram.rank}")
-    if node == 0:
-        filtered = rs.roots
-    else:
-        m = diagram.marks[node - 1]
-        filtered = tuple(r for r in rs.roots if r.coords[node - 1] % m == 0)
-    regenerated = generate_roots(delete_node(diagram, node))
-    if len(filtered) != len(regenerated.roots):
-        raise RuntimeError(
-            f"subsystem cross-check failed at node {node}: "
-            f"{len(filtered)} filtered vs {len(regenerated.roots)} regenerated"
-        )
-    return Subsystem(node, filtered, regenerated)

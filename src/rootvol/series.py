@@ -115,14 +115,6 @@ def sqrt(series: RationalSeries) -> RationalSeries:
     return RationalSeries(tuple(out))
 
 
-def integrate(series: RationalSeries) -> RationalSeries:
-    """Termwise antiderivative with zero constant, same truncation order."""
-    out = [Fraction(0)]
-    for n in range(1, series.order + 1):
-        out.append(series.coeffs[n - 1] / n)
-    return RationalSeries(tuple(out))
-
-
 def central_binomial(n: int) -> int:
     """C(2n, n)."""
     return math.comb(2 * n, n)

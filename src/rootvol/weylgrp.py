@@ -263,32 +263,35 @@ class ConjugacyClasses:
 
 def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     """Orbits under conjugation by the simple reflections (involutions, so
-    conjugation is s * w * s).  Computed once per table and kept on it."""
+    conjugation is s * w * s).  Computed once per table and kept on it.
+
+    Each element's label starts as its own index and takes the least label
+    among its conjugates, then the label of its label (pointer jumping),
+    until nothing changes; every label is then the least index in its
+    class.  Classes are numbered in the order of those least indices.
+    """
     if table._classes is not None:
         return table._classes
-    conjugators = [(table.left[p], table.right[p]) for p in range(1, table.rank + 1)]
-    class_of = [-1] * table.order
-    reps: list[int] = []
-    sizes: list[int] = []
-    for start in range(table.order):
-        if class_of[start] != -1:
-            continue
-        cid = len(reps)
-        reps.append(start)
-        class_of[start] = cid
-        stack = [start]
-        size = 1
-        while stack:
-            j = stack.pop()
-            for left, right in conjugators:
-                k = left[right[j]]
-                if class_of[k] == -1:
-                    class_of[k] = cid
-                    size += 1
-                    stack.append(k)
-        sizes.append(size)
-    table._classes = ConjugacyClasses(tuple(class_of), tuple(reps), tuple(sizes))
+    conjugators = [
+        _as_indices(table.left[p])[_as_indices(table.right[p])] for p in range(1, table.rank + 1)
+    ]
+    label = np.arange(table.order)
+    while True:
+        previous = label.copy()
+        for conjugate in conjugators:
+            np.minimum(label, label[conjugate], out=label)
+        label = label[label]
+        if np.array_equal(label, previous):
+            break
+    representatives, class_of, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    table._classes = ConjugacyClasses(
+        tuple(class_of.tolist()), tuple(representatives.tolist()), tuple(sizes.tolist())
+    )
     return table._classes
+
+
+def _as_indices(column: array) -> np.ndarray:
+    return np.frombuffer(column, dtype=np.uintc).astype(np.int64)
 
 
 def one_minus_charpoly(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -1,8 +1,10 @@
-"""Per-element determinants of Weyl group matrices, for the tests.
+"""Exact determinants by elimination, for the tests.
 
 The library reads det(w) and det(1 - w) from the characteristic polynomial
 of one representative per conjugacy class; these functions compute them
-for each element by elimination, so the tests can compare the two.
+for each element by elimination, so the tests can compare the two.  ``det``
+also gives the leading minors of the finite-type oracle in
+``rootsys_oracle``.
 """
 
 from __future__ import annotations
@@ -10,8 +12,29 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from rootvol.exact import det
 from rootvol.weylgrp import Matrix, WeylElement
+
+
+def det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
+    """Determinant by exact Gaussian elimination; the empty matrix gives 1."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            result = -result
+        result *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                f = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    return result
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:

@@ -7,14 +7,23 @@ order, highest root and errors from both.
 
 ``dense_permuted_equal`` compares every entry of a relabeled matrix with a
 catalogue matrix, where the library compares edges only.
+
+``is_finite_type`` tests a Cartan matrix by its bond products and the
+leading minors of its pairing matrix, where the library matches diagrams.
+
+``subsystem`` finds the roots of a node-deletion subsystem two ways: by
+filtering the ambient roots that are integral over the deleted basis, and
+by regenerating from the deleted Cartan matrix.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
-from rootvol.diagram import CartanMatrix, NotFiniteTypeError
-from rootvol.rootsys import Root, RootSystem, closure_bound
+from det_oracle import det
+from rootvol.diagram import CartanMatrix, MarkedDiagram, NotFiniteTypeError, delete_node
+from rootvol.rootsys import Root, RootSystem, closure_bound, generate_roots
 
 
 def reflection_closure(cartan: CartanMatrix) -> RootSystem:
@@ -75,3 +84,45 @@ def dense_permuted_equal(cartan: CartanMatrix, order: Sequence[int], target: Car
         for p in range(k)
         for q in range(k)
     )
+
+
+def is_finite_type(cartan: CartanMatrix) -> bool:
+    """Exact test: symmetrizable with positive definite pairing matrix."""
+    for i in range(cartan.size):
+        for j in range(i + 1, cartan.size):
+            if cartan.entries[i][j] * cartan.entries[j][i] > 3:
+                return False
+    if cartan.symmetrizer() is None:
+        return False
+    g = cartan.gram()
+    for k in range(1, cartan.size + 1):
+        minor = det([row[:k] for row in g[:k]])
+        if minor <= 0:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class Subsystem:
+    node: int
+    filtered: tuple[Root, ...]
+    system: RootSystem
+
+
+def subsystem(rs: RootSystem, diagram: MarkedDiagram, node: int) -> Subsystem:
+    if diagram.rank != rs.rank:
+        raise ValueError("diagram and root system ranks differ")
+    if not 0 <= node <= diagram.rank:
+        raise IndexError(f"node {node} out of range 0..{diagram.rank}")
+    if node == 0:
+        filtered = rs.roots
+    else:
+        m = diagram.marks[node - 1]
+        filtered = tuple(r for r in rs.roots if r.coords[node - 1] % m == 0)
+    regenerated = generate_roots(delete_node(diagram, node))
+    if len(filtered) != len(regenerated.roots):
+        raise RuntimeError(
+            f"subsystem cross-check failed at node {node}: "
+            f"{len(filtered)} filtered vs {len(regenerated.roots)} regenerated"
+        )
+    return Subsystem(node, filtered, regenerated)

@@ -92,3 +92,13 @@ def test_cap_outside_its_bounds_is_a_usage_error(monkeypatch, capsys, command, c
 def test_cap_at_its_bound_is_accepted(capsys):
     assert main(["steinberg", "--type", "A2", "--cap", str(MAX_CAP)]) == 0
     assert "steinberg A2: 6 elements" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "report.txt" if where == "missing directory" else tmp_path
+    assert main(["nu", "--type", "E7", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --output {target}: ")
+    assert captured.err.count("\n") == 1

@@ -5,8 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from det_oracle import det_int
-from rootvol.exact import det
+from det_oracle import det, det_int
 
 
 @st.composite

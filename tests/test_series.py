@@ -15,12 +15,20 @@ from rootvol.series import (
     central_binomial_series,
     check_binomial_identity,
     half_ratio_series,
-    integrate,
     inverse,
     series_coefficient,
     series_of,
     sqrt,
 )
+
+
+def integrate(series: RationalSeries) -> RationalSeries:
+    """Termwise antiderivative with zero constant, same truncation order."""
+    out = [Fraction(0)]
+    for n in range(1, series.order + 1):
+        out.append(series.coeffs[n - 1] / n)
+    return RationalSeries(tuple(out))
+
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 

@@ -11,14 +11,14 @@ import pytest
 
 import weylgrp_oracle
 from coset_oracle import left_cosets, perm_character
-from det_oracle import delta_value, det_int, det_one_minus, one_minus
+from det_oracle import delta_value, det, det_int, det_one_minus, one_minus
 from rootvol import weylgrp
 from rootvol.diagram import parse_label
-from rootvol.exact import det
 from rootvol.identity import node_terms
 from rootvol.invariants import degrees_of, weyl_order
 from rootvol.rootsys import system_of_type
 from rootvol.weylgrp import (
+    DEFAULT_CAP,
     EnumerationCapError,
     WeylElement,
     charpoly_histogram,
@@ -330,6 +330,12 @@ def test_class_determinants_match_every_element(name):
         m = w.matrix
         assert (-1) ** n * coeffs[-1] == det(m) == det_int(m)
         assert sum(coeffs) == det(one_minus(m)) == det_int(one_minus(m))
+
+
+@pytest.mark.parametrize("name,cap", [(name, DEFAULT_CAP) for name in BATTERY] + [("E6", 60_000)])
+def test_conjugacy_classes_match_the_stack_walk(name, cap):
+    table = group_table_of(name, cap)
+    assert conjugacy_classes(table) == weylgrp_oracle.conjugacy_classes(table)
 
 
 @pytest.mark.parametrize("name", BATTERY)

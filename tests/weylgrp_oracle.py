@@ -1,10 +1,13 @@
-"""Breadth-first Weyl group enumeration on tuple matrices, for the tests.
+"""Breadth-first Weyl group enumeration on tuple matrices, and conjugacy
+classes by a stack walk, for the tests.
 
 ``enumerate_group`` multiplies one element by one generator at a time and
 records each new product in the order it is first reached, as a tuple
 matrix with its index in a dict.  The library enumerates whole length
 layers as integer arrays of root ids; the tests require the same elements,
-indices and generator columns from both.
+indices and generator columns from both.  ``conjugacy_classes`` walks each
+class from its least index, one element at a time; the library propagates
+least labels over whole arrays, and the tests require the same classes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ from dataclasses import dataclass
 from rootvol.diagram import classify
 from rootvol.invariants import degrees_of, weyl_order
 from rootvol.rootsys import Root, RootSystem, highest_root, reflection_matrix
-from rootvol.weylgrp import DEFAULT_CAP, EnumerationCapError, Matrix, WeylElement
+from rootvol.weylgrp import (
+    DEFAULT_CAP,
+    ConjugacyClasses,
+    EnumerationCapError,
+    GroupTable,
+    Matrix,
+    WeylElement,
+)
 
 
 def _identity_matrix(n: int) -> Matrix:
@@ -101,3 +111,30 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> OracleTable:
         right=(right_theta, *right),
         left=(left_theta, *left),
     )
+
+
+def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
+    """Orbits under s * w * s for the simple reflections s, numbered in the
+    order of their least index."""
+    conjugators = [(table.left[p], table.right[p]) for p in range(1, table.rank + 1)]
+    class_of = [-1] * table.order
+    reps: list[int] = []
+    sizes: list[int] = []
+    for start in range(table.order):
+        if class_of[start] != -1:
+            continue
+        cid = len(reps)
+        reps.append(start)
+        class_of[start] = cid
+        stack = [start]
+        size = 1
+        while stack:
+            j = stack.pop()
+            for left, right in conjugators:
+                k = left[right[j]]
+                if class_of[k] == -1:
+                    class_of[k] = cid
+                    size += 1
+                    stack.append(k)
+        sizes.append(size)
+    return ConjugacyClasses(tuple(class_of), tuple(reps), tuple(sizes))
