@@ -10,6 +10,7 @@ from .diagram import (
     cartan_of_decomposition,
     cartan_of_type,
     classify,
+    classify_deletion,
     delete_node,
     extend,
     parse_decomposition,

@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import attrgetter, methodcaller
 from typing import Any, Callable, Iterable, Sequence
 
@@ -46,8 +47,9 @@ from .weylgrp import (
 # 100 anyway.
 MAX_SWEEP_LENGTH = 1_000
 
-# Largest `series --order`.  Both routes cost about seven times as much per
-# doubling of the order: about 2 s at 256 and 15 s at 512 on a 2-vCPU VM.
+# Largest `series --order`.  The generating-function route costs four to six
+# times as much per doubling of the order: about 0.7 s at 256 on a 2-vCPU
+# VM, where the direct sums take 0.08 s.
 MAX_SERIES_ORDER = 256
 
 # Largest `--cap` for the Weyl group commands: it admits E7 (2,903,040
@@ -448,10 +450,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building it costs more than most commands.  Parsing
+# leaves it as it was, and each call gets a fresh namespace; the handlers
+# look up module globals only when they run.
+_parser = cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

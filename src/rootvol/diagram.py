@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact import as_int
 
@@ -39,6 +39,7 @@ __all__ = [
     "cartan_of_decomposition",
     "cartan_of_type",
     "classify",
+    "classify_deletion",
     "delete_node",
     "extend",
     "parse_decomposition",
@@ -136,7 +137,7 @@ class CartanMatrix:
     entries: tuple[tuple[int, ...], ...]
     # The nonzero off-diagonal columns of each row, ascending: the edges of
     # the diagram, found by the validation pass and used by every graph walk.
-    _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    edges: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = self.entries
@@ -159,34 +160,15 @@ class CartanMatrix:
             for j in edges:
                 if not rows[j][i]:
                     raise ValueError("zero pattern must be symmetric")
-        object.__setattr__(self, "_neighbors", tuple(neighbors))
+        object.__setattr__(self, "edges", tuple(neighbors))
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self._neighbors[i]
-
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted index tuples, ordered by least node."""
-        seen: set[int] = set()
-        out = []
-        for v in range(self.size):
-            if v in seen:
-                continue
-            comp = []
-            stack = [v]
-            seen.add(v)
-            while stack:
-                x = stack.pop()
-                comp.append(x)
-                for u in self._neighbors[x]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            out.append(tuple(sorted(comp)))
-        return tuple(out)
+        return _components(self.edges, range(self.size))
 
     def symmetrizer(self) -> tuple[Fraction, ...] | None:
         """Positive rationals d with d_i * a_ij = d_j * a_ji, normalized to
@@ -198,7 +180,7 @@ class CartanMatrix:
             stack = [comp[0]]
             while stack:
                 i = stack.pop()
-                for j in self._neighbors[i]:
+                for j in self.edges[i]:
                     if d[j] is None:
                         d[j] = d[i] * a[j][i] / a[i][j]
                         stack.append(j)
@@ -206,7 +188,7 @@ class CartanMatrix:
             for k in comp:
                 d[k] /= low
         # Zero entries and the diagonal hold for any d; check the edges.
-        for i, row in enumerate(self._neighbors):
+        for i, row in enumerate(self.edges):
             for j in row:
                 if a[i][j] * d[j] != a[j][i] * d[i]:
                     return None
@@ -219,7 +201,7 @@ class CartanMatrix:
             raise NotFiniteTypeError("matrix is not symmetrizable")
         zero = Fraction(0)
         rows = []
-        for i, neighbors in enumerate(self._neighbors):
+        for i, neighbors in enumerate(self.edges):
             row = [zero] * self.size
             row[i] = 2 * d[i]
             for j in neighbors:
@@ -281,72 +263,99 @@ def cartan_of_decomposition(decomposition: DecompositionLabel) -> CartanMatrix:
     return CartanMatrix(tuple(tuple(row) for row in a))
 
 
-def _permuted_equal(cartan: CartanMatrix, order: Sequence[int], target: CartanMatrix) -> bool:
-    """Whether node p of target is node order[p] of cartan, with the same
-    bonds.  Both matrices have diagonal 2 and a symmetric zero pattern, so
-    equal degrees and equal entries on the target's edges suffice."""
+class _Bonds(NamedTuple):
+    """What a classification reads: the Cartan entries and the edge list of
+    each node, as a CartanMatrix holds them.  A node deletion shares the
+    extended diagram's entries and edge lists, except that the deleted
+    node's neighbours lose their edge to it."""
+
+    entries: Sequence[Sequence[int]]
+    edges: Sequence[Sequence[int]]
+
+
+def _components(edges: Sequence[Sequence[int]], nodes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Connected components among `nodes`, as sorted tuples ordered by least
+    node.  No edge list may lead outside `nodes`."""
+    seen: set[int] = set()
+    out = []
+    for v in nodes:
+        if v in seen:
+            continue
+        seen.add(v)
+        comp = [v]
+        # The loop also visits the nodes appended while it runs.
+        for x in comp:
+            for u in edges[x]:
+                if u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+        comp.sort()
+        out.append(tuple(comp))
+    return tuple(out)
+
+
+def _permuted_equal(bonds: CartanMatrix | _Bonds, order: Sequence[int], target: CartanMatrix) -> bool:
+    """Whether node p of target is node order[p] of bonds, with the same
+    bonds.  Both have diagonal 2 and a symmetric zero pattern, so equal
+    degrees and equal entries on the target's edges suffice."""
+    entries, edges = bonds.entries, bonds.edges
     for p, v in enumerate(order):
-        row = cartan.entries[v]
-        edges = target.neighbors(p)
-        if len(cartan.neighbors(v)) != len(edges):
+        row = entries[v]
+        target_row = target.entries[p]
+        target_edges = target.edges[p]
+        if len(edges[v]) != len(target_edges):
             return False
-        for q in edges:
-            if row[order[q]] != target.entries[p][q]:
+        for q in target_edges:
+            if row[order[q]] != target_row[q]:
                 return False
     return True
 
 
-def _classify_path(cartan: CartanMatrix, nodes: Sequence[int]):
-    ends = [v for v in nodes if len(cartan.neighbors(v)) == 1]
-    if len(ends) != 2:
-        return None
-    order = [min(ends)]
-    while len(order) < len(nodes):
-        prev = order[-2] if len(order) > 1 else None
-        step = [u for u in cartan.neighbors(order[-1]) if u != prev]
-        if len(step) != 1:
-            return None
-        order.append(step[0])
-    k = len(order)
-    mults = [
-        cartan.entries[a][b] * cartan.entries[b][a]
-        for a, b in zip(order, order[1:])
-    ]
+def _classify_path(bonds: CartanMatrix | _Bonds, start: int, size: int) -> TypeLabel | None:
+    """Label of a path of `size` nodes that starts at the end `start`."""
+    entries, edges = bonds.entries, bonds.edges
+    order = [start]
+    prev = -1
+    for _ in range(size - 1):
+        adjacent = edges[order[-1]]
+        step = adjacent[0] if adjacent[0] != prev else adjacent[-1]
+        prev = order[-1]
+        order.append(step)
+    mults = [entries[a][b] * entries[b][a] for a, b in zip(order, order[1:])]
     candidates: list[TypeLabel] = []
-    if all(m == 1 for m in mults):
-        candidates.append(TypeLabel("A", k))
-    elif mults == [3] and k == 2:
+    if mults.count(1) == len(mults):
+        candidates.append(TypeLabel("A", size))
+    elif mults == [3]:
         candidates.append(TypeLabel("G", 2))
-    elif mults.count(2) == 1 and all(m in (1, 2) for m in mults):
-        candidates.append(TypeLabel("B", k))
-        if k >= 3:
-            candidates.append(TypeLabel("C", k))
-        if k == 4:
+    elif mults.count(2) == 1 and mults.count(1) == len(mults) - 1:
+        candidates.append(TypeLabel("B", size))
+        if size >= 3:
+            candidates.append(TypeLabel("C", size))
+        if size == 4:
             candidates.append(TypeLabel("F", 4))
     for cand in candidates:
         target = cartan_of_type(cand)
         for o in (order, order[::-1]):
-            if _permuted_equal(cartan, o, target):
+            if _permuted_equal(bonds, o, target):
                 return cand
     return None
 
 
-def _classify_branch(cartan: CartanMatrix, branch: int):
+def _classify_branch(bonds: CartanMatrix | _Bonds, branch: int) -> TypeLabel | None:
+    """Label of a tree whose only node of degree 3 is `branch`."""
+    edges = bonds.edges
     arms: list[list[int]] = []
-    for first in cartan.neighbors(branch):
+    for first in edges[branch]:
         arm = [first]
         prev = branch
-        while True:
-            step = [u for u in cartan.neighbors(arm[-1]) if u != prev]
-            if not step:
-                break
-            if len(step) != 1:
-                return None
+        while len(edges[arm[-1]]) == 2:
+            adjacent = edges[arm[-1]]
+            step = adjacent[0] if adjacent[0] != prev else adjacent[1]
+            if step == branch:
+                return None  # the arm closes a cycle through the branch node
             prev = arm[-1]
-            arm.append(step[0])
+            arm.append(step)
         arms.append(arm)
-    if len(arms) != 3:
-        return None
     arms.sort(key=len)
     la, lb, lc = (len(arm) for arm in arms)
     size = la + lb + lc + 1
@@ -369,21 +378,43 @@ def _classify_branch(cartan: CartanMatrix, branch: int):
     else:
         return None
     order = [v for v, _ in sorted(mapping.items(), key=lambda kv: kv[1])]
-    return cand if _permuted_equal(cartan, order, cartan_of_type(cand)) else None
+    return cand if _permuted_equal(bonds, order, cartan_of_type(cand)) else None
 
 
-def _classify_component(cartan: CartanMatrix, nodes: Sequence[int]):
+def _classify_component(bonds: CartanMatrix | _Bonds, nodes: Sequence[int]) -> TypeLabel | None:
     if len(nodes) == 1:
         return TypeLabel("A", 1)
     # A component is closed under adjacency, so its nodes' edge lists are
-    # its own.
-    degrees = [len(cartan.neighbors(v)) for v in nodes]
-    branch = [v for v, k in zip(nodes, degrees) if k >= 3]
-    if max(degrees) >= 4 or len(branch) >= 2:
+    # its own.  With every degree at most 2 it is a path, with two ends, or
+    # a cycle, with none.  With one node of degree 3 it is a tree of three
+    # arms unless an arm leads back to that node.
+    degrees = [len(bonds.edges[v]) for v in nodes]
+    top = max(degrees)
+    if top >= 4 or degrees.count(3) >= 2:
         return None
-    if branch:
-        return _classify_branch(cartan, branch[0])
-    return _classify_path(cartan, nodes)
+    if top == 3:
+        return _classify_branch(bonds, nodes[degrees.index(3)])
+    if degrees.count(1) != 2:
+        return None
+    return _classify_path(bonds, nodes[degrees.index(1)], len(nodes))
+
+
+def _classify(bonds: CartanMatrix | _Bonds, deleted: int | None = None) -> DecompositionLabel:
+    """The one classifier: decompose the diagram of `bonds`, without node
+    `deleted` if one is given.  A failing component is named in the
+    numbering of the matrix without that node."""
+    nodes = range(len(bonds.entries))
+    if deleted is not None:
+        nodes = chain(nodes[:deleted], nodes[deleted + 1 :])
+    factors = []
+    for comp in _components(bonds.edges, nodes):
+        label = _classify_component(bonds, comp)
+        if label is None:
+            if deleted is not None:
+                comp = tuple(v - (v > deleted) for v in comp)
+            raise NotFiniteTypeError(f"component {comp} matches no finite-type diagram")
+        factors.append(label)
+    return DecompositionLabel(tuple(factors))
 
 
 def classify(cartan: CartanMatrix) -> DecompositionLabel:
@@ -392,13 +423,7 @@ def classify(cartan: CartanMatrix) -> DecompositionLabel:
     Rank-2 double-bond components are reported as B2.  The empty matrix
     classifies as the trivial decomposition.
     """
-    factors = []
-    for comp in cartan.components():
-        label = _classify_component(cartan, comp)
-        if label is None:
-            raise NotFiniteTypeError(f"component {comp} matches no finite-type diagram")
-        factors.append(label)
-    return DecompositionLabel(tuple(factors))
+    return _classify(cartan)
 
 
 @dataclass(frozen=True)
@@ -432,7 +457,7 @@ def extend(label: TypeLabel, rootsystem: RootSystem) -> MarkedDiagram:
     g = rootsystem.gram
     n = base.size
     tc = theta.coords
-    pair = [tc[j] * g[j][j] + sum(tc[i] * g[i][j] for i in base.neighbors(j)) for j in range(n)]
+    pair = [tc[j] * g[j][j] + sum(tc[i] * g[i][j] for i in base.edges[j]) for j in range(n)]
     theta_norm = sum(tc[j] * pair[j] for j in range(n))
     row0 = [2] + [as_int(Fraction(-2) * pair[j] / g[j][j]) for j in range(n)]
     col0 = [as_int(Fraction(-2) * pair[j] / theta_norm) for j in range(n)]
@@ -451,3 +476,16 @@ def delete_node(diagram: MarkedDiagram, node: int) -> CartanMatrix:
     return CartanMatrix(
         tuple(row[:node] + row[node + 1 :] for row in rows[:node] + rows[node + 1 :])
     )
+
+
+def classify_deletion(diagram: MarkedDiagram, node: int) -> DecompositionLabel:
+    """``classify(delete_node(diagram, node))`` without building the smaller
+    matrix: the classification reads the extended diagram's entries and
+    edge lists, of which only the deleted node's neighbours change."""
+    if not 0 <= node <= diagram.rank:
+        raise IndexError(f"node {node} out of range 0..{diagram.rank}")
+    cartan = diagram.cartan
+    edges = list(cartan.edges)
+    for u in edges[node]:
+        edges[u] = tuple(v for v in edges[u] if v != node)
+    return _classify(_Bonds(cartan.entries, edges), node)

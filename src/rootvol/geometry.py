@@ -203,8 +203,11 @@ def montecarlo_nu(
     the magnitude ignored.  Each worker consumes its own (seed, worker)
     substream, so totals depend only on (seed, workers); the substreams
     share a thread pool of at most os.cpu_count() threads.  At most
-    ``MAX_WORKERS`` substreams are allowed."""
+    ``MAX_WORKERS`` substreams are allowed.  The trivial system, of rank 0,
+    has no directions to sample and is refused."""
     decomposition = as_decomposition(spec)
+    if decomposition.rank == 0:
+        raise ValueError(f"type {decomposition} has rank 0; Monte Carlo sampling needs rank 1 or more")
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
     if not 1 <= workers <= MAX_WORKERS:

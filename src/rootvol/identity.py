@@ -17,7 +17,7 @@ from .diagram import (
     TypeLabel,
     cartan_of_type,
     classify,
-    delete_node,
+    classify_deletion,
     extend,
     parse_label,
 )
@@ -57,7 +57,7 @@ def node_terms(label: TypeLabel) -> tuple[NodeTerm, ...]:
     order = weyl_order(degrees_of(classify(cartan_of_type(label))))
     terms = []
     for i in range(marked.rank + 1):
-        decomposition = classify(delete_node(marked, i))
+        decomposition = classify_deletion(marked, i)
         value = nu(degrees_of(decomposition))
         terms.append(NodeTerm(i, decomposition, value, order * value))
     return tuple(terms)

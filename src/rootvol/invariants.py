@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence
 
 from .diagram import DecompositionLabel, TypeLabel, parse_decomposition
@@ -75,19 +76,15 @@ def nu_of(spec: DecompositionLabel | TypeLabel | str) -> Fraction:
 def exponents_from_heights(rs: RootSystem) -> tuple[int, ...]:
     """Exponents computed from the height distribution of positive roots.
 
-    Per irreducible component, the number of positive roots of height k
-    equals the number of exponents that are >= k, so the exponent multiset
-    is the conjugate partition of the height counts.  This route never
-    consults the degree catalogue.
+    The number of positive roots of height k equals the number of exponents
+    that are >= k.  Both sides add up over the components of a product, so
+    for any system the exponent multiset is the conjugate partition of the
+    height counts.  This route never consults the degree catalogue.
     """
+    counts = Counter(map(sum, map(attrgetter("coords"), rs.positive)))
+    parts = sorted(counts.values(), reverse=True)
     exponents: list[int] = []
-    for comp in rs.cartan.components():
-        members = set(comp)
-        counts: Counter[int] = Counter()
-        for r in rs.positive:
-            support = {i for i, c in enumerate(r.coords) if c}
-            if support & members:
-                counts[r.height] += 1
-        for j in range(1, counts[1] + 1):
-            exponents.append(sum(1 for c in counts.values() if c >= j))
+    # Exactly i + 1 parts are >= j for parts[i + 1] < j <= parts[i].
+    for i, (part, below) in enumerate(zip(parts, [*parts[1:], 0])):
+        exponents.extend([i + 1] * (part - below))
     return tuple(sorted(exponents))

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 Rational = Fraction | int
@@ -158,28 +159,27 @@ def _validate_part_range(part: int, n: int) -> None:
 
 
 def check_binomial_identity(part: int, n: int) -> BinomialCheck:
-    """Evaluate one identity by direct summation of both sides."""
+    """Evaluate one identity by direct summation of both sides.
+
+    Every summand is an integer: ((h-1)/h) C(2(h-1), h-1) is h-1 times a
+    Catalan number, and C(2n, n)/2 = C(2n-1, n).  So both sides are summed
+    in integers and become Fractions once, at the end."""
     _validate_part_range(part, n)
-    c = central_binomial
+    # c[h] = C(2h, h), by C(2h+2, h+1) = C(2h, h) (4h+2) / (h+1), which is
+    # exact in integers.
+    c = list(accumulate(range(n), lambda a, h: a * (4 * h + 2) // (h + 1), initial=1))
+    # w[k] = (k/(k+1)) C(2k, k) = k Catalan(k); k+1 divides C(2k, k).
+    w = [k * c[k] // (k + 1) for k in range(n)]
     if part == 1:
-        lhs = Fraction(4**n)
-        rhs = sum((Fraction(c(h) * c(n - h)) for h in range(n + 1)), Fraction(0))
+        lhs = 4**n
+        rhs = sum(c[h] * c[n - h] for h in range(n + 1))
     elif part == 2:
-        lhs = Fraction(4 ** (n - 1))
-        rhs = Fraction(c(n), 2) + sum(
-            (Fraction(h - 1, h) * c(h - 1) * c(n - h) for h in range(2, n + 1)),
-            Fraction(0),
-        )
+        lhs = 4 ** (n - 1)
+        rhs = c[n] // 2 + sum(w[h - 1] * c[n - h] for h in range(2, n + 1))
     else:
-        lhs = Fraction(4 ** (n - 2))
-        rhs = Fraction(n - 1, n) * c(n - 1) + sum(
-            (
-                Fraction((h - 1) * (n - h - 1), h * (n - h)) * c(h - 1) * c(n - 1 - h)
-                for h in range(2, n - 1)
-            ),
-            Fraction(0),
-        )
-    return BinomialCheck(part, n, lhs, rhs)
+        lhs = 4 ** (n - 2)
+        rhs = w[n - 1] + sum(w[h - 1] * w[n - h - 1] for h in range(2, n - 1))
+    return BinomialCheck(part, n, Fraction(lhs), Fraction(rhs))
 
 
 _MIN_PRODUCT_ORDER = 64

@@ -102,3 +102,35 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, where):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write --output {target}: ")
     assert captured.err.count("\n") == 1
+
+
+def test_volume_of_the_trivial_system_is_a_usage_error(monkeypatch, capsys):
+    def no_embedding(*args):
+        raise AssertionError("an embedding was built for a system of rank 0")
+
+    monkeypatch.setattr(geometry, "embedding_for", no_embedding)
+    assert main(["volume", "--type", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: type - has rank 0; Monte Carlo sampling needs rank 1 or more\n"
+
+
+def test_calls_in_one_process_share_no_flags(tmp_path, capsys):
+    # The parser is built once per process; each call must still see only
+    # its own flags.
+    target = tmp_path / "report.txt"
+    assert main(["nu", "--type", "A2", "--output", str(target)]) == 0
+    first = capsys.readouterr().out
+    assert target.read_text() == first
+    target.unlink()
+    assert main(["nu", "--type", "A2"]) == 0
+    assert capsys.readouterr().out == first
+    assert not target.exists()
+    assert main(["series", "--order", "4", "--part", "2"]) == 0
+    assert capsys.readouterr().out == "part 2: n = 2..4  direct PASS  series PASS\n"
+    assert main(["series", "--order", "4"]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "part 1",
+        "part 2",
+        "part 3",
+    ]

@@ -18,12 +18,14 @@ from rootvol.diagram import (
     cartan_of_decomposition,
     cartan_of_type,
     classify,
+    classify_deletion,
     delete_node,
     extend,
     parse_decomposition,
     parse_label,
 )
 from rootvol import diagram
+from rootvol.identity import extended_diagram
 from rootvol.rootsys import system_of_type
 
 import rootsys_oracle
@@ -92,9 +94,9 @@ def test_cartan_asymmetric_bonds():
 def test_cartan_shapes():
     d4 = cartan_of_type(parse_label("D4"))
     # fork node: three neighbors
-    assert d4.neighbors(1) == (0, 2, 3)
+    assert d4.edges[1] == (0, 2, 3)
     e6 = cartan_of_type(parse_label("E6"))
-    assert e6.neighbors(3) == (1, 2, 4)
+    assert e6.edges[3] == (1, 2, 4)
 
 
 @pytest.mark.parametrize(
@@ -226,11 +228,22 @@ def test_classify_of_shuffled_node_deletions_matches_dense_comparison(name, rng)
         order = list(range(deleted.size))
         rng.shuffle(order)
         matrices.append(_shuffled(deleted, order))
+    # The extended diagram relabeled as a whole, its nodes deleted on edge
+    # lists and as dense matrices.
+    order = list(range(marked.cartan.size))
+    rng.shuffle(order)
+    relabeled = MarkedDiagram(_shuffled(marked.cartan, order), marked.marks)
+    nodes = range(relabeled.rank + 1)
     got = [classify(m) for m in matrices]
+    got_deletions = [classify_deletion(relabeled, node) for node in nodes]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(diagram, "_permuted_equal", rootsys_oracle.dense_permuted_equal)
         want = [classify(m) for m in matrices]
+        want_deletions = [classify(delete_node(relabeled, node)) for node in nodes]
+        dense_deletions = [classify_deletion(relabeled, node) for node in nodes]
     assert got == want
+    assert got_deletions == want_deletions == dense_deletions
+    assert sorted(map(str, got_deletions)) == sorted(map(str, got))
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,7 +276,7 @@ def test_extend_g2_marks():
 
 def test_extend_e8_attachment():
     marked = extend(parse_label("E8"), system_of_type(parse_label("E8")))
-    assert marked.cartan.neighbors(0) == (8,)
+    assert marked.cartan.edges[0] == (8,)
     assert min(marked.marks) == -6
 
 
@@ -279,6 +292,65 @@ def test_delete_node_restores_base():
     assert delete_node(marked, 2).size == 4
     with pytest.raises(IndexError):
         delete_node(marked, 5)
+
+
+DELETION_LABELS = (
+    ["G2", "F4", "E6", "E7", "E8"]
+    + [f"A{n}" for n in range(1, 25)]
+    + [f"B{n}" for n in range(2, 25)]
+    + [f"C{n}" for n in range(2, 25)]
+    + [f"D{n}" for n in range(4, 25)]
+    + ["A49", "B35", "C35", "D40"]
+)
+
+
+def test_classify_deletion_matches_the_dense_deletion():
+    for name in DELETION_LABELS:
+        marked = extended_diagram(parse_label(name))
+        for node in range(marked.rank + 1):
+            assert classify_deletion(marked, node) == classify(delete_node(marked, node)), (name, node)
+
+
+# Nodes 2, 3 and 4 form a triangle, the affine diagram of A2; node 1 joins
+# node 0 to it.
+_TRIANGLE_WITH_A_TAIL = MarkedDiagram(
+    CartanMatrix(
+        (
+            (2, -1, 0, 0, 0),
+            (-1, 2, -1, 0, 0),
+            (0, -1, 2, -1, -1),
+            (0, 0, -1, 2, -1),
+            (0, 0, -1, -1, 2),
+        )
+    ),
+    (-1, -1, -1, -1),
+)
+
+
+@pytest.mark.parametrize(
+    "node,message",
+    [
+        # The triangle alone, as nodes 1, 2, 3 of the smaller matrix.
+        (1, "component (1, 2, 3) matches no finite-type diagram"),
+        # The triangle with a tail: a branch node on a cycle.
+        (0, "component (0, 1, 2, 3) matches no finite-type diagram"),
+    ],
+)
+def test_deletion_that_leaves_an_affine_component(node, message):
+    with pytest.raises(NotFiniteTypeError) as dense:
+        classify(delete_node(_TRIANGLE_WITH_A_TAIL, node))
+    with pytest.raises(NotFiniteTypeError) as edges:
+        classify_deletion(_TRIANGLE_WITH_A_TAIL, node)
+    assert str(edges.value) == str(dense.value) == message
+
+
+def test_deletion_of_a_node_out_of_range():
+    marked = extended_diagram(parse_label("F4"))
+    for node in (-1, 5):
+        with pytest.raises(IndexError, match=f"node {node} out of range 0..4"):
+            classify_deletion(marked, node)
+        with pytest.raises(IndexError, match=f"node {node} out of range 0..4"):
+            delete_node(marked, node)
 
 
 def test_marked_diagram_validation():

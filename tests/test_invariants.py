@@ -107,13 +107,13 @@ def test_weyl_order_is_multiplicative(names):
     assert weyl_order(degrees_of(d)) == product
 
 
-@pytest.mark.parametrize("name", LABELS)
+@pytest.mark.parametrize(
+    "name", [*LABELS, "E8xA1", "A1xC3", pytest.param("x".join(["A1"] * 84), id="84xA1")]
+)
 def test_exponents_from_heights_match_catalogue(name):
-    label = parse_label(name)
-    rs = system_of_type(label)
-    assert tuple(e + 1 for e in exponents_from_heights(rs)) == tuple(
-        sorted(degrees_of_type(label))
-    )
+    decomposition = parse_decomposition(name)
+    rs = generate_roots(cartan_of_decomposition(decomposition))
+    assert tuple(e + 1 for e in exponents_from_heights(rs)) == degrees_of(decomposition)
 
 
 def test_exponents_from_heights_reducible():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootvol.cli import MAX_SERIES_ORDER
 from rootvol.series import (
     RationalSeries,
     central_binomial,
@@ -28,6 +30,36 @@ def integrate(series: RationalSeries) -> RationalSeries:
     for n in range(1, series.order + 1):
         out.append(series.coeffs[n - 1] / n)
     return RationalSeries(tuple(out))
+
+
+@functools.cache
+def _central_binomial(n: int) -> int:
+    return central_binomial(n)
+
+
+def fraction_sums(part: int, n: int) -> tuple[Fraction, Fraction]:
+    """Both sides of one identity, each summand a Fraction as the identities
+    are written: the oracle for the integer sums of the library."""
+    c = _central_binomial
+    if part == 1:
+        lhs = Fraction(4**n)
+        rhs = sum((Fraction(c(h) * c(n - h)) for h in range(n + 1)), Fraction(0))
+    elif part == 2:
+        lhs = Fraction(4 ** (n - 1))
+        rhs = Fraction(c(n), 2) + sum(
+            (Fraction(h - 1, h) * c(h - 1) * c(n - h) for h in range(2, n + 1)),
+            Fraction(0),
+        )
+    else:
+        lhs = Fraction(4 ** (n - 2))
+        rhs = Fraction(n - 1, n) * c(n - 1) + sum(
+            (
+                Fraction((h - 1) * (n - h - 1), h * (n - h)) * c(h - 1) * c(n - 1 - h)
+                for h in range(2, n - 1)
+            ),
+            Fraction(0),
+        )
+    return lhs, rhs
 
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -138,6 +170,14 @@ def test_identities_direct_and_series(part, low):
         assert check.passed
         assert check.lhs == Fraction(4 ** (n + shift))
         assert series_coefficient(part, n) == check.lhs
+
+
+@pytest.mark.parametrize("part,low", [(1, 0), (2, 2), (3, 2)])
+def test_integer_sums_match_the_fraction_sums(part, low):
+    for n in range(low, MAX_SERIES_ORDER + 1):
+        check = check_binomial_identity(part, n)
+        assert (check.lhs, check.rhs) == fraction_sums(part, n), n
+        assert type(check.lhs) is type(check.rhs) is Fraction
 
 
 @pytest.mark.parametrize("part,n", [(1, -1), (2, 1), (2, 0), (3, 1), (0, 5), (4, 5)])
