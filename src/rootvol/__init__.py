@@ -58,7 +58,6 @@ from .rootsys import (
 from .series import (
     BinomialCheck,
     RationalSeries,
-    central_binomial,
     central_binomial_series,
     check_binomial_identity,
     half_ratio_series,

@@ -23,7 +23,6 @@ whose t^n coefficients are 4^n, 4^(n-1) and 4^(n-2) respectively.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -114,11 +113,6 @@ def sqrt(series: RationalSeries) -> RationalSeries:
         acc = sum((out[i] * out[n - i] for i in range(1, n)), Fraction(0))
         out.append((f[n] - acc) / 2)
     return RationalSeries(tuple(out))
-
-
-def central_binomial(n: int) -> int:
-    """C(2n, n)."""
-    return math.comb(2 * n, n)
 
 
 def central_binomial_series(order: int) -> RationalSeries:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from rootvol.cli import MAX_SERIES_ORDER
 from rootvol.series import (
     RationalSeries,
-    central_binomial,
     central_binomial_series,
     check_binomial_identity,
     half_ratio_series,
@@ -33,14 +32,15 @@ def integrate(series: RationalSeries) -> RationalSeries:
 
 
 @functools.cache
-def _central_binomial(n: int) -> int:
-    return central_binomial(n)
+def central_binomial(n: int) -> int:
+    """C(2n, n)."""
+    return math.comb(2 * n, n)
 
 
 def fraction_sums(part: int, n: int) -> tuple[Fraction, Fraction]:
     """Both sides of one identity, each summand a Fraction as the identities
     are written: the oracle for the integer sums of the library."""
-    c = _central_binomial
+    c = central_binomial
     if part == 1:
         lhs = Fraction(4**n)
         rhs = sum((Fraction(c(h) * c(n - h)) for h in range(n + 1)), Fraction(0))
