@@ -4,14 +4,15 @@
 Runs ``bench/run.py --trace 0`` in the checkout of the parent commit and in
 the checkout of the change, one process at a time, and alternates which
 side goes first from pair to pair.  Both runs of a pair use the same seed;
-pair k uses seed ``--seed`` + k.  The output file holds every run's
+pair k uses seed ``--seed`` + k, and every run lasts the ``run_seconds``
+that ``BENCHMARK.json`` sets.  The output file holds every run's
 end-to-end metrics and failed ops, and per workload and metric the median
 and quartiles of each side, the parent's spread between its quartiles, and
 how many pairs the change won (ties count for neither side).
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload exact-sweep=10 --workload sampling=4 \\
-        --seed 41 --seconds 40 --output BENCH_8.json
+        --seed 201 --output BENCH_8.json
 """
 
 from __future__ import annotations
@@ -89,13 +90,13 @@ def main() -> int:
         help="NAME=PAIRS, e.g. exact-sweep=10; repeat for more workloads",
     )
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=60.0, help="length of each run")
     parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args()
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    record: dict = {"seconds": args.seconds, "first_seed": args.seed, "workloads": {}}
+    seconds = spec["run_seconds"]
+    record: dict = {"seconds": seconds, "first_seed": args.seed, "workloads": {}}
     for workload, pairs in args.workload:
         runs = []
         for k in range(pairs):
@@ -103,7 +104,7 @@ def main() -> int:
             first = k % 2  # 0: the parent runs first
             pair = {"pair": k, "seed": seed, "first": SIDES[first]}
             for side in (SIDES[first], SIDES[1 - first]):
-                pair[side] = run_once(roots[side], workload, seed, args.seconds)
+                pair[side] = run_once(roots[side], workload, seed, seconds)
             runs.append(pair)
             wall = {side: pair[side]["wall_s"] for side in SIDES}
             print(f"{workload} pair {k} seed {seed}: wall_s {wall['parent']:.3f} -> {wall['change']:.3f}", file=sys.stderr)

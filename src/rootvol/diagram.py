@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .exact import as_int
 
@@ -263,16 +263,6 @@ def cartan_of_decomposition(decomposition: DecompositionLabel) -> CartanMatrix:
     return CartanMatrix(tuple(tuple(row) for row in a))
 
 
-class _Bonds(NamedTuple):
-    """What a classification reads: the Cartan entries and the edge list of
-    each node, as a CartanMatrix holds them.  A node deletion shares the
-    extended diagram's entries and edge lists, except that the deleted
-    node's neighbours lose their edge to it."""
-
-    entries: Sequence[Sequence[int]]
-    edges: Sequence[Sequence[int]]
-
-
 def _components(edges: Sequence[Sequence[int]], nodes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """Connected components among `nodes`, as sorted tuples ordered by least
     node.  No edge list may lead outside `nodes`."""
@@ -294,11 +284,15 @@ def _components(edges: Sequence[Sequence[int]], nodes: Iterable[int]) -> tuple[t
     return tuple(out)
 
 
-def _permuted_equal(bonds: CartanMatrix | _Bonds, order: Sequence[int], target: CartanMatrix) -> bool:
-    """Whether node p of target is node order[p] of bonds, with the same
-    bonds.  Both have diagonal 2 and a symmetric zero pattern, so equal
+def _permuted_equal(
+    entries: Sequence[Sequence[int]],
+    edges: Sequence[Sequence[int]],
+    order: Sequence[int],
+    target: CartanMatrix,
+) -> bool:
+    """Whether node p of target is node order[p] of the diagram, with the
+    same bonds.  Both have diagonal 2 and a symmetric zero pattern, so equal
     degrees and equal entries on the target's edges suffice."""
-    entries, edges = bonds.entries, bonds.edges
     for p, v in enumerate(order):
         row = entries[v]
         target_row = target.entries[p]
@@ -311,9 +305,10 @@ def _permuted_equal(bonds: CartanMatrix | _Bonds, order: Sequence[int], target: 
     return True
 
 
-def _classify_path(bonds: CartanMatrix | _Bonds, start: int, size: int) -> TypeLabel | None:
+def _classify_path(
+    entries: Sequence[Sequence[int]], edges: Sequence[Sequence[int]], start: int, size: int
+) -> TypeLabel | None:
     """Label of a path of `size` nodes that starts at the end `start`."""
-    entries, edges = bonds.entries, bonds.edges
     order = [start]
     prev = -1
     for _ in range(size - 1):
@@ -336,14 +331,15 @@ def _classify_path(bonds: CartanMatrix | _Bonds, start: int, size: int) -> TypeL
     for cand in candidates:
         target = cartan_of_type(cand)
         for o in (order, order[::-1]):
-            if _permuted_equal(bonds, o, target):
+            if _permuted_equal(entries, edges, o, target):
                 return cand
     return None
 
 
-def _classify_branch(bonds: CartanMatrix | _Bonds, branch: int) -> TypeLabel | None:
+def _classify_branch(
+    entries: Sequence[Sequence[int]], edges: Sequence[Sequence[int]], branch: int
+) -> TypeLabel | None:
     """Label of a tree whose only node of degree 3 is `branch`."""
-    edges = bonds.edges
     arms: list[list[int]] = []
     for first in edges[branch]:
         arm = [first]
@@ -378,37 +374,42 @@ def _classify_branch(bonds: CartanMatrix | _Bonds, branch: int) -> TypeLabel | N
     else:
         return None
     order = [v for v, _ in sorted(mapping.items(), key=lambda kv: kv[1])]
-    return cand if _permuted_equal(bonds, order, cartan_of_type(cand)) else None
+    return cand if _permuted_equal(entries, edges, order, cartan_of_type(cand)) else None
 
 
-def _classify_component(bonds: CartanMatrix | _Bonds, nodes: Sequence[int]) -> TypeLabel | None:
+def _classify_component(
+    entries: Sequence[Sequence[int]], edges: Sequence[Sequence[int]], nodes: Sequence[int]
+) -> TypeLabel | None:
     if len(nodes) == 1:
         return TypeLabel("A", 1)
     # A component is closed under adjacency, so its nodes' edge lists are
     # its own.  With every degree at most 2 it is a path, with two ends, or
     # a cycle, with none.  With one node of degree 3 it is a tree of three
     # arms unless an arm leads back to that node.
-    degrees = [len(bonds.edges[v]) for v in nodes]
+    degrees = [len(edges[v]) for v in nodes]
     top = max(degrees)
     if top >= 4 or degrees.count(3) >= 2:
         return None
     if top == 3:
-        return _classify_branch(bonds, nodes[degrees.index(3)])
+        return _classify_branch(entries, edges, nodes[degrees.index(3)])
     if degrees.count(1) != 2:
         return None
-    return _classify_path(bonds, nodes[degrees.index(1)], len(nodes))
+    return _classify_path(entries, edges, nodes[degrees.index(1)], len(nodes))
 
 
-def _classify(bonds: CartanMatrix | _Bonds, deleted: int | None = None) -> DecompositionLabel:
-    """The one classifier: decompose the diagram of `bonds`, without node
-    `deleted` if one is given.  A failing component is named in the
-    numbering of the matrix without that node."""
-    nodes = range(len(bonds.entries))
+def _classify(
+    entries: Sequence[Sequence[int]], edges: Sequence[Sequence[int]], deleted: int | None = None
+) -> DecompositionLabel:
+    """The one classifier: decompose the diagram with these Cartan entries
+    and per-node edge lists, without node `deleted` if one is given.  The
+    edge lists must then already omit that node.  A failing component is
+    named in the numbering of the matrix without that node."""
+    nodes = range(len(entries))
     if deleted is not None:
         nodes = chain(nodes[:deleted], nodes[deleted + 1 :])
     factors = []
-    for comp in _components(bonds.edges, nodes):
-        label = _classify_component(bonds, comp)
+    for comp in _components(edges, nodes):
+        label = _classify_component(entries, edges, comp)
         if label is None:
             if deleted is not None:
                 comp = tuple(v - (v > deleted) for v in comp)
@@ -423,7 +424,7 @@ def classify(cartan: CartanMatrix) -> DecompositionLabel:
     Rank-2 double-bond components are reported as B2.  The empty matrix
     classifies as the trivial decomposition.
     """
-    return _classify(cartan)
+    return _classify(cartan.entries, cartan.edges)
 
 
 @dataclass(frozen=True)
@@ -488,4 +489,4 @@ def classify_deletion(diagram: MarkedDiagram, node: int) -> DecompositionLabel:
     edges = list(cartan.edges)
     for u in edges[node]:
         edges[u] = tuple(v for v in edges[u] if v != node)
-    return _classify(_Bonds(cartan.entries, edges), node)
+    return _classify(cartan.entries, edges, node)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from operator import attrgetter
 from typing import Sequence
 
 from .diagram import DecompositionLabel, TypeLabel, parse_decomposition
@@ -81,10 +80,6 @@ def exponents_from_heights(rs: RootSystem) -> tuple[int, ...]:
     for any system the exponent multiset is the conjugate partition of the
     height counts.  This route never consults the degree catalogue.
     """
-    counts = Counter(map(sum, map(attrgetter("coords"), rs.positive)))
-    parts = sorted(counts.values(), reverse=True)
-    exponents: list[int] = []
-    # Exactly i + 1 parts are >= j for parts[i + 1] < j <= parts[i].
-    for i, (part, below) in enumerate(zip(parts, [*parts[1:], 0])):
-        exponents.extend([i + 1] * (part - below))
+    counts = Counter(r.height for r in rs.positive)
+    exponents = [sum(c >= j for c in counts.values()) for j in range(1, counts[1] + 1)]
     return tuple(sorted(exponents))

@@ -202,6 +202,7 @@ def test_edge_comparison_matches_dense_comparison(name, other, rng):
     order = list(range(cartan.size))
     rng.shuffle(order)
     shuffled = _shuffled(cartan, order)
+    bonds = (shuffled.entries, shuffled.edges)
     # Node p of the catalogue matrix is node inverse[p] of the shuffled one.
     inverse = [0] * cartan.size
     for v, p in enumerate(order):
@@ -212,9 +213,9 @@ def test_edge_comparison_matches_dense_comparison(name, other, rng):
     for relabel in (inverse, inverse[::-1], guess):
         for t in (cartan, target):
             if t.size == cartan.size:
-                want = rootsys_oracle.dense_permuted_equal(shuffled, relabel, t)
-                assert diagram._permuted_equal(shuffled, relabel, t) == want
-    assert diagram._permuted_equal(shuffled, inverse, cartan)
+                want = rootsys_oracle.dense_permuted_equal(*bonds, relabel, t)
+                assert diagram._permuted_equal(*bonds, relabel, t) == want
+    assert diagram._permuted_equal(*bonds, inverse, cartan)
 
 
 @settings(max_examples=60, deadline=None)
