@@ -55,17 +55,7 @@ from .rootsys import (
     reflection_matrix,
     system_of_type,
 )
-from .series import (
-    BinomialCheck,
-    RationalSeries,
-    central_binomial_series,
-    check_binomial_identity,
-    half_ratio_series,
-    inverse,
-    series_coefficient,
-    series_of,
-    sqrt,
-)
+from .series import BinomialCheck, check_binomial_identity, series_coefficient
 from .weylgrp import (
     DEFAULT_CAP,
     EnumerationCapError,

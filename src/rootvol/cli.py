@@ -47,9 +47,11 @@ from .weylgrp import (
 # 100 anyway.
 MAX_SWEEP_LENGTH = 1_000
 
-# Largest `series --order`.  The generating-function route costs four to six
-# times as much per doubling of the order: about 0.7 s at 256 on a 2-vCPU
-# VM, where the direct sums take 0.08 s.
+# Largest `series --order`.  Both routes sum integer products, and each costs
+# four to six times as much per doubling of the order: at 256 the direct
+# sums take about 0.08 s and the generating-function coefficients about
+# 0.08 s on a 2-vCPU VM, and `series --order 256` about 0.4 s in a fresh
+# process.
 MAX_SERIES_ORDER = 256
 
 # Largest `--cap` for the Weyl group commands: it admits E7 (2,903,040

@@ -127,6 +127,15 @@ def parse_decomposition(text: str) -> DecompositionLabel:
     return DecompositionLabel(tuple(parse_label(p) for p in body.split("x")))
 
 
+def as_decomposition(spec: str | TypeLabel | DecompositionLabel) -> DecompositionLabel:
+    """A decomposition from a product label, a single type, or itself."""
+    if isinstance(spec, DecompositionLabel):
+        return spec
+    if isinstance(spec, TypeLabel):
+        return DecompositionLabel((spec,))
+    return parse_decomposition(spec)
+
+
 @dataclass(frozen=True)
 class CartanMatrix:
     """Integer matrix with diagonal 2, nonpositive off-diagonal entries, and

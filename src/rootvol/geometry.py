@@ -22,8 +22,8 @@ import numpy as np
 from .diagram import (
     DecompositionLabel,
     TypeLabel,
+    as_decomposition,
     cartan_of_decomposition,
-    parse_decomposition,
     parse_label,
 )
 from .identity import extended_diagram, node_terms
@@ -46,14 +46,6 @@ _PLANAR_FRACTIONS = {
     Fraction(1, 2): Fraction(3, 8),
     Fraction(3, 4): Fraction(5, 12),
 }
-
-
-def as_decomposition(spec: str | TypeLabel | DecompositionLabel) -> DecompositionLabel:
-    if isinstance(spec, DecompositionLabel):
-        return spec
-    if isinstance(spec, TypeLabel):
-        return DecompositionLabel((spec,))
-    return parse_decomposition(spec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +74,10 @@ def _embedding_cached(decomposition: DecompositionLabel) -> Embedding:
 
 
 def embedding_for(spec: str | TypeLabel | DecompositionLabel) -> Embedding:
-    return _embedding_cached(as_decomposition(spec))
+    decomposition = as_decomposition(spec)
+    if decomposition.rank == 0:
+        raise ValueError(f"type {decomposition} has rank 0; an embedding needs rank 1 or more")
+    return _embedding_cached(decomposition)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
-from .diagram import DecompositionLabel, TypeLabel, parse_decomposition
+from .diagram import DecompositionLabel, TypeLabel, as_decomposition
 from .rootsys import RootSystem
 
 _EXCEPTIONAL_DEGREES = {
@@ -65,11 +65,7 @@ def weyl_order(degrees: Sequence[int]) -> int:
 
 def nu_of(spec: DecompositionLabel | TypeLabel | str) -> Fraction:
     """Degree ratio of a decomposition, a single type, or a parsed label."""
-    if isinstance(spec, str):
-        spec = parse_decomposition(spec)
-    if isinstance(spec, TypeLabel):
-        spec = DecompositionLabel((spec,))
-    return nu(degrees_of(spec))
+    return nu(degrees_of(as_decomposition(spec)))
 
 
 def exponents_from_heights(rs: RootSystem) -> tuple[int, ...]:

@@ -70,20 +70,10 @@ class EnumerationCapError(RuntimeError):
         self.cap = cap
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
-
-
 # Slots: an enumerated group keeps one element per member alive.
 @dataclass(frozen=True, slots=True)
 class WeylElement:
     matrix: Matrix
-
-    def __mul__(self, other: WeylElement) -> WeylElement:
-        return WeylElement(_matmul(self.matrix, other.matrix))
 
 
 @dataclass(eq=False)

@@ -11,12 +11,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from rootvol.weylgrp import GroupTable, Matrix, WeylElement
+from weylgrp_oracle import _matmul
 
 
 def product_index(
     elements: Sequence[WeylElement], index: dict[Matrix, int], i: int, j: int
 ) -> int:
-    return index[(elements[i] * elements[j]).matrix]
+    return index[_matmul(elements[i].matrix, elements[j].matrix)]
 
 
 @dataclass(frozen=True)

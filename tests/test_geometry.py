@@ -23,7 +23,7 @@ from rootvol.geometry import (
 )
 from rootvol.identity import extended_diagram
 from rootvol.invariants import nu_of
-from rootvol.diagram import parse_decomposition, parse_label
+from rootvol.diagram import DecompositionLabel, parse_decomposition, parse_label
 
 import geometry_oracle
 
@@ -49,6 +49,17 @@ def test_embedding_roundtrip():
     coords = np.array([0.3, -1.2, 2.5])
     point = coords @ emb.factor
     assert np.allclose(point @ emb.inverse, coords, atol=1e-10)
+
+
+@pytest.mark.parametrize("spec", ["-", DecompositionLabel(())])
+def test_embedding_of_rank_zero_is_refused_before_factorization(monkeypatch, spec):
+    def no_cholesky(*args):
+        raise AssertionError("a Cholesky factorization ran for a system of rank 0")
+
+    monkeypatch.setattr(geometry.np.linalg, "cholesky", no_cholesky)
+    with pytest.raises(ValueError, match="^type - has rank 0; ") as excinfo:
+        embedding_for(spec)
+    assert type(excinfo.value) is ValueError
 
 
 def test_locate_cone_rank_one():

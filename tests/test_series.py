@@ -1,10 +1,13 @@
-"""Exact truncated series arithmetic and the central binomial identities."""
+"""The central binomial identities: direct integer sums, and generating-function
+coefficients on integer lists checked against the truncated products of
+exact rational series."""
 
 from __future__ import annotations
 
 import functools
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -12,23 +15,45 @@ from hypothesis import strategies as st
 
 from rootvol.cli import MAX_SERIES_ORDER
 from rootvol.series import (
-    RationalSeries,
-    central_binomial_series,
+    central_binomials,
     check_binomial_identity,
-    half_ratio_series,
-    inverse,
     series_coefficient,
-    series_of,
-    sqrt,
+    twice_half_ratio,
 )
 
 
-def integrate(series: RationalSeries) -> RationalSeries:
+def padded(values: Sequence[int], order: int) -> tuple[int, ...]:
+    """The given leading coefficients, zero-padded to the truncation order."""
+    return tuple(values) + (0,) * (order + 1 - len(values))
+
+
+def truncated_product(a: Sequence, b: Sequence) -> tuple:
+    """Product of two series truncated at the same order."""
+    n = len(a) - 1
+    out = [0] * (n + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(n + 1 - i):
+                out[i + j] += x * b[j]
+    return tuple(out)
+
+
+def integrate(series: Sequence) -> tuple[Fraction, ...]:
     """Termwise antiderivative with zero constant, same truncation order."""
-    out = [Fraction(0)]
-    for n in range(1, series.order + 1):
-        out.append(series.coeffs[n - 1] / n)
-    return RationalSeries(tuple(out))
+    return (Fraction(0),) + tuple(Fraction(c) / n for n, c in enumerate(series[:-1], 1))
+
+
+@functools.cache
+def fraction_products() -> tuple[tuple[Fraction, ...], ...]:
+    """f*f, g*f and g*g to the order cap by the Fraction truncated-product
+    route: f from its coefficient recurrence f_(h+1) = 2(2h+1)/(h+1) f_h, and
+    g = (1-2t) f / 2.  The oracle for `series_coefficient`."""
+    order = MAX_SERIES_ORDER
+    f = [Fraction(1)]
+    for h in range(order):
+        f.append(f[-1] * Fraction(2 * (2 * h + 1), h + 1))
+    g = tuple(c / 2 for c in truncated_product(padded([1, -2], order), f))
+    return truncated_product(f, f), truncated_product(g, f), truncated_product(g, g)
 
 
 @functools.cache
@@ -66,100 +91,68 @@ rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
 
 def test_series_multiplication():
-    order = 6
-    a = series_of([1, 1], order)
-    b = series_of([1, -1], order)
-    assert (a * b).coeffs[:3] == (Fraction(1), Fraction(0), Fraction(-1))
-
-
-def test_order_mismatch_rejected():
-    with pytest.raises(ValueError):
-        series_of([1], 3) * series_of([1], 4)
-    with pytest.raises(ValueError):
-        series_of([1], 3) + series_of([1], 2)
-
-
-def test_too_many_coefficients_rejected():
-    with pytest.raises(ValueError):
-        series_of([1, 2, 3], 1)
-
-
-def test_inverse_of_geometric():
-    order = 8
-    s = series_of([1, -1], order)
-    inv = inverse(s)
-    assert all(c == 1 for c in inv.coeffs)
-    assert (s * inv).coeffs == series_of([1], order).coeffs
-
-
-def test_inverse_requires_unit_constant():
-    with pytest.raises(ValueError):
-        inverse(series_of([0, 1], 4))
-
-
-def test_sqrt_squares_back():
-    order = 10
-    s = series_of([1, -4], order)
-    r = sqrt(s)
-    assert (r * r).coeffs == s.coeffs
-
-
-def test_sqrt_requires_constant_one():
-    with pytest.raises(ValueError):
-        sqrt(series_of([4], 3))
+    a = (1, 1, 0, 0, 0, 0, 0)
+    b = (1, -1, 0, 0, 0, 0, 0)
+    assert truncated_product(a, b)[:3] == (Fraction(1), Fraction(0), Fraction(-1))
 
 
 def test_integrate_geometric():
-    order = 5
-    s = inverse(series_of([1, -1], order))
-    result = integrate(s)
-    assert result.coeffs == (0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5))
+    result = integrate((Fraction(1),) * 6)
+    assert result == (0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5))
 
 
 def test_central_binomial_series_matches_combinatorial_oracle():
-    f = central_binomial_series(20)
-    for n in range(21):
+    f = central_binomials(MAX_SERIES_ORDER)
+    assert len(f) == MAX_SERIES_ORDER + 1
+    for n in range(MAX_SERIES_ORDER + 1):
         assert f[n] == math.comb(2 * n, n) == central_binomial(n)
 
 
 def test_half_ratio_coefficients():
-    g = half_ratio_series(12)
-    assert g[0] == Fraction(1, 2)
-    assert g[1] == 0
-    for h in range(2, 13):
-        assert g[h] == Fraction(h - 1, h) * math.comb(2 * (h - 1), h - 1)
+    g2 = twice_half_ratio(central_binomials(MAX_SERIES_ORDER))
+    assert g2[0] == 1
+    assert g2[1] == 0
+    for h in range(2, MAX_SERIES_ORDER + 1):
+        assert Fraction(g2[h], 2) == Fraction(h - 1, h) * math.comb(2 * (h - 1), h - 1)
 
 
 def test_square_of_f_is_geometric_in_4t():
-    order = 15
-    f = central_binomial_series(order)
-    assert (f * f).coeffs == tuple(Fraction(4**n) for n in range(order + 1))
+    f = central_binomials(MAX_SERIES_ORDER)
+    assert truncated_product(f, f) == tuple(4**n for n in range(MAX_SERIES_ORDER + 1))
 
 
 def test_product_g_f_collapses():
-    order = 15
-    f = central_binomial_series(order)
-    g = half_ratio_series(order)
-    prod = g * f
-    assert prod[0] == Fraction(1, 2)
-    for n in range(1, order + 1):
-        assert prod[n] == Fraction(4 ** (n - 1))
+    f = central_binomials(MAX_SERIES_ORDER)
+    prod = truncated_product(twice_half_ratio(f), f)
+    # 2 g f = 1 + 2t / (1 - 4t)
+    assert prod[0] == 1
+    for n in range(1, MAX_SERIES_ORDER + 1):
+        assert prod[n] == 2 * 4 ** (n - 1)
 
 
 def test_square_of_g_closed_form():
-    # 4 (1 - 4t) g^2 = 1 - 4t + 4t^2 as truncated series
-    order = 12
-    g = half_ratio_series(order)
-    lhs = (g * g) * series_of([4, -16], order)
-    assert lhs.coeffs == series_of([1, -4, 4], order).coeffs
+    # 4 (1 - 4t) g^2 = (1 - 4t) (2g)^2 = 1 - 4t + 4t^2 as truncated series
+    g2 = twice_half_ratio(central_binomials(MAX_SERIES_ORDER))
+    lhs = truncated_product(padded([1, -4], MAX_SERIES_ORDER), truncated_product(g2, g2))
+    assert lhs == padded([1, -4, 4], MAX_SERIES_ORDER)
 
 
 def test_sqrt_integral_identity():
-    # the antiderivative of the central binomial series is (1 - sqrt(1-4t))/2
-    order = 14
-    f = central_binomial_series(order)
-    half_sqrt = sqrt(series_of([1, -4], order)).scale(Fraction(1, 2))
-    assert half_sqrt.coeffs == (series_of([Fraction(1, 2)], order) - integrate(f)).coeffs
+    # the antiderivative of the central binomial series is (1 - sqrt(1-4t))/2,
+    # that is, (1 - 2 F)^2 = 1 - 4t for F the antiderivative of f
+    order = MAX_SERIES_ORDER
+    antiderivative = integrate(central_binomials(order))
+    root = tuple(int(n == 0) - 2 * c for n, c in enumerate(antiderivative))
+    assert truncated_product(root, root) == padded([1, -4], order)
+
+
+@pytest.mark.parametrize("part,low", [(1, 0), (2, 2), (3, 2)])
+def test_series_coefficient_matches_the_product_oracle(part, low):
+    oracle = fraction_products()[part - 1]
+    for n in range(low, MAX_SERIES_ORDER + 1):
+        got = series_coefficient(part, n)
+        assert got == oracle[n], n
+        assert type(got) is Fraction
 
 
 @pytest.mark.parametrize("part,low", [(1, 0), (2, 2), (3, 2)])
@@ -195,26 +188,6 @@ def test_identity_range_validation(part, n):
     st.lists(rationals, min_size=4, max_size=4),
 )
 def test_multiplication_distributes(xs, ys, zs):
-    order = 3
-    a, b, c = (RationalSeries(tuple(v)) for v in (xs, ys, zs))
-    left = (a + b) * c
-    right = a * c + b * c
-    assert left.coeffs == right.coeffs
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(rationals, min_size=5, max_size=5))
-def test_inverse_roundtrip(values):
-    if values[0] == 0:
-        values[0] = Fraction(1)
-    s = RationalSeries(tuple(values))
-    assert (s * inverse(s)).coeffs == series_of([1], 4).coeffs
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(rationals, min_size=5, max_size=5))
-def test_sqrt_roundtrip(values):
-    values[0] = Fraction(1)
-    s = RationalSeries(tuple(values))
-    r = sqrt(s)
-    assert (r * r).coeffs == s.coeffs
+    left = truncated_product(tuple(x + y for x, y in zip(xs, ys)), zs)
+    right = tuple(p + q for p, q in zip(truncated_product(xs, zs), truncated_product(ys, zs)))
+    assert left == right
