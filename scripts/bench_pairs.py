@@ -8,7 +8,10 @@ pair k uses seed ``--seed`` + k, and every run lasts the ``run_seconds``
 that ``BENCHMARK.json`` sets.  The output file holds every run's
 end-to-end metrics and failed ops, and per workload and metric the median
 and quartiles of each side, the parent's spread between its quartiles, and
-how many pairs the change won (ties count for neither side).
+how many pairs the change won (ties count for neither side).  The output
+file is rewritten after every pair, so a run that fails keeps the pairs
+before it; a run that reports wrong outputs stops the script with exit
+status 1, naming its workload, pair, seed and side.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload exact-sweep=10 --workload sampling=4 \\
@@ -78,7 +81,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
@@ -91,7 +94,7 @@ def main() -> int:
     )
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--output", type=Path, required=True)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
@@ -106,13 +109,17 @@ def main() -> int:
             for side in (SIDES[first], SIDES[1 - first]):
                 pair[side] = run_once(roots[side], workload, seed, seconds)
             runs.append(pair)
+            record["workloads"][workload] = {
+                "runs": runs,
+                "summary": summarize(runs, spec["end_to_end"]),
+            }
+            args.output.write_text(json.dumps(record, indent=2) + "\n")
+            wrong = [side for side in SIDES if not pair[side]["correct"]]
+            if wrong:
+                print(f"{workload} pair {k} seed {seed}: {' and '.join(wrong)} run not correct", file=sys.stderr)
+                return 1
             wall = {side: pair[side]["wall_s"] for side in SIDES}
             print(f"{workload} pair {k} seed {seed}: wall_s {wall['parent']:.3f} -> {wall['change']:.3f}", file=sys.stderr)
-        record["workloads"][workload] = {
-            "runs": runs,
-            "summary": summarize(runs, spec["end_to_end"]),
-        }
-    args.output.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

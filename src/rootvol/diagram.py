@@ -457,23 +457,26 @@ class MarkedDiagram:
 
 
 def extend(label: TypeLabel, rootsystem: RootSystem) -> MarkedDiagram:
-    """Adjoin the negative of the highest root as node 0."""
+    """Adjoin the negative of the highest root as node 0.
+
+    The pairings p_j = <theta, a_j^vee> = sum_i theta_i a_ij are integers,
+    so row 0 is (2, -p_1, ..., -p_n).  With L_j = (a_j, a_j), column 0 holds
+    2 (a_j, -theta) / (theta, theta) = -2 L_j p_j / sum_k theta_k L_k p_k,
+    an exact quotient for a finite type."""
     base = cartan_of_type(label)
     if rootsystem.cartan != base:
         raise ValueError("root system was not generated from cartan_of_type(label)")
     theta = rootsystem.theta
     if theta is None:
         raise ValueError("extension is defined for irreducible systems only")
-    g = rootsystem.gram
-    n = base.size
+    a = base.entries
     tc = theta.coords
-    pair = [tc[j] * g[j][j] + sum(tc[i] * g[i][j] for i in base.edges[j]) for j in range(n)]
-    theta_norm = sum(tc[j] * pair[j] for j in range(n))
-    row0 = [2] + [as_int(Fraction(-2) * pair[j] / g[j][j]) for j in range(n)]
-    col0 = [as_int(Fraction(-2) * pair[j] / theta_norm) for j in range(n)]
-    entries = [tuple(row0)]
-    for i in range(n):
-        entries.append((col0[i],) + base.entries[i])
+    pair = [2 * tc[j] + sum(tc[i] * a[i][j] for i in base.edges[j]) for j in range(base.size)]
+    lengths = [as_int(row[j]) for j, row in enumerate(rootsystem.gram)]
+    theta_norm = sum(t * length * p for t, length, p in zip(tc, lengths, pair))
+    entries = [(2, *(-p for p in pair))]
+    for row, length, p in zip(a, lengths, pair):
+        entries.append((as_int(Fraction(-2 * length * p, theta_norm)), *row))
     marks = tuple(-c for c in tc)
     return MarkedDiagram(CartanMatrix(tuple(entries)), marks)
 

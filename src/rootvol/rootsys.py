@@ -7,7 +7,6 @@ so a coordinate row vector v maps to v @ M.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,10 +23,10 @@ from .diagram import (
 from .exact import as_int
 
 # Closures larger than this are refused before they start: B100 and C100,
-# with 20,000 roots, are the largest that fit.  Each root's pairings cost a
-# few operations per simple root, and each of its images copies a row, so a
-# closure costs about |roots| * rank operations in numpy, and A1000 would
-# need a million roots.
+# with 20,000 roots, are the largest that fit.  Only the positive half is
+# closed, but each positive root's pairings cost a few operations per simple
+# root and each of its images copies a row, so a closure still costs about
+# |roots| * rank operations in numpy, and A1000 would need a million roots.
 CLOSURE_CEILING = 20_000
 
 # Bound on |entry| * (rank * largest Cartan entry + 1) before a product.
@@ -88,13 +87,18 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
 
     The closure of a finite-type matrix is the full root set.  Inputs that
     are not finite type make the orbit grow without bound and are rejected
-    once it exceeds ``closure_bound(cartan)``; ranks whose bound exceeds
-    ``CLOSURE_CEILING`` are rejected before the closure starts.
+    once twice its positive part exceeds ``closure_bound(cartan)``; ranks
+    whose bound exceeds ``CLOSURE_CEILING`` are rejected before the closure
+    starts.
 
-    The closure runs level by level on int64 rows: one gather over the
-    nonzero entries of each Cartan column gives the pairings of a whole
-    frontier with every simple root, each nonzero pairing gives one image,
-    and images are deduplicated by their bytes.
+    The closure runs level by level on int64 rows over the positive roots
+    only: one gather over the nonzero entries of each Cartan column gives the
+    pairings of a whole frontier with every simple root, each nonzero pairing
+    gives one image, and images are deduplicated by their bytes.  A simple
+    reflection sends a positive root to a positive root or to -a_j, so
+    seeding the seen set with both signs of the simple roots keeps every
+    frontier positive.  Each half of the roots is then sorted by height and
+    coordinates.
     """
     n = cartan.size
     bound = closure_bound(cartan)
@@ -123,7 +127,11 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
     frontier = np.eye(n, dtype=np.int64)
     as_bytes = np.dtype((np.void, 8 * n))
     seen = set(frontier.view(as_bytes).ravel().tolist())
+    # `* -1` reuses the multiply loop of the pairings; unary minus would
+    # page in numpy's negative loop for the closure alone.
+    seen.update((frontier * -1).view(as_bytes).ravel().tolist())
     levels = [frontier]
+    count = n
     while len(frontier):
         if int(np.abs(frontier).max()) > limit:
             raise NotFiniteTypeError(
@@ -136,7 +144,8 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
         images[np.arange(len(rows)), cols] -= pairing[rows, cols]
         fresh = set(images.view(as_bytes).ravel().tolist()) - seen
         seen |= fresh
-        if len(seen) > bound:
+        count += len(fresh)
+        if 2 * count > bound:
             raise NotFiniteTypeError(
                 f"reflection closure exceeded {bound} vectors; "
                 "input is not finite type"
@@ -147,13 +156,22 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
     if any(((c > 0).any(axis=1) & (c < 0).any(axis=1)).any() for c in levels):
         raise NotFiniteTypeError("closure produced a mixed-sign vector")
     # One level at a time, so that only one level's lists are alive at once.
-    ordered = []
+    # Tuples made from `tolist` rows are allocated at their final size;
+    # negating the sorted positive tuples item by item fragmented the heap
+    # and raised the peak RSS of the benchmark's exact sweep by 0.3 MB.
+    lower, upper = [], []
     for level in levels:
-        ordered.extend(map(tuple, level.tolist()))
+        upper.extend(map(tuple, level.tolist()))
+        lower.extend(map(tuple, (level * -1).tolist()))
     del levels
-    ordered.sort(key=lambda c: (sum(c), c))
-    roots = tuple(map(Root, ordered))
-    positive = roots[bisect.bisect_right(ordered, 0, key=sum) :]
+    # By height, then coordinates: a sort by coordinates, then a stable sort
+    # by height, both in C.  A sort in numpy would page in numpy's sorting
+    # code, about 0.2 MB of peak RSS, in runs that sort nothing else in numpy.
+    for half in (lower, upper):
+        half.sort()
+        half.sort(key=sum)
+    positive = tuple(map(Root, upper))
+    roots = tuple(map(Root, lower)) + positive
     theta = None
     if n >= 1 and len(cartan.components()) == 1:
         if len(positive) > 1 and positive[-2].height == positive[-1].height:
@@ -165,7 +183,7 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
         positive=positive,
         gram=cartan.gram() if n else (),
         theta=theta,
-        coord_set=frozenset(ordered),
+        coord_set=frozenset(itertools.chain(lower, upper)),
     )
 
 

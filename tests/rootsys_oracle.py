@@ -5,6 +5,9 @@ each root with the nonzero entries of each Cartan column.  The library
 closes whole levels as integer arrays; the tests require the same roots,
 order, highest root and errors from both.
 
+``extend_by_gram`` builds an extended diagram from Fraction pairings in the
+Gram matrix, where the library pairs integer Cartan entries.
+
 ``dense_permuted_equal`` compares every entry of a relabeled matrix with a
 catalogue matrix, where the library compares edges only.
 
@@ -19,10 +22,19 @@ by regenerating from the deleted Cartan matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from det_oracle import det
-from rootvol.diagram import CartanMatrix, MarkedDiagram, NotFiniteTypeError, delete_node
+from rootvol.diagram import (
+    CartanMatrix,
+    MarkedDiagram,
+    NotFiniteTypeError,
+    TypeLabel,
+    cartan_of_type,
+    delete_node,
+)
+from rootvol.exact import as_int
 from rootvol.rootsys import Root, RootSystem, closure_bound, generate_roots
 
 
@@ -75,6 +87,23 @@ def reflection_closure(cartan: CartanMatrix) -> RootSystem:
         theta=theta,
         coord_set=frozenset(seen),
     )
+
+
+def extend_by_gram(label: TypeLabel, rootsystem: RootSystem) -> MarkedDiagram:
+    base = cartan_of_type(label)
+    theta = rootsystem.theta
+    g = rootsystem.gram
+    n = base.size
+    tc = theta.coords
+    pair = [tc[j] * g[j][j] + sum(tc[i] * g[i][j] for i in base.edges[j]) for j in range(n)]
+    theta_norm = sum(tc[j] * pair[j] for j in range(n))
+    row0 = [2] + [as_int(Fraction(-2) * pair[j] / g[j][j]) for j in range(n)]
+    col0 = [as_int(Fraction(-2) * pair[j] / theta_norm) for j in range(n)]
+    entries = [tuple(row0)]
+    for i in range(n):
+        entries.append((col0[i],) + base.entries[i])
+    marks = tuple(-c for c in tc)
+    return MarkedDiagram(CartanMatrix(tuple(entries)), marks)
 
 
 def dense_permuted_equal(

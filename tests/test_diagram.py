@@ -305,6 +305,16 @@ DELETION_LABELS = (
 )
 
 
+@pytest.mark.parametrize("name", DELETION_LABELS)
+def test_extend_matches_the_gram_oracle(name):
+    label = parse_label(name)
+    rs = system_of_type(label)
+    got = extend(label, rs)
+    want = rootsys_oracle.extend_by_gram(label, rs)
+    assert got.cartan.entries == want.cartan.entries
+    assert got.marks == want.marks
+
+
 def test_classify_deletion_matches_the_dense_deletion():
     for name in DELETION_LABELS:
         marked = extended_diagram(parse_label(name))

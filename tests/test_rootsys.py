@@ -151,7 +151,8 @@ def _assert_same_closure(cartan):
     assert got.coord_set == want.coord_set
 
 
-@pytest.mark.parametrize("name", CATALOGUE)
+# The catalogue and the large-rank probes, which close thousands of roots.
+@pytest.mark.parametrize("name", CATALOGUE + ("A49", "B35", "C35", "D40"))
 def test_closure_matches_tuple_oracle(name):
     _assert_same_closure(cartan_of_type(parse_label(name)))
 
@@ -175,6 +176,13 @@ def test_closure_rejects_infinite_types_as_the_oracle_does(entries):
     with pytest.raises(NotFiniteTypeError) as got:
         generate_roots(cartan)
     assert str(got.value) == str(want.value)
+
+
+def test_rank_zero_closes_to_nothing():
+    rs = generate_roots(CartanMatrix(()))
+    assert rs.roots == rs.positive == ()
+    assert rs.coord_set == frozenset()
+    assert rs.theta is None
 
 
 def test_closure_refuses_entries_that_could_overflow():

@@ -1,7 +1,10 @@
-"""The experiment scripts run as separate processes against the package."""
+"""The experiment scripts run as separate processes against the package; the
+benchmark pairing script runs in process with its benchmark runs replaced."""
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -31,3 +34,62 @@ def test_script_runs(script, args, line):
     )
     assert done.returncode == 0, done.stderr
     assert line in done.stdout.splitlines()
+
+
+def _bench_pairs(monkeypatch, outcome):
+    """The pairing script, its benchmark run replaced by `outcome(side,
+    seed)`: True for a correct run, False for a wrong one, or an exception
+    to raise."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def run_once(root, workload, seed, seconds):
+        side = root.name
+        result = outcome(side, seed)
+        if isinstance(result, BaseException):
+            raise result
+        wall = 1.0 if side == "parent" else 0.9
+        return {"correct": result, "wall_s": wall, "peak_rss_mb": 50.0, "setup_s": 0.1}
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    return module
+
+
+def _argv(tmp_path, pairs):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    metrics = [{"name": name, "better": "lower"} for name in ("wall_s", "peak_rss_mb", "setup_s")]
+    spec = {"run_seconds": 1, "end_to_end": metrics}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    output = tmp_path / "out.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+    argv += ["--workload", f"w={pairs}", "--seed", "10", "--output", str(output)]
+    return argv, output
+
+
+def test_bench_pairs_records_every_pair(tmp_path, monkeypatch):
+    module = _bench_pairs(monkeypatch, lambda side, seed: True)
+    argv, output = _argv(tmp_path, 3)
+    assert module.main(argv) == 0
+    record = json.loads(output.read_text())["workloads"]["w"]
+    assert [run["seed"] for run in record["runs"]] == [10, 11, 12]
+    assert record["summary"]["wall_s"]["change_wins"] == 3
+
+
+def test_bench_pairs_stops_at_a_wrong_run(tmp_path, monkeypatch, capsys):
+    module = _bench_pairs(monkeypatch, lambda side, seed: not (side == "change" and seed == 11))
+    argv, output = _argv(tmp_path, 3)
+    assert module.main(argv) == 1
+    assert "w pair 1 seed 11: change run not correct" in capsys.readouterr().err
+    runs = json.loads(output.read_text())["workloads"]["w"]["runs"]
+    assert [run["change"]["correct"] for run in runs] == [True, False]
+
+
+def test_bench_pairs_keeps_the_pairs_before_a_failed_run(tmp_path, monkeypatch):
+    module = _bench_pairs(monkeypatch, lambda side, seed: SystemExit("exited 1") if seed == 12 else True)
+    argv, output = _argv(tmp_path, 3)
+    with pytest.raises(SystemExit, match="exited 1"):
+        module.main(argv)
+    runs = json.loads(output.read_text())["workloads"]["w"]["runs"]
+    assert [run["seed"] for run in runs] == [10, 11]
