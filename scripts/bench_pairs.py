@@ -8,7 +8,10 @@ pair k uses seed ``--seed`` + k, and every run lasts the ``run_seconds``
 that ``BENCHMARK.json`` sets.  The output file holds every run's
 end-to-end metrics and failed ops, and per workload and metric the median
 and quartiles of each side, the parent's spread between its quartiles, and
-how many pairs the change won (ties count for neither side).  The output
+how many pairs the change won (ties count for neither side).  A run names
+its checkout by the commit that ``bench/run.py`` reports, or, in a checkout
+without git metadata, by ``src-sha256:`` and a digest of its ``src/``
+sources.  The output
 file is rewritten after every pair, so a run that fails keeps the pairs
 before it; a run that reports wrong outputs stops the script with exit
 status 1, naming its workload, pair, seed and side.
@@ -21,6 +24,7 @@ status 1, naming its workload, pair, seed and side.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -41,6 +45,18 @@ def workload_pairs(text: str) -> tuple[str, int]:
     return name, count
 
 
+def source_digest(root: Path) -> str:
+    """sha256 over the path, length and bytes of every ``.py`` file under
+    ``root/src``, in sorted order."""
+    src = root / "src"
+    digest = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(src).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return f"src-sha256:{digest.hexdigest()}"
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in `root`; its result object and report line."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
@@ -50,8 +66,9 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"bench/run.py in {root} exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
     *_, report_line, result_line = proc.stdout.splitlines()
     report, result = json.loads(report_line), json.loads(result_line)
+    commit = report["git_commit"]
     return {
-        "commit": report["git_commit"],
+        "commit": source_digest(root) if commit == "unknown" else commit,
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],

@@ -1,77 +1,94 @@
-"""Exact verification and Monte Carlo estimation of root system cone fractions."""
+"""Exact verification and Monte Carlo estimation of root system cone fractions.
 
-from .diagram import (
-    CartanMatrix,
-    DecompositionLabel,
-    InadmissibleLabelError,
-    MarkedDiagram,
-    NotFiniteTypeError,
-    TypeLabel,
-    cartan_of_decomposition,
-    cartan_of_type,
-    classify,
-    classify_deletion,
-    delete_node,
-    extend,
-    parse_decomposition,
-    parse_label,
-)
-from .geometry import (
-    ConeLocation,
-    Embedding,
-    PartitionReport,
-    VolumeEstimate,
-    embedding_for,
-    locate_cone,
-    montecarlo_nu,
-    partition_check,
-    planar_cone_fraction,
-)
-from .identity import (
-    IdentityReport,
-    NodeTerm,
-    extended_diagram,
-    gamma_set,
-    node_terms,
-    report_as_dict,
-    report_as_text,
-    verify_identity,
-)
-from .invariants import (
-    degrees_of,
-    degrees_of_type,
-    exponents_from_heights,
-    nu,
-    nu_of,
-    weyl_order,
-)
-from .rootsys import (
-    CLOSURE_CEILING,
-    ClosureCeilingError,
-    Root,
-    RootSystem,
-    generate_roots,
-    highest_root,
-    reflection_matrix,
-    system_of_type,
-)
-from .series import BinomialCheck, check_binomial_identity, series_coefficient
-from .weylgrp import (
-    DEFAULT_CAP,
-    EnumerationCapError,
-    ExpansionReport,
-    GroupTable,
-    SolomonReport,
-    WeylElement,
-    conjugacy_classes,
-    coset_character,
-    enumerate_group,
-    group_table_of,
-    reflection_subgroup,
-    verify_companion,
-    verify_restricted_expansion,
-    verify_solomon,
-    verify_steinberg,
-)
+The public names below are resolved on first use, each from its module, so
+that importing the package, or a module of it that needs no numpy, loads
+neither numpy nor the modules it does not use.
+"""
+
+from __future__ import annotations
+
+import importlib
+
+# Public name -> the module that defines it.
+_EXPORTS = {
+    "CartanMatrix": "diagram",
+    "DecompositionLabel": "diagram",
+    "InadmissibleLabelError": "diagram",
+    "MarkedDiagram": "diagram",
+    "NotFiniteTypeError": "diagram",
+    "TypeLabel": "diagram",
+    "cartan_of_decomposition": "diagram",
+    "cartan_of_type": "diagram",
+    "classify": "diagram",
+    "classify_deletion": "diagram",
+    "delete_node": "diagram",
+    "extend": "diagram",
+    "parse_decomposition": "diagram",
+    "parse_label": "diagram",
+    "ConeLocation": "geometry",
+    "Embedding": "geometry",
+    "PartitionReport": "geometry",
+    "VolumeEstimate": "geometry",
+    "embedding_for": "geometry",
+    "locate_cone": "geometry",
+    "montecarlo_nu": "geometry",
+    "partition_check": "geometry",
+    "planar_cone_fraction": "geometry",
+    "IdentityReport": "identity",
+    "NodeTerm": "identity",
+    "extended_diagram": "identity",
+    "gamma_set": "identity",
+    "node_terms": "identity",
+    "report_as_dict": "identity",
+    "report_as_text": "identity",
+    "verify_identity": "identity",
+    "degrees_of": "invariants",
+    "degrees_of_type": "invariants",
+    "exponents_from_heights": "invariants",
+    "nu": "invariants",
+    "nu_of": "invariants",
+    "weyl_order": "invariants",
+    "CLOSURE_CEILING": "rootsys",
+    "ClosureCeilingError": "rootsys",
+    "Root": "rootsys",
+    "RootSystem": "rootsys",
+    "generate_roots": "rootsys",
+    "highest_root": "rootsys",
+    "reflection_matrix": "rootsys",
+    "system_of_type": "rootsys",
+    "BinomialCheck": "series",
+    "check_binomial_identity": "series",
+    "series_coefficient": "series",
+    "DEFAULT_CAP": "invariants",
+    "EnumerationCapError": "invariants",
+    "ExpansionReport": "weylgrp",
+    "GroupTable": "weylgrp",
+    "SolomonReport": "weylgrp",
+    "WeylElement": "weylgrp",
+    "conjugacy_classes": "weylgrp",
+    "coset_character": "weylgrp",
+    "enumerate_group": "weylgrp",
+    "group_table_of": "weylgrp",
+    "reflection_subgroup": "weylgrp",
+    "verify_companion": "weylgrp",
+    "verify_restricted_expansion": "weylgrp",
+    "verify_solomon": "weylgrp",
+    "verify_steinberg": "weylgrp",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import attrgetter, methodcaller
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from . import acceptance
 from .diagram import (
     DecompositionLabel,
     InadmissibleLabelError,
@@ -25,21 +24,15 @@ from .diagram import (
     parse_decomposition,
     parse_label,
 )
-from .geometry import montecarlo_nu, partition_check
 from .identity import report_as_dict, report_as_text, verify_identity
-from .invariants import nu_of
+from .invariants import DEFAULT_CAP, EnumerationCapError, nu_of
 from .series import check_binomial_identity, series_coefficient
-from .weylgrp import (
-    DEFAULT_CAP,
-    EnumerationCapError,
-    ExpansionReport,
-    PointCheck,
-    SolomonReport,
-    verify_companion,
-    verify_restricted_expansion,
-    verify_solomon,
-    verify_steinberg,
-)
+
+# `geometry`, `weylgrp` and `acceptance` import numpy, so the handlers that
+# use them import them when they run: `nu`, `series` and `identity` load
+# neither numpy nor the root closure.
+if TYPE_CHECKING:
+    from .weylgrp import ExpansionReport, PointCheck, SolomonReport
 
 
 # Most labels one family sweep may expand to, checked from its endpoints
@@ -258,10 +251,12 @@ def _solomon_text(r: SolomonReport) -> str:
 
 
 def _cmd_solomon(args: argparse.Namespace) -> Outcome:
+    from . import weylgrp
+
     labels = _single_labels(_parse_selector(args.type))
     points = _parse_points(args.points) if args.points else None
     return Outcome(
-        [verify_solomon(label, points, args.cap) for label in labels],
+        [weylgrp.verify_solomon(label, points, args.cap) for label in labels],
         text=_solomon_text,
         tsv_header=("type", "q", "t", "lhs", "rhs", "pass"),
         tsv_rows=lambda r: [
@@ -271,7 +266,9 @@ def _cmd_solomon(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_subset_identity(args: argparse.Namespace) -> Outcome:
-    verify = {"steinberg": verify_steinberg, "companion": verify_companion}[args.command]
+    from . import weylgrp
+
+    verify = {"steinberg": weylgrp.verify_steinberg, "companion": weylgrp.verify_companion}[args.command]
     labels = _single_labels(_parse_selector(args.type))
     return Outcome(
         [verify(label, args.cap) for label in labels],
@@ -299,10 +296,12 @@ def _expansion_text(r: ExpansionReport) -> str:
 
 
 def _cmd_expansion(args: argparse.Namespace) -> Outcome:
+    from . import weylgrp
+
     labels = _single_labels(_parse_selector(args.type))
     t_samples = [_fraction(t) for t in args.points.split(",")] if args.points else None
     return Outcome(
-        [verify_restricted_expansion(label, t_samples, args.cap) for label in labels],
+        [weylgrp.verify_restricted_expansion(label, t_samples, args.cap) for label in labels],
         text=_expansion_text,
         tsv_header=("type", "kind", "t", "lhs", "rhs", "pass"),
         tsv_rows=lambda r: [
@@ -312,9 +311,11 @@ def _cmd_expansion(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_volume(args: argparse.Namespace) -> Outcome:
+    from . import geometry
+
     selectors = _parse_selector(args.type)
     return Outcome(
-        [montecarlo_nu(d, args.samples, args.seed, workers=args.workers) for d in selectors],
+        [geometry.montecarlo_nu(d, args.samples, args.seed, workers=args.workers) for d in selectors],
         text=lambda e: (
             f"{e.decomposition} estimate={e.estimate:.6f} exact={e.exact}"
             f" ({float(e.exact):.6f}) stderr={e.stderr:.6f} z={e.z_score:+.2f}"
@@ -340,9 +341,11 @@ def _cmd_volume(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_partition(args: argparse.Namespace) -> Outcome:
+    from . import geometry
+
     labels = _single_labels(_parse_selector(args.type))
     return Outcome(
-        [partition_check(label, args.samples, args.seed) for label in labels],
+        [geometry.partition_check(label, args.samples, args.seed) for label in labels],
         text=lambda r: (
             f"{r.label} samples={r.samples} counts={list(r.counts)}"
             f" z=[{','.join(f'{z:+.2f}' for z in r.z_scores)}]"
@@ -366,6 +369,8 @@ def _cmd_partition(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_report_all(args: argparse.Namespace) -> Outcome:
+    from . import acceptance
+
     return Outcome(
         acceptance.run_all(),
         text=lambda r: f"[criterion {r.number}] {_verdict(r.passed)} {r.name} ({r.seconds:.2f}s)",

@@ -17,17 +17,15 @@ Extended diagrams carry the added node at index 0.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, compress, repeat
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .exact import as_int
-
-if TYPE_CHECKING:
-    from .rootsys import RootSystem
 
 __all__ = [
     "CartanMatrix",
@@ -179,23 +177,38 @@ class CartanMatrix:
         """Connected components as sorted index tuples, ordered by least node."""
         return _components(self.edges, range(self.size))
 
-    def symmetrizer(self) -> tuple[Fraction, ...] | None:
-        """Positive rationals d with d_i * a_ij = d_j * a_ji, normalized to
-        minimum 1 on each component; None if the matrix is not symmetrizable."""
+    def symmetrizer(self) -> tuple[int, ...] | None:
+        """Smallest positive integers d with d_i * a_ij = d_j * a_ji on each
+        component; None if the matrix is not symmetrizable.  For a finite
+        type d_i = (a_i, a_i) / 2 with short roots of squared length 2, so
+        every d_i is 1, 2 or 3.  Computed once per matrix."""
+        return self._symmetrizer
+
+    @cached_property
+    def _symmetrizer(self) -> tuple[int, ...] | None:
         a = self.entries
-        d: list[Fraction | None] = [None] * self.size
+        n = self.size
+        # d_j / d_i = a_ji / a_ij along a spanning tree of each component, as
+        # unreduced integer pairs; each component is then scaled to the
+        # smallest integer vector.
+        num = [0] * n
+        den = [1] * n
+        d = [0] * n
         for comp in self.components():
-            d[comp[0]] = Fraction(1)
+            num[comp[0]] = 1
             stack = [comp[0]]
             while stack:
                 i = stack.pop()
                 for j in self.edges[i]:
-                    if d[j] is None:
-                        d[j] = d[i] * a[j][i] / a[i][j]
+                    if not num[j]:
+                        num[j] = num[i] * -a[j][i]
+                        den[j] = den[i] * -a[i][j]
                         stack.append(j)
-            low = min(d[k] for k in comp)
-            for k in comp:
-                d[k] /= low
+            scale = math.lcm(*(den[k] for k in comp))
+            values = [num[k] * (scale // den[k]) for k in comp]
+            common = math.gcd(*values)
+            for k, value in zip(comp, values):
+                d[k] = value // common
         # Zero entries and the diagonal hold for any d; check the edges.
         for i, row in enumerate(self.edges):
             for j in row:
@@ -203,15 +216,15 @@ class CartanMatrix:
                     return None
         return tuple(d)
 
-    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact pairing matrix (a_i, a_j) with short roots of squared length 2."""
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """Exact pairing matrix (a_i, a_j), in integers, with short roots of
+        squared length 2 when the matrix is of finite type."""
         d = self.symmetrizer()
         if d is None:
             raise NotFiniteTypeError("matrix is not symmetrizable")
-        zero = Fraction(0)
         rows = []
         for i, neighbors in enumerate(self.edges):
-            row = [zero] * self.size
+            row = [0] * self.size
             row[i] = 2 * d[i]
             for j in neighbors:
                 row[j] = self.entries[i][j] * d[j]
@@ -293,31 +306,13 @@ def _components(edges: Sequence[Sequence[int]], nodes: Iterable[int]) -> tuple[t
     return tuple(out)
 
 
-def _permuted_equal(
-    entries: Sequence[Sequence[int]],
-    edges: Sequence[Sequence[int]],
-    order: Sequence[int],
-    target: CartanMatrix,
-) -> bool:
-    """Whether node p of target is node order[p] of the diagram, with the
-    same bonds.  Both have diagonal 2 and a symmetric zero pattern, so equal
-    degrees and equal entries on the target's edges suffice."""
-    for p, v in enumerate(order):
-        row = entries[v]
-        target_row = target.entries[p]
-        target_edges = target.edges[p]
-        if len(edges[v]) != len(target_edges):
-            return False
-        for q in target_edges:
-            if row[order[q]] != target_row[q]:
-                return False
-    return True
-
-
 def _classify_path(
     entries: Sequence[Sequence[int]], edges: Sequence[Sequence[int]], start: int, size: int
 ) -> TypeLabel | None:
-    """Label of a path of `size` nodes that starts at the end `start`."""
+    """Label of a path of `size` nodes that starts at the end `start`, from
+    the position and direction of its one multiple bond, if any.  A bond of
+    multiplicity a_ij * a_ji = 1, 2 or 3 has entries -1 and -1, -1 and -2,
+    or -1 and -3, and the node j with a_ij = -2 is the short one."""
     order = [start]
     prev = -1
     for _ in range(size - 1):
@@ -326,29 +321,35 @@ def _classify_path(
         prev = order[-1]
         order.append(step)
     mults = [entries[a][b] * entries[b][a] for a, b in zip(order, order[1:])]
-    candidates: list[TypeLabel] = []
-    if mults.count(1) == len(mults):
-        candidates.append(TypeLabel("A", size))
-    elif mults == [3]:
-        candidates.append(TypeLabel("G", 2))
-    elif mults.count(2) == 1 and mults.count(1) == len(mults) - 1:
-        candidates.append(TypeLabel("B", size))
-        if size >= 3:
-            candidates.append(TypeLabel("C", size))
-        if size == 4:
-            candidates.append(TypeLabel("F", 4))
-    for cand in candidates:
-        target = cartan_of_type(cand)
-        for o in (order, order[::-1]):
-            if _permuted_equal(entries, edges, o, target):
-                return cand
-    return None
+    multiple = [k for k, m in enumerate(mults) if m != 1]
+    if not multiple:
+        return TypeLabel("A", size)
+    if len(multiple) > 1:
+        return None
+    k = multiple[0]
+    if mults[k] == 3:
+        return TypeLabel("G", 2) if size == 2 else None
+    if mults[k] != 2:
+        return None
+    if size == 2:
+        return TypeLabel("B", 2)
+    if size == 4 and k == 1:
+        return TypeLabel("F", 4)
+    if k == 0:
+        end, inner = order[0], order[1]
+    elif k == size - 2:
+        end, inner = order[-1], order[-2]
+    else:
+        return None
+    # B_n ends in its one short node, C_n in its one long node.
+    return TypeLabel("B" if entries[inner][end] == -2 else "C", size)
 
 
 def _classify_branch(
     entries: Sequence[Sequence[int]], edges: Sequence[Sequence[int]], branch: int
 ) -> TypeLabel | None:
-    """Label of a tree whose only node of degree 3 is `branch`."""
+    """Label of a simply laced tree whose only node of degree 3 is `branch`,
+    from the lengths of its three arms."""
     arms: list[list[int]] = []
     for first in edges[branch]:
         arm = [first]
@@ -361,29 +362,16 @@ def _classify_branch(
             prev = arm[-1]
             arm.append(step)
         arms.append(arm)
-    arms.sort(key=len)
-    la, lb, lc = (len(arm) for arm in arms)
-    size = la + lb + lc + 1
-    mapping: dict[int, int] = {}
-    if la == 1 and lb == 1:
-        cand = TypeLabel("D", size)
-        mapping[branch] = size - 2
-        mapping[arms[0][0]] = size - 1
-        mapping[arms[1][0]] = size
-        for depth, v in enumerate(arms[2]):
-            mapping[v] = size - 3 - depth
-    elif (la, lb) == (1, 2) and lc in (2, 3, 4):
-        cand = TypeLabel("E", size)
-        mapping[branch] = 4
-        mapping[arms[0][0]] = 2
-        mapping[arms[1][0]] = 3
-        mapping[arms[1][1]] = 1
-        for depth, v in enumerate(arms[2]):
-            mapping[v] = 5 + depth
-    else:
+    nodes = chain([branch], *arms)
+    if any(entries[v][u] != -1 for v in nodes for u in edges[v]):
         return None
-    order = [v for v, _ in sorted(mapping.items(), key=lambda kv: kv[1])]
-    return cand if _permuted_equal(entries, edges, order, cartan_of_type(cand)) else None
+    la, lb, lc = sorted(map(len, arms))
+    size = la + lb + lc + 1
+    if la == 1 and lb == 1:
+        return TypeLabel("D", size)
+    if (la, lb) == (1, 2) and lc in (2, 3, 4):
+        return TypeLabel("E", size)
+    return None
 
 
 def _classify_component(
@@ -456,28 +444,44 @@ class MarkedDiagram:
         return self.cartan.size - 1
 
 
-def extend(label: TypeLabel, rootsystem: RootSystem) -> MarkedDiagram:
-    """Adjoin the negative of the highest root as node 0.
+def extend(label: TypeLabel) -> MarkedDiagram:
+    """Adjoin the negative of the highest root theta as node 0.
 
-    The pairings p_j = <theta, a_j^vee> = sum_i theta_i a_ij are integers,
-    so row 0 is (2, -p_1, ..., -p_n).  With L_j = (a_j, a_j), column 0 holds
-    2 (a_j, -theta) / (theta, theta) = -2 L_j p_j / sum_k theta_k L_k p_k,
+    theta is the one dominant root among the long roots, which form one Weyl
+    group orbit (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 10.4 and 13.2).  So it is found by dominance ascent: start at a
+    long simple root b, and while some pairing p_j = <b, a_j^vee> is
+    negative, reflect b to b - p_j a_j, which raises its height.  A step
+    changes only the pairings of node j and its neighbours.
+
+    The final pairings p_j = <theta, a_j^vee> give row 0 = (2, -p_1, ...,
+    -p_n).  With d_j = (a_j, a_j) / 2 from the symmetrizer, column 0 holds
+    2 (a_j, -theta) / (theta, theta) = -2 d_j p_j / sum_k theta_k d_k p_k,
     an exact quotient for a finite type."""
     base = cartan_of_type(label)
-    if rootsystem.cartan != base:
-        raise ValueError("root system was not generated from cartan_of_type(label)")
-    theta = rootsystem.theta
-    if theta is None:
-        raise ValueError("extension is defined for irreducible systems only")
     a = base.entries
-    tc = theta.coords
-    pair = [2 * tc[j] + sum(tc[i] * a[i][j] for i in base.edges[j]) for j in range(base.size)]
-    lengths = [as_int(row[j]) for j, row in enumerate(rootsystem.gram)]
-    theta_norm = sum(t * length * p for t, length, p in zip(tc, lengths, pair))
+    d = base.symmetrizer()
+    start = d.index(max(d))
+    theta = [0] * base.size
+    theta[start] = 1
+    pair = list(a[start])
+    stack = [j for j in base.edges[start] if pair[j] < 0]
+    while stack:
+        j = stack.pop()
+        p = pair[j]
+        if p >= 0:
+            continue
+        theta[j] -= p
+        pair[j] = -p
+        for k in base.edges[j]:
+            pair[k] -= p * a[j][k]
+            if pair[k] < 0:
+                stack.append(k)
+    theta_norm = sum(t * dk * p for t, dk, p in zip(theta, d, pair))
     entries = [(2, *(-p for p in pair))]
-    for row, length, p in zip(a, lengths, pair):
-        entries.append((as_int(Fraction(-2 * length * p, theta_norm)), *row))
-    marks = tuple(-c for c in tc)
+    for row, dj, p in zip(a, d, pair):
+        entries.append((as_int(Fraction(-2 * dj * p, theta_norm)), *row))
+    marks = tuple(-t for t in theta)
     return MarkedDiagram(CartanMatrix(tuple(entries)), marks)
 
 

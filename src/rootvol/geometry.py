@@ -38,6 +38,11 @@ DEFAULT_TOL = 1e-9
 # contend with the Monte Carlo worker threads.
 _BATCH_ROWS = 4096
 
+# Largest rank of the partition scan.  A batch holds the coordinates of each
+# sample in all rank+1 cones, _BATCH_ROWS * (rank+1) * rank floats: 0.33 GB
+# at rank 100, and ten times that at rank 300.
+PARTITION_RANK_CEILING = 100
+
 # Planar angle of the cone between two simple roots, as a fraction of the
 # full circle, keyed by the squared cosine of the angle between the roots.
 _PLANAR_FRACTIONS = {
@@ -53,7 +58,7 @@ class Embedding:
     """Floating realization of a root system from its exact Gram matrix."""
 
     decomposition: DecompositionLabel
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[int, ...], ...]
     factor: np.ndarray
     inverse: np.ndarray
 
@@ -293,6 +298,10 @@ def partition_check(
         raise ValueError("n_samples must be positive")
     if isinstance(label, str):
         label = parse_label(label)
+    if label.rank > PARTITION_RANK_CEILING:
+        raise ValueError(
+            f"{label} has rank {label.rank}, above the partition scan's rank ceiling of {PARTITION_RANK_CEILING}"
+        )
     marked = extended_diagram(label)
     marks = np.array(marked.marks, dtype=float)
     terms = node_terms(label)
@@ -356,7 +365,7 @@ def planar_cone_fraction(spec: str | TypeLabel | DecompositionLabel) -> Fraction
         raise ValueError("planar cone fraction requires rank 2")
     if gram[0][1] > 0:
         raise ValueError("simple roots must meet at a non-acute angle")
-    cos_sq = gram[0][1] ** 2 / (gram[0][0] * gram[1][1])
+    cos_sq = Fraction(gram[0][1] ** 2, gram[0][0] * gram[1][1])
     try:
         return _PLANAR_FRACTIONS[cos_sq]
     except KeyError:

@@ -22,7 +22,6 @@ from .diagram import (
     parse_label,
 )
 from .invariants import degrees_of, nu, weyl_order
-from .rootsys import system_of_type
 
 
 @dataclass(frozen=True)
@@ -45,9 +44,19 @@ class IdentityReport:
         return self.total == 1
 
 
+# Largest rank whose node-deletion identity is computed.  The extended
+# diagram is a dense (rank+1)^2 matrix, the node terms cost about rank^2
+# steps, and both stay cached, so a sweep holds every diagram it builds.
+RANK_CEILING = 300
+
+
 @lru_cache(maxsize=None)
 def extended_diagram(label: TypeLabel) -> MarkedDiagram:
-    return extend(label, system_of_type(label))
+    if label.rank > RANK_CEILING:
+        raise ValueError(
+            f"{label} has rank {label.rank}, above the identity's rank ceiling of {RANK_CEILING}"
+        )
+    return extend(label)
 
 
 @lru_cache(maxsize=None)

@@ -5,10 +5,26 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .diagram import DecompositionLabel, TypeLabel, as_decomposition
-from .rootsys import RootSystem
+
+if TYPE_CHECKING:
+    from .rootsys import RootSystem
+
+# Default bound on the order of a Weyl group that is enumerated explicitly.
+DEFAULT_CAP = 10_000
+
+
+class EnumerationCapError(RuntimeError):
+    """Expected group order exceeds the configured enumeration cap."""
+
+    def __init__(self, expected_order: int, cap: int):
+        super().__init__(
+            f"expected group order {expected_order} exceeds enumeration cap {cap}"
+        )
+        self.expected_order = expected_order
+        self.cap = cap
 
 _EXCEPTIONAL_DEGREES = {
     ("G", 2): (2, 6),

@@ -70,7 +70,7 @@ class RootSystem:
     cartan: CartanMatrix
     roots: tuple[Root, ...]
     positive: tuple[Root, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[int, ...], ...]
     theta: Root | None
     coord_set: frozenset[tuple[int, ...]]
 
@@ -214,6 +214,6 @@ def reflection_matrix(rs: RootSystem, alpha: Root) -> tuple[tuple[int, ...], ...
     norm = sum(c[i] * c[j] * g[i][j] for i in support for j in support)
     rows = []
     for i in range(n):
-        coeff = as_int(2 * sum(g[i][j] * c[j] for j in support) / norm)
+        coeff = as_int(Fraction(2 * sum(g[i][j] * c[j] for j in support), norm))
         rows.append(tuple((1 if i == k else 0) - coeff * c[k] for k in range(n)))
     return tuple(rows)

@@ -27,7 +27,15 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .diagram import DecompositionLabel, TypeLabel, classify, parse_label
-from .invariants import degree_product, degrees_of, degrees_of_type, nu, weyl_order
+from .invariants import (
+    DEFAULT_CAP,
+    EnumerationCapError,
+    degree_product,
+    degrees_of,
+    degrees_of_type,
+    nu,
+    weyl_order,
+)
 from .identity import node_terms
 from .rootsys import (
     Root,
@@ -38,8 +46,6 @@ from .rootsys import (
 )
 
 Matrix = tuple[tuple[int, ...], ...]
-
-DEFAULT_CAP = 10_000
 
 DEFAULT_SOLOMON_POINTS: tuple[tuple[Fraction, Fraction], ...] = (
     (Fraction(2), Fraction(1, 2)),
@@ -57,17 +63,6 @@ DEFAULT_EXPANSION_SAMPLES: tuple[Fraction, ...] = (
 
 # k values for the probe points t = 1 - 1/k approaching the limit.
 EXPANSION_PROBE_STEPS: tuple[int, ...] = (1_000, 10_000)
-
-
-class EnumerationCapError(RuntimeError):
-    """Expected group order exceeds the configured enumeration cap."""
-
-    def __init__(self, expected_order: int, cap: int):
-        super().__init__(
-            f"expected group order {expected_order} exceeds enumeration cap {cap}"
-        )
-        self.expected_order = expected_order
-        self.cap = cap
 
 
 # Slots: an enumerated group keeps one element per member alive.

@@ -8,8 +8,10 @@ order, highest root and errors from both.
 ``extend_by_gram`` builds an extended diagram from Fraction pairings in the
 Gram matrix, where the library pairs integer Cartan entries.
 
-``dense_permuted_equal`` compares every entry of a relabeled matrix with a
-catalogue matrix, where the library compares edges only.
+``classify_by_reference`` walks each component of a Cartan matrix into a
+node order and compares every entry of the relabeled matrix with the
+catalogue matrix of each candidate type, where the library names the type
+from the shape of the component alone.
 
 ``is_finite_type`` tests a Cartan matrix by its bond products and the
 leading minors of its pairing matrix, where the library matches diagrams.
@@ -28,6 +30,8 @@ from typing import Sequence
 from det_oracle import det
 from rootvol.diagram import (
     CartanMatrix,
+    DecompositionLabel,
+    InadmissibleLabelError,
     MarkedDiagram,
     NotFiniteTypeError,
     TypeLabel,
@@ -106,19 +110,76 @@ def extend_by_gram(label: TypeLabel, rootsystem: RootSystem) -> MarkedDiagram:
     return MarkedDiagram(CartanMatrix(tuple(entries)), marks)
 
 
-def dense_permuted_equal(
-    entries: Sequence[Sequence[int]],
-    edges: Sequence[Sequence[int]],
-    order: Sequence[int],
-    target: CartanMatrix,
-) -> bool:
-    """Takes the library comparison's arguments; reads the entries only."""
+def dense_permuted_equal(cartan: CartanMatrix, order: Sequence[int], target: CartanMatrix) -> bool:
+    """Whether node p of target is node order[p] of cartan, entry by entry."""
     k = len(order)
     return all(
-        entries[order[p]][order[q]] == target.entries[p][q]
+        cartan.entries[order[p]][order[q]] == target.entries[p][q]
         for p in range(k)
         for q in range(k)
     )
+
+
+def _path_order(edges: Sequence[Sequence[int]], start: int, size: int) -> list[int]:
+    order = [start]
+    for _ in range(size - 1):
+        order.append(next(v for v in edges[order[-1]] if v not in order[-2:]))
+    return order
+
+
+def _branch_candidate(edges: Sequence[Sequence[int]], branch: int) -> tuple[TypeLabel, list[int]] | None:
+    """The D or E label that the arms of `branch` suggest, and the node
+    order of its catalogue numbering."""
+    arms = []
+    for first in edges[branch]:
+        arm = [branch, first]
+        while len(edges[arm[-1]]) == 2:
+            step = next(v for v in edges[arm[-1]] if v != arm[-2])
+            if step == branch:
+                return None
+            arm.append(step)
+        arms.append(arm[1:])
+    arms.sort(key=len)
+    (short, middle, long_) = arms
+    size = len(short) + len(middle) + len(long_) + 1
+    if len(short) == len(middle) == 1:
+        # D_n: n-2 is the branch, n-1 and n the short arms, 1..n-3 the long one.
+        return TypeLabel("D", size), [*long_[::-1], branch, short[0], middle[0]]
+    if (len(short), len(middle)) == (1, 2) and len(long_) in (2, 3, 4):
+        # E_n: 1 - 3 - 4 - 5 ... with 2 on the branch node 4.
+        return TypeLabel("E", size), [middle[1], short[0], middle[0], branch, *long_]
+    return None
+
+
+def classify_by_reference(cartan: CartanMatrix) -> DecompositionLabel:
+    """Classify by dense comparison with the catalogue matrices, with the
+    library's error message for a component that matches none."""
+    factors = []
+    for comp in cartan.components():
+        degrees = [len(cartan.edges[v]) for v in comp]
+        label = None
+        if len(comp) == 1:
+            label = TypeLabel("A", 1)
+        elif degrees.count(3) == 1 and max(degrees) == 3:
+            found = _branch_candidate(cartan.edges, comp[degrees.index(3)])
+            if found and dense_permuted_equal(cartan, found[1], cartan_of_type(found[0])):
+                label = found[0]
+        elif max(degrees) <= 2 and degrees.count(1) == 2:
+            order = _path_order(cartan.edges, comp[degrees.index(1)], len(comp))
+            # B before C, so that B2 and C2 are both named B2.
+            for family in "ABCFG":
+                try:
+                    cand = TypeLabel(family, len(comp))
+                except InadmissibleLabelError:
+                    continue
+                target = cartan_of_type(cand)
+                if any(dense_permuted_equal(cartan, o, target) for o in (order, order[::-1])):
+                    label = cand
+                    break
+        if label is None:
+            raise NotFiniteTypeError(f"component {comp} matches no finite-type diagram")
+        factors.append(label)
+    return DecompositionLabel(tuple(factors))
 
 
 def is_finite_type(cartan: CartanMatrix) -> bool:

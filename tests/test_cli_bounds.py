@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from rootvol import cli, geometry, rootsys, weylgrp
+from rootvol import cli, geometry, identity, rootsys, weylgrp
 from rootvol.cli import MAX_CAP, MAX_SERIES_ORDER, MAX_SWEEP_LENGTH, main
 
 
@@ -134,3 +134,28 @@ def test_calls_in_one_process_share_no_flags(tmp_path, capsys):
         "part 2",
         "part 3",
     ]
+
+
+def test_identity_above_its_rank_ceiling_is_a_usage_error(capsys):
+    rank = identity.RANK_CEILING + 1
+    assert main(["identity", "--type", f"B{rank}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"rank {rank}, above the identity's rank ceiling of {identity.RANK_CEILING}" in captured.err
+
+
+def test_identity_at_its_rank_ceiling_sums_to_one(capsys):
+    assert main(["identity", "--type", f"B{identity.RANK_CEILING}"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("total = 1  gamma = {0,1}  PASS")
+
+
+def test_partition_above_its_rank_ceiling_is_a_usage_error(monkeypatch, capsys):
+    def no_diagram(*args):
+        raise AssertionError("a diagram was built before the rank was checked")
+
+    monkeypatch.setattr(geometry, "extended_diagram", no_diagram)
+    rank = geometry.PARTITION_RANK_CEILING + 1
+    assert main(["partition", "--type", f"A{rank}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"rank {rank}, above the partition scan's rank ceiling" in captured.err

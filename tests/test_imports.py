@@ -1,0 +1,58 @@
+"""The package resolves its public names on first use, and the commands
+that need no numpy never import it."""
+
+from __future__ import annotations
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rootvol
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("name", rootvol.__all__)
+def test_public_name_is_the_module_attribute(name):
+    module = importlib.import_module(f"rootvol.{rootvol._EXPORTS[name]}")
+    assert getattr(rootvol, name) is getattr(module, name)
+    assert name in dir(rootvol)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        rootvol.no_such_name
+
+
+def test_cap_names_are_shared_with_weylgrp():
+    from rootvol import invariants, weylgrp
+
+    assert weylgrp.EnumerationCapError is invariants.EnumerationCapError
+    assert weylgrp.DEFAULT_CAP == invariants.DEFAULT_CAP
+
+
+_NO_NUMPY = """
+import contextlib, io, sys
+import rootvol.cli
+assert "numpy" not in sys.modules, "import rootvol.cli"
+for argv in (["nu", "--type", "A1"], ["series", "--order", "30"], ["identity", "--type", "E8"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert rootvol.cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+"""
+
+
+def test_nu_series_and_identity_never_import_numpy():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

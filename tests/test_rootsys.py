@@ -122,11 +122,17 @@ def test_closure_bound_is_taken_per_component():
     assert len(rs.roots) == 168
 
 
-def test_closure_ceiling_names_rank_and_ceiling(capsys):
+def test_closure_ceiling_names_rank_and_ceiling():
     with pytest.raises(ClosureCeilingError, match="rank 101 .* ceiling of 20000"):
         generate_roots(cartan_of_type(parse_label("B101")))
-    assert main(["identity", "--type", "A101"]) == 2
-    assert "rank 101" in capsys.readouterr().err
+
+
+def test_identity_above_the_closure_ceiling_closes_no_roots(capsys):
+    # The extended diagram finds its highest root without a closure.
+    assert main(["identity", "--type", "A101"]) == 0
+    # Every node of the extended diagram of A_n reproduces A_n.
+    gamma = ",".join(map(str, range(102)))
+    assert capsys.readouterr().out.splitlines()[-1] == f"total = 1  gamma = {{{gamma}}}  PASS"
 
 
 CATALOGUE = (
@@ -240,7 +246,7 @@ def test_reflection_fixes_nothing_but_wall():
 def test_subsystem_counts_both_routes():
     label = parse_label("F4")
     rs = system_of_type(label)
-    marked = extend(label, rs)
+    marked = extend(label)
     # deleting the added node keeps everything
     assert len(rootsys_oracle.subsystem(rs, marked, 0).filtered) == 48
     sizes = {node: len(rootsys_oracle.subsystem(rs, marked, node).filtered) for node in range(1, 5)}
@@ -251,6 +257,6 @@ def test_subsystem_counts_both_routes():
 def test_subsystem_rejects_bad_node():
     label = parse_label("A2")
     rs = system_of_type(label)
-    marked = extend(label, rs)
+    marked = extend(label)
     with pytest.raises(IndexError):
         rootsys_oracle.subsystem(rs, marked, 3)

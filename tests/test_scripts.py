@@ -36,13 +36,18 @@ def test_script_runs(script, args, line):
     assert line in done.stdout.splitlines()
 
 
+def _load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _bench_pairs(monkeypatch, outcome):
     """The pairing script, its benchmark run replaced by `outcome(side,
     seed)`: True for a correct run, False for a wrong one, or an exception
     to raise."""
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _load_bench_pairs()
 
     def run_once(root, workload, seed, seconds):
         side = root.name
@@ -93,3 +98,31 @@ def test_bench_pairs_keeps_the_pairs_before_a_failed_run(tmp_path, monkeypatch):
         module.main(argv)
     runs = json.loads(output.read_text())["workloads"]["w"]["runs"]
     assert [run["seed"] for run in runs] == [10, 11]
+
+
+
+@pytest.mark.parametrize("commit", ["unknown", "e3812246ca274364353141934bd76cb4fb49378d"])
+def test_bench_pairs_names_a_checkout_without_git_by_its_sources(tmp_path, monkeypatch, commit):
+    module = _load_bench_pairs()
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n")
+    (package / "notes.txt").write_text("not a source\n")
+    report = {"git_commit": commit, "repetitions": [{}]}
+    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {"wall_s": {"value": 0.5}}}
+    stdout = f"{json.dumps(report)}\n{json.dumps(result)}\n"
+
+    def fake_run(argv, cwd, capture_output, text):
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    first = module.run_once(tmp_path, "w", 1, 1)["commit"]
+    (package / "notes.txt").write_text("changed\n")
+    assert module.run_once(tmp_path, "w", 1, 1)["commit"] == first
+    (package / "a.py").write_text("x = 2\n")
+    second = module.run_once(tmp_path, "w", 1, 1)["commit"]
+    if commit == "unknown":
+        assert first.startswith("src-sha256:") and len(first) == len("src-sha256:") + 64
+        assert second != first
+    else:
+        assert first == second == commit
