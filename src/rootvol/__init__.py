@@ -21,16 +21,13 @@ _EXPORTS = {
     "cartan_of_type": "diagram",
     "classify": "diagram",
     "classify_deletion": "diagram",
-    "delete_node": "diagram",
     "extend": "diagram",
     "parse_decomposition": "diagram",
     "parse_label": "diagram",
-    "ConeLocation": "geometry",
     "Embedding": "geometry",
     "PartitionReport": "geometry",
     "VolumeEstimate": "geometry",
     "embedding_for": "geometry",
-    "locate_cone": "geometry",
     "montecarlo_nu": "geometry",
     "partition_check": "geometry",
     "planar_cone_fraction": "geometry",
@@ -50,7 +47,6 @@ _EXPORTS = {
     "weyl_order": "invariants",
     "CLOSURE_CEILING": "rootsys",
     "ClosureCeilingError": "rootsys",
-    "Root": "rootsys",
     "RootSystem": "rootsys",
     "generate_roots": "rootsys",
     "highest_root": "rootsys",
@@ -64,7 +60,6 @@ _EXPORTS = {
     "ExpansionReport": "weylgrp",
     "GroupTable": "weylgrp",
     "SolomonReport": "weylgrp",
-    "WeylElement": "weylgrp",
     "conjugacy_classes": "weylgrp",
     "coset_character": "weylgrp",
     "enumerate_group": "weylgrp",

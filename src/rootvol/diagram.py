@@ -38,7 +38,6 @@ __all__ = [
     "cartan_of_type",
     "classify",
     "classify_deletion",
-    "delete_node",
     "extend",
     "parse_decomposition",
     "parse_label",
@@ -485,20 +484,11 @@ def extend(label: TypeLabel) -> MarkedDiagram:
     return MarkedDiagram(CartanMatrix(tuple(entries)), marks)
 
 
-def delete_node(diagram: MarkedDiagram, node: int) -> CartanMatrix:
-    """Remove one node (0 removes the added node and restores the original)."""
-    if not 0 <= node <= diagram.rank:
-        raise IndexError(f"node {node} out of range 0..{diagram.rank}")
-    rows = diagram.cartan.entries
-    return CartanMatrix(
-        tuple(row[:node] + row[node + 1 :] for row in rows[:node] + rows[node + 1 :])
-    )
-
-
 def classify_deletion(diagram: MarkedDiagram, node: int) -> DecompositionLabel:
-    """``classify(delete_node(diagram, node))`` without building the smaller
-    matrix: the classification reads the extended diagram's entries and
-    edge lists, of which only the deleted node's neighbours change."""
+    """Classification of the diagram without one node (0 is the added node),
+    without building the smaller matrix: it reads the extended diagram's
+    entries and edge lists, of which only the deleted node's neighbours
+    change."""
     if not 0 <= node <= diagram.rank:
         raise IndexError(f"node {node} out of range 0..{diagram.rank}")
     cartan = diagram.cartan

@@ -1,4 +1,4 @@
-"""Euclidean realization, cone location, cone-partition checks, Monte Carlo.
+"""Euclidean realization, cone-partition checks, Monte Carlo.
 
 Conventions: coordinate vectors are rows; the embedding factor L has the
 simple roots as rows, so a coordinate row b maps to the Cartesian point
@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -83,41 +83,6 @@ def embedding_for(spec: str | TypeLabel | DecompositionLabel) -> Embedding:
     if decomposition.rank == 0:
         raise ValueError(f"type {decomposition} has rank 0; an embedding needs rank 1 or more")
     return _embedding_cached(decomposition)
-
-
-@dataclass(frozen=True)
-class ConeLocation:
-    """Cone index 0..l and the coefficients in that cone's basis.
-
-    For cone 0 the coefficients follow the simple-root order.  For cone
-    i >= 1 the first coefficient belongs to the lowest root and the rest to
-    the remaining simple roots in ascending node order.
-    """
-
-    cone: int
-    coefficients: tuple
-
-
-def locate_cone(coords: Sequence, marks: Sequence[int]) -> ConeLocation:
-    """Constructive cone location: if some coordinate is negative, pick the
-    index maximizing b_i/n_i (smallest index on ties) and rewrite in that
-    cone's basis.  Exact on exact inputs, float on float inputs."""
-    b = list(coords)
-    n = list(marks)
-    if len(b) != len(n):
-        raise ValueError("coordinate and mark vectors differ in length")
-    if all(x >= 0 for x in b):
-        return ConeLocation(0, tuple(b))
-    best = 0
-    best_ratio = b[0] / n[0]
-    for i in range(1, len(b)):
-        ratio = b[i] / n[i]
-        if ratio > best_ratio:
-            best = i
-            best_ratio = ratio
-    rewritten = [best_ratio]
-    rewritten.extend(b[h] - n[h] * best_ratio for h in range(len(b)) if h != best)
-    return ConeLocation(best + 1, tuple(rewritten))
 
 
 @dataclass(frozen=True)
@@ -331,8 +296,8 @@ def partition_check(
         boundary = ~failures & ((inside_counts >= 2) | (interior_counts == 0))
         clean = ~failures & ~boundary
 
-        # Constructive assignment, vectorized to mirror locate_cone: smallest
-        # index wins ties of b_i / n_i.
+        # Constructive assignment, vectorized to mirror the scalar oracle in
+        # tests/geometry_oracle.py: smallest index wins ties of b_i / n_i.
         nonneg = coords.min(axis=0) >= 0
         ratios = coords / marks[:, None]
         assigned = np.where(nonneg, 0, np.argmax(ratios, axis=0) + 1)

@@ -15,6 +15,12 @@ if TYPE_CHECKING:
 # Default bound on the order of a Weyl group that is enumerated explicitly.
 DEFAULT_CAP = 10_000
 
+# Largest total rank that `nu_of` takes.  The numerator and denominator of nu
+# grow by about log10(2 rank) digits per degree: B, C and D values pass
+# Python's 4300-digit limit on integer printing between ranks 7100 and 7200,
+# and A1000000 multiplies for more than 20 s.
+NU_RANK_CEILING = 5000
+
 
 class EnumerationCapError(RuntimeError):
     """Expected group order exceeds the configured enumeration cap."""
@@ -80,8 +86,14 @@ def weyl_order(degrees: Sequence[int]) -> int:
 
 
 def nu_of(spec: DecompositionLabel | TypeLabel | str) -> Fraction:
-    """Degree ratio of a decomposition, a single type, or a parsed label."""
-    return nu(degrees_of(as_decomposition(spec)))
+    """Degree ratio of a decomposition, a single type, or a parsed label, up
+    to a total rank of ``NU_RANK_CEILING``."""
+    decomposition = as_decomposition(spec)
+    if decomposition.rank > NU_RANK_CEILING:
+        raise ValueError(
+            f"{decomposition} has rank {decomposition.rank}, above nu's rank ceiling of {NU_RANK_CEILING}"
+        )
+    return nu(degrees_of(decomposition))
 
 
 def exponents_from_heights(rs: RootSystem) -> tuple[int, ...]:
@@ -92,6 +104,6 @@ def exponents_from_heights(rs: RootSystem) -> tuple[int, ...]:
     for any system the exponent multiset is the conjugate partition of the
     height counts.  This route never consults the degree catalogue.
     """
-    counts = Counter(r.height for r in rs.positive)
+    counts = Counter(map(sum, rs.positive))
     exponents = [sum(c >= j for c in counts.values()) for j in range(1, counts[1] + 1)]
     return tuple(sorted(exponents))

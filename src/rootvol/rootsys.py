@@ -52,34 +52,19 @@ def closure_bound(cartan: CartanMatrix) -> int:
     )
 
 
-# Slots: a large closure keeps tens of thousands of roots alive.
-@dataclass(frozen=True, slots=True)
-class Root:
-    coords: tuple[int, ...]
-
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
-
-    def __neg__(self) -> Root:
-        return Root(tuple(-c for c in self.coords))
-
-
 @dataclass(frozen=True)
 class RootSystem:
+    """Roots as coordinate tuples over the simple basis: all of them, the
+    positive half, and the highest root of an irreducible system."""
+
     cartan: CartanMatrix
-    roots: tuple[Root, ...]
-    positive: tuple[Root, ...]
-    gram: tuple[tuple[int, ...], ...]
-    theta: Root | None
-    coord_set: frozenset[tuple[int, ...]]
+    roots: tuple[tuple[int, ...], ...]
+    positive: tuple[tuple[int, ...], ...]
+    theta: tuple[int, ...] | None
 
     @property
     def rank(self) -> int:
         return self.cartan.size
-
-    def __contains__(self, root: Root) -> bool:
-        return root.coords in self.coord_set
 
 
 def generate_roots(cartan: CartanMatrix) -> RootSystem:
@@ -170,21 +155,14 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
     for half in (lower, upper):
         half.sort()
         half.sort(key=sum)
-    positive = tuple(map(Root, upper))
-    roots = tuple(map(Root, lower)) + positive
+    positive = tuple(upper)
+    roots = tuple(lower) + positive
     theta = None
     if n >= 1 and len(cartan.components()) == 1:
-        if len(positive) > 1 and positive[-2].height == positive[-1].height:
+        if len(positive) > 1 and sum(positive[-2]) == sum(positive[-1]):
             raise NotFiniteTypeError("highest root is not unique")
         theta = positive[-1]
-    return RootSystem(
-        cartan=cartan,
-        roots=roots,
-        positive=positive,
-        gram=cartan.gram() if n else (),
-        theta=theta,
-        coord_set=frozenset(itertools.chain(lower, upper)),
-    )
+    return RootSystem(cartan=cartan, roots=roots, positive=positive, theta=theta)
 
 
 @lru_cache(maxsize=None)
@@ -192,28 +170,27 @@ def system_of_type(label: TypeLabel) -> RootSystem:
     return generate_roots(cartan_of_type(label))
 
 
-def highest_root(rs: RootSystem) -> Root:
+def highest_root(rs: RootSystem) -> tuple[int, ...]:
     """Unique root dominating every positive root componentwise."""
     if rs.theta is None:
         raise ValueError("highest root requires an irreducible system")
-    tc = rs.theta.coords
+    theta = rs.theta
     for r in rs.positive:
-        if any(rc > tc[i] for i, rc in enumerate(r.coords)):
+        if any(rc > tc for rc, tc in zip(r, theta)):
             raise RuntimeError("maximal-height root fails componentwise dominance")
-    return rs.theta
+    return theta
 
 
-def reflection_matrix(rs: RootSystem, alpha: Root) -> tuple[tuple[int, ...], ...]:
+def reflection_matrix(rs: RootSystem, alpha: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Integer matrix of the reflection through alpha, rows as images."""
-    if alpha not in rs:
-        raise ValueError(f"{alpha.coords} is not a root of this system")
+    if alpha not in rs.roots:
+        raise ValueError(f"{alpha} is not a root of this system")
     n = rs.rank
-    g = rs.gram
-    c = alpha.coords
-    support = [i for i in range(n) if c[i]]
-    norm = sum(c[i] * c[j] * g[i][j] for i in support for j in support)
+    g = rs.cartan.gram()
+    support = [i for i in range(n) if alpha[i]]
+    norm = sum(alpha[i] * alpha[j] * g[i][j] for i in support for j in support)
     rows = []
     for i in range(n):
-        coeff = as_int(Fraction(2 * sum(g[i][j] * c[j] for j in support), norm))
-        rows.append(tuple((1 if i == k else 0) - coeff * c[k] for k in range(n)))
+        coeff = as_int(Fraction(2 * sum(g[i][j] * alpha[j] for j in support), norm))
+        rows.append(tuple((1 if i == k else 0) - coeff * alpha[k] for k in range(n)))
     return tuple(rows)

@@ -37,13 +37,7 @@ from .invariants import (
     weyl_order,
 )
 from .identity import node_terms
-from .rootsys import (
-    Root,
-    RootSystem,
-    highest_root,
-    reflection_matrix,
-    system_of_type,
-)
+from .rootsys import RootSystem, highest_root, reflection_matrix, system_of_type
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -63,12 +57,6 @@ DEFAULT_EXPANSION_SAMPLES: tuple[Fraction, ...] = (
 
 # k values for the probe points t = 1 - 1/k approaching the limit.
 EXPANSION_PROBE_STEPS: tuple[int, ...] = (1_000, 10_000)
-
-
-# Slots: an enumerated group keeps one element per member alive.
-@dataclass(frozen=True, slots=True)
-class WeylElement:
-    matrix: Matrix
 
 
 @dataclass(eq=False)
@@ -104,8 +92,8 @@ class GroupTable:
     def rank(self) -> int:
         return len(self.simple)
 
-    def element(self, i: int) -> WeylElement:
-        return WeylElement(tuple(self.roots[r] for r in self.root_ids[i].tolist()))
+    def element(self, i: int) -> Matrix:
+        return tuple(self.roots[r] for r in self.root_ids[i].tolist())
 
     def generator_positions(self) -> tuple[int, ...]:
         """Element indices for S_0 positions 0..l (position 0 = s_theta)."""
@@ -138,10 +126,10 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
 
     rank = rs.rank
     units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    generators = [reflection_matrix(rs, Root(unit)) for unit in units]
+    generators = [reflection_matrix(rs, unit) for unit in units]
     stacked = np.array(generators, dtype=np.int64).reshape(rank, rank, rank)
     as_key = np.dtype((np.void, 8 * rank))
-    frontier = np.array([r.coords for r in rs.positive], dtype=np.int64).sum(axis=0)[None]
+    frontier = np.array(rs.positive, dtype=np.int64).sum(axis=0)[None]
     previous = frontier[:0]
     # right[i, k] is the index of w_i * s_k; element j was first reached as
     # w_parent[j] * s_via[j].  Layer l holds the indices from starts[l + 1]
@@ -178,7 +166,7 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     parent_of = np.concatenate(parent)
     via_of = np.concatenate(via)
     layer_slices = [slice(a, b) for a, b in zip(starts[2:], starts[3:])]
-    roots = tuple(r.coords for r in rs.roots)
+    roots = rs.roots
     position = {coords: i for i, coords in enumerate(roots)}
     # reflected[i, k] is the id of the root s_k(root i).  Row i of w * s is
     # s applied to row i of w, so each layer's rows are looked up from the
@@ -308,7 +296,7 @@ def class_charpolys(table: GroupTable) -> tuple[tuple[int, ...], ...]:
     if table._charpolys is None:
         classes = conjugacy_classes(table)
         table._charpolys = tuple(
-            one_minus_charpoly(table.element(rep).matrix) for rep in classes.representatives
+            one_minus_charpoly(table.element(rep)) for rep in classes.representatives
         )
     return table._charpolys
 
@@ -526,7 +514,7 @@ def _class_failures(
     if not failing:
         return ()
     return tuple(
-        ElementFailure(i, table.element(i).matrix, Fraction(lhs[cid]), Fraction(rhs[cid]))
+        ElementFailure(i, table.element(i), Fraction(lhs[cid]), Fraction(rhs[cid]))
         for i, cid in enumerate(conjugacy_classes(table).class_of)
         if cid in failing
     )

@@ -10,14 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from rootvol.weylgrp import GroupTable, Matrix, WeylElement
+from rootvol.weylgrp import GroupTable, Matrix
 from weylgrp_oracle import _matmul
 
 
 def product_index(
-    elements: Sequence[WeylElement], index: dict[Matrix, int], i: int, j: int
+    elements: Sequence[Matrix], index: dict[Matrix, int], i: int, j: int
 ) -> int:
-    return index[_matmul(elements[i].matrix, elements[j].matrix)]
+    return index[_matmul(elements[i], elements[j])]
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class SubgroupCosets:
     `elements` are the group's matrices from `table.element`, and `index`
     maps each matrix back to its element index."""
 
-    elements: tuple[WeylElement, ...]
+    elements: tuple[Matrix, ...]
     index: dict[Matrix, int]
     members: tuple[int, ...]
     coset_of: tuple[int, ...]
@@ -40,7 +40,7 @@ class SubgroupCosets:
 
 def left_cosets(table: GroupTable, members: Sequence[int]) -> SubgroupCosets:
     elements = tuple(table.element(i) for i in range(table.order))
-    index = {w.matrix: i for i, w in enumerate(elements)}
+    index = {w: i for i, w in enumerate(elements)}
     coset_of = [-1] * table.order
     reps: list[int] = []
     for i in range(table.order):
@@ -55,10 +55,10 @@ def left_cosets(table: GroupTable, members: Sequence[int]) -> SubgroupCosets:
     return SubgroupCosets(elements, index, tuple(members), tuple(coset_of), tuple(reps))
 
 
-def perm_character(cosets: SubgroupCosets, w: WeylElement) -> int:
+def perm_character(cosets: SubgroupCosets, w: Matrix) -> int:
     """Number of left cosets fixed by left multiplication with w."""
     try:
-        widx = cosets.index[w.matrix]
+        widx = cosets.index[w]
     except KeyError:
         raise ValueError("element does not belong to this group") from None
     fixed = 0

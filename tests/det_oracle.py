@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from rootvol.weylgrp import Matrix, WeylElement
+from rootvol.weylgrp import Matrix
 
 
 def det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
@@ -79,11 +79,11 @@ def det_one_minus(matrix: Matrix, scalar: Fraction) -> Fraction:
     return det(rows)
 
 
-def delta_value(w: WeylElement, q: Fraction | int, t: Fraction | int) -> Fraction:
+def delta_value(w: Matrix, q: Fraction | int, t: Fraction | int) -> Fraction:
     """det(1 - qw) / det(1 - tw).  Requires |t| != 1 so the denominator
     cannot vanish (eigenvalues of w are roots of unity)."""
     q = Fraction(q)
     t = Fraction(t)
     if abs(t) == 1:
         raise ValueError("delta_value requires |t| != 1")
-    return det_one_minus(w.matrix, q) / det_one_minus(w.matrix, t)
+    return det_one_minus(w, q) / det_one_minus(w, t)

@@ -4,15 +4,56 @@ It draws every sample of a stream at once, keeps coordinates as rows, and
 tests each cone with one `np.all` over the rows.  The library streams the
 same draws in small batches with coordinates as columns; the tests require
 the two to agree exactly.
+
+``locate_cone`` is the scalar form of the constructive cone assignment that
+``partition_check`` vectorizes, exact on exact inputs.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from rootvol.diagram import TypeLabel, parse_label
 from rootvol.geometry import DEFAULT_TOL, Embedding, PartitionReport, embedding_for
 from rootvol.identity import extended_diagram, node_terms
+
+
+@dataclass(frozen=True)
+class ConeLocation:
+    """Cone index 0..l and the coefficients in that cone's basis.
+
+    For cone 0 the coefficients follow the simple-root order.  For cone
+    i >= 1 the first coefficient belongs to the lowest root and the rest to
+    the remaining simple roots in ascending node order.
+    """
+
+    cone: int
+    coefficients: tuple
+
+
+def locate_cone(coords: Sequence, marks: Sequence[int]) -> ConeLocation:
+    """Constructive cone location: if some coordinate is negative, pick the
+    index maximizing b_i/n_i (smallest index on ties) and rewrite in that
+    cone's basis.  Exact on exact inputs, float on float inputs."""
+    b = list(coords)
+    n = list(marks)
+    if len(b) != len(n):
+        raise ValueError("coordinate and mark vectors differ in length")
+    if all(x >= 0 for x in b):
+        return ConeLocation(0, tuple(b))
+    best = 0
+    best_ratio = b[0] / n[0]
+    for i in range(1, len(b)):
+        ratio = b[i] / n[i]
+        if ratio > best_ratio:
+            best = i
+            best_ratio = ratio
+    rewritten = [best_ratio]
+    rewritten.extend(b[h] - n[h] * best_ratio for h in range(len(b)) if h != best)
+    return ConeLocation(best + 1, tuple(rewritten))
 
 
 def count_cone0(

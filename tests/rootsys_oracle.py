@@ -16,6 +16,9 @@ from the shape of the component alone.
 ``is_finite_type`` tests a Cartan matrix by its bond products and the
 leading minors of its pairing matrix, where the library matches diagrams.
 
+``delete_node`` builds the Cartan matrix of an extended diagram without
+one node, the dense reference of the library's ``classify_deletion``.
+
 ``subsystem`` finds the roots of a node-deletion subsystem two ways: by
 filtering the ambient roots that are integral over the deleted basis, and
 by regenerating from the deleted Cartan matrix.
@@ -36,10 +39,9 @@ from rootvol.diagram import (
     NotFiniteTypeError,
     TypeLabel,
     cartan_of_type,
-    delete_node,
 )
 from rootvol.exact import as_int
-from rootvol.rootsys import Root, RootSystem, closure_bound, generate_roots
+from rootvol.rootsys import RootSystem, closure_bound, generate_roots
 
 
 def reflection_closure(cartan: CartanMatrix) -> RootSystem:
@@ -73,32 +75,23 @@ def reflection_closure(cartan: CartanMatrix) -> RootSystem:
     for c in seen:
         if any(x > 0 for x in c) and any(x < 0 for x in c):
             raise NotFiniteTypeError("closure produced a mixed-sign vector")
-    ordered = sorted(seen, key=lambda c: (sum(c), c))
-    roots = tuple(Root(c) for c in ordered)
-    positive = tuple(r for r in roots if r.height > 0)
+    roots = tuple(sorted(seen, key=lambda c: (sum(c), c)))
+    positive = tuple(r for r in roots if sum(r) > 0)
     theta = None
     if n >= 1 and len(cartan.components()) == 1:
-        top = max(r.height for r in positive)
-        peaks = [r for r in positive if r.height == top]
+        top = max(map(sum, positive))
+        peaks = [r for r in positive if sum(r) == top]
         if len(peaks) != 1:
             raise NotFiniteTypeError("highest root is not unique")
         theta = peaks[0]
-    return RootSystem(
-        cartan=cartan,
-        roots=roots,
-        positive=positive,
-        gram=cartan.gram() if n else (),
-        theta=theta,
-        coord_set=frozenset(seen),
-    )
+    return RootSystem(cartan=cartan, roots=roots, positive=positive, theta=theta)
 
 
 def extend_by_gram(label: TypeLabel, rootsystem: RootSystem) -> MarkedDiagram:
     base = cartan_of_type(label)
-    theta = rootsystem.theta
-    g = rootsystem.gram
+    tc = rootsystem.theta
+    g = rootsystem.cartan.gram()
     n = base.size
-    tc = theta.coords
     pair = [tc[j] * g[j][j] + sum(tc[i] * g[i][j] for i in base.edges[j]) for j in range(n)]
     theta_norm = sum(tc[j] * pair[j] for j in range(n))
     row0 = [2] + [as_int(Fraction(-2) * pair[j] / g[j][j]) for j in range(n)]
@@ -198,10 +191,20 @@ def is_finite_type(cartan: CartanMatrix) -> bool:
     return True
 
 
+def delete_node(diagram: MarkedDiagram, node: int) -> CartanMatrix:
+    """Remove one node (0 removes the added node and restores the original)."""
+    if not 0 <= node <= diagram.rank:
+        raise IndexError(f"node {node} out of range 0..{diagram.rank}")
+    rows = diagram.cartan.entries
+    return CartanMatrix(
+        tuple(row[:node] + row[node + 1 :] for row in rows[:node] + rows[node + 1 :])
+    )
+
+
 @dataclass(frozen=True)
 class Subsystem:
     node: int
-    filtered: tuple[Root, ...]
+    filtered: tuple[tuple[int, ...], ...]
     system: RootSystem
 
 
@@ -214,7 +217,7 @@ def subsystem(rs: RootSystem, diagram: MarkedDiagram, node: int) -> Subsystem:
         filtered = rs.roots
     else:
         m = diagram.marks[node - 1]
-        filtered = tuple(r for r in rs.roots if r.coords[node - 1] % m == 0)
+        filtered = tuple(r for r in rs.roots if r[node - 1] % m == 0)
     regenerated = generate_roots(delete_node(diagram, node))
     if len(filtered) != len(regenerated.roots):
         raise RuntimeError(

@@ -3,9 +3,17 @@ machine or end in a traceback."""
 
 from __future__ import annotations
 
+import hashlib
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
-from rootvol import cli, geometry, identity, rootsys, weylgrp
+from rootvol import cli, geometry, identity, invariants, rootsys, weylgrp
 from rootvol.cli import MAX_CAP, MAX_SERIES_ORDER, MAX_SWEEP_LENGTH, main
 
 
@@ -159,3 +167,36 @@ def test_partition_above_its_rank_ceiling_is_a_usage_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"rank {rank}, above the partition scan's rank ceiling" in captured.err
+
+
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "rootvol.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_nu_at_its_rank_ceiling_prints_the_exact_value():
+    assert invariants.NU_RANK_CEILING == 5000
+    done = _run_cli("nu", "--type", "B5000")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    # nu(B_n) = prod (2k - 1) / 2k = binomial(2n, n) / 4^n.
+    assert Fraction(done.stdout) == Fraction(math.comb(10_000, 5000), 4**5000)
+    digest = hashlib.sha256(done.stdout.encode()).hexdigest()
+    assert digest == "2015a5611aeccb4a039433294f28ddee873d4b11140830591a50d44e604b3b32"
+
+
+@pytest.mark.parametrize("spec", ["A5001", "B2500xC2501"])
+def test_nu_above_its_rank_ceiling_is_a_usage_error(spec):
+    # A1000000 would multiply for minutes, and B10000 ends in Python's limit
+    # on printing integers of more than 4300 digits.
+    done = _run_cli("nu", "--type", spec)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: {spec} has rank 5001, above nu's rank ceiling of 5000\n"

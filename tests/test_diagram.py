@@ -19,7 +19,6 @@ from rootvol.diagram import (
     cartan_of_type,
     classify,
     classify_deletion,
-    delete_node,
     extend,
     parse_decomposition,
     parse_label,
@@ -28,6 +27,7 @@ from rootvol.identity import extended_diagram
 from rootvol.rootsys import system_of_type
 
 import rootsys_oracle
+from rootsys_oracle import delete_node
 
 ALL_LABELS = (
     [f"A{n}" for n in range(1, 9)]

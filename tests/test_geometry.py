@@ -16,7 +16,6 @@ from rootvol import geometry
 from rootvol.geometry import (
     as_decomposition,
     embedding_for,
-    locate_cone,
     montecarlo_nu,
     partition_check,
     planar_cone_fraction,
@@ -26,6 +25,7 @@ from rootvol.invariants import nu_of
 from rootvol.diagram import DecompositionLabel, parse_decomposition, parse_label
 
 import geometry_oracle
+from geometry_oracle import locate_cone
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 

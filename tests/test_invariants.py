@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootvol import invariants
 from rootvol.diagram import DecompositionLabel, parse_decomposition, parse_label
 from rootvol.invariants import (
+    NU_RANK_CEILING,
     degree_product,
     degrees_of,
     degrees_of_type,
@@ -59,6 +61,16 @@ def test_degree_count_equals_rank():
     for name in LABELS:
         label = parse_label(name)
         assert len(degrees_of_type(label)) == label.rank
+
+
+def test_nu_of_checks_the_rank_before_any_degree(monkeypatch):
+    def no_degrees(*args):
+        raise AssertionError("degrees were listed before the rank was checked")
+
+    assert nu_of(f"A{NU_RANK_CEILING}") == Fraction(1, NU_RANK_CEILING + 1)
+    monkeypatch.setattr(invariants, "degrees_of", no_degrees)
+    with pytest.raises(ValueError, match="A1000000 has rank 1000000, above nu's rank ceiling of 5000"):
+        nu_of("A1000000")
 
 
 def test_nu_closed_forms():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,6 @@ from rootvol.diagram import (
 from rootvol.identity import verify_identity
 from rootvol.rootsys import (
     ClosureCeilingError,
-    Root,
     generate_roots,
     highest_root,
     reflection_matrix,
@@ -54,21 +55,22 @@ def test_root_counts(name, count):
 @pytest.mark.parametrize("name", sorted(ROOT_COUNTS))
 def test_roots_have_uniform_sign_and_negations(name):
     rs = system_of_type(parse_label(name))
+    roots = set(rs.roots)
     for r in rs.roots:
-        assert all(c >= 0 for c in r.coords) or all(c <= 0 for c in r.coords)
-        assert -r in rs
-    assert len({r.coords for r in rs.roots}) == len(rs.roots)
+        assert all(c >= 0 for c in r) or all(c <= 0 for c in r)
+        assert tuple(-c for c in r) in roots
+    assert len(roots) == len(rs.roots)
 
 
 def test_positive_roots_positive_height():
     rs = system_of_type(parse_label("B3"))
-    assert all(r.height > 0 for r in rs.positive)
+    assert all(sum(r) > 0 for r in rs.positive)
 
 
 def test_highest_root_values():
-    assert highest_root(system_of_type(parse_label("A3"))).coords == (1, 1, 1)
-    assert highest_root(system_of_type(parse_label("G2"))).coords == (3, 2)
-    assert highest_root(system_of_type(parse_label("E8"))).coords == (2, 3, 4, 6, 5, 4, 3, 2)
+    assert highest_root(system_of_type(parse_label("A3"))) == (1, 1, 1)
+    assert highest_root(system_of_type(parse_label("G2"))) == (3, 2)
+    assert highest_root(system_of_type(parse_label("E8"))) == (2, 3, 4, 6, 5, 4, 3, 2)
 
 
 def test_highest_root_dominates_componentwise():
@@ -76,7 +78,7 @@ def test_highest_root_dominates_componentwise():
         rs = system_of_type(parse_label(name))
         theta = highest_root(rs)
         for r in rs.roots:
-            assert all(rc <= tc for rc, tc in zip(r.coords, theta.coords))
+            assert all(rc <= tc for rc, tc in zip(r, theta))
 
 
 def test_highest_root_requires_irreducible():
@@ -154,7 +156,6 @@ def _assert_same_closure(cartan):
     assert got.roots == want.roots
     assert got.positive == want.positive
     assert got.theta == want.theta
-    assert got.coord_set == want.coord_set
 
 
 # The catalogue and the large-rank probes, which close thousands of roots.
@@ -187,7 +188,6 @@ def test_closure_rejects_infinite_types_as_the_oracle_does(entries):
 def test_rank_zero_closes_to_nothing():
     rs = generate_roots(CartanMatrix(()))
     assert rs.roots == rs.positive == ()
-    assert rs.coord_set == frozenset()
     assert rs.theta is None
 
 
@@ -203,8 +203,19 @@ def test_closure_refuses_entries_that_could_overflow():
 
 def test_reflection_matrix_rank_two_example():
     rs = system_of_type(parse_label("A2"))
-    assert reflection_matrix(rs, Root((1, 0))) == ((-1, 0), (1, 1))
-    assert reflection_matrix(rs, Root((0, 1))) == ((1, 1), (0, -1))
+    assert reflection_matrix(rs, (1, 0)) == ((-1, 0), (1, 1))
+    assert reflection_matrix(rs, (0, 1)) == ((1, 1), (0, -1))
+
+
+@pytest.mark.parametrize(
+    "name,alpha",
+    [("A2", (2, 1)), ("A2", (1, 1, 0)), ("B2", (2, 1))],
+    ids=["A2-(2,1)", "A2-(1,1,0)", "B2-(2,1)"],
+)
+def test_reflection_matrix_rejects_a_non_root(name, alpha):
+    rs = system_of_type(parse_label(name))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(alpha))} is not a root of this system$"):
+        reflection_matrix(rs, alpha)
 
 
 def test_reflection_is_involution():
@@ -225,21 +236,20 @@ def test_reflections_permute_the_root_set(name, data):
     rs = system_of_type(parse_label(name))
     alpha = data.draw(st.sampled_from(rs.roots))
     m = reflection_matrix(rs, alpha)
+    roots = set(rs.roots)
     images = set()
     for r in rs.roots:
-        image = tuple(
-            sum(r.coords[i] * m[i][j] for i in range(rs.rank)) for j in range(rs.rank)
-        )
-        assert image in rs.coord_set
+        image = tuple(sum(r[i] * m[i][j] for i in range(rs.rank)) for j in range(rs.rank))
+        assert image in roots
         images.add(image)
     assert len(images) == len(rs.roots)
 
 
 def test_reflection_fixes_nothing_but_wall():
     rs = system_of_type(parse_label("B2"))
-    alpha = Root((1, 0))
+    alpha = (1, 0)
     m = reflection_matrix(rs, alpha)
-    image = tuple(sum(alpha.coords[i] * m[i][j] for i in range(2)) for j in range(2))
+    image = tuple(sum(alpha[i] * m[i][j] for i in range(2)) for j in range(2))
     assert image == (-1, 0)
 
 

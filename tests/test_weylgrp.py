@@ -21,7 +21,6 @@ from rootvol.rootsys import system_of_type
 from rootvol.weylgrp import (
     DEFAULT_CAP,
     EnumerationCapError,
-    WeylElement,
     charpoly_histogram,
     class_charpolys,
     conjugacy_classes,
@@ -65,7 +64,7 @@ def test_generators_are_involutions():
     identity = table.element(0)
     for idx in (*table.simple, table.s_theta):
         s = table.element(idx)
-        assert _matmul(s.matrix, s.matrix) == identity.matrix
+        assert _matmul(s, s) == identity
 
 
 def test_delta_value_identity_element():
@@ -92,14 +91,14 @@ def test_delta_value_rejects_unit_t():
 def test_delta_at_one_zero_is_det_one_minus_w():
     table = group_table_of("B2")
     for w in elements_of(table):
-        assert delta_value(w, Fraction(1), Fraction(0)) == det_one_minus(w.matrix, Fraction(1))
+        assert delta_value(w, Fraction(1), Fraction(0)) == det_one_minus(w, Fraction(1))
 
 
 def test_average_det_one_minus_is_one():
     for name in ("A1", "A3", "B3", "G2"):
         table = group_table_of(name)
         total = sum(
-            (det_one_minus(w.matrix, Fraction(1)) for w in elements_of(table)), Fraction(0)
+            (det_one_minus(w, Fraction(1)) for w in elements_of(table)), Fraction(0)
         )
         assert total == table.order
 
@@ -204,8 +203,8 @@ def test_steinberg_rank_one_values():
     assert report.passed
     assert report.subset_count == 3
     s = table.element(table.simple[0])
-    assert det_one_minus(s.matrix, Fraction(1)) == 2
-    assert det_one_minus(table.element(0).matrix, Fraction(1)) == 0
+    assert det_one_minus(s, Fraction(1)) == 2
+    assert det_one_minus(table.element(0), Fraction(1)) == 0
 
 
 def test_steinberg_subset_counts():
@@ -273,7 +272,7 @@ def test_element_membership_checked():
     with pytest.raises(ValueError):
         perm_character(
             left_cosets(table, reflection_subgroup(table, [])),
-            WeylElement(((2, 0), (0, 1))),
+            ((2, 0), (0, 1)),
         )
 
 
@@ -295,12 +294,12 @@ def test_coset_character_matches_brute_force_oracle(name):
 def test_generator_columns_match_products():
     table = group_table_of("B3")
     elements = elements_of(table)
-    index = {w.matrix: i for i, w in enumerate(elements)}
+    index = {w: i for i, w in enumerate(elements)}
     for p, s in enumerate(table.generator_positions()):
         generator = elements[s]
         for i, w in enumerate(elements):
-            assert table.right[p][i] == index[_matmul(w.matrix, generator.matrix)]
-            assert table.left[p][i] == index[_matmul(generator.matrix, w.matrix)]
+            assert table.right[p][i] == index[_matmul(w, generator)]
+            assert table.left[p][i] == index[_matmul(generator, w)]
 
 
 def test_conjugacy_classes_computed_once_per_table():
@@ -326,9 +325,8 @@ def test_class_determinants_match_every_element(name):
     classes = conjugacy_classes(table)
     polys = class_charpolys(table)
     n = table.rank
-    for i, w in enumerate(elements_of(table)):
+    for i, m in enumerate(elements_of(table)):
         coeffs = polys[classes.class_of[i]]
-        m = w.matrix
         assert (-1) ** n * coeffs[-1] == det(m) == det_int(m)
         assert sum(coeffs) == det(one_minus(m)) == det_int(one_minus(m))
 
@@ -346,7 +344,7 @@ def test_layered_enumeration_matches_breadth_first_oracle(name):
     oracle = weylgrp_oracle.enumerate_group(rs)
     elements = elements_of(table)
     assert elements == list(oracle.elements)
-    assert list(oracle.index.items()) == [(w.matrix, i) for i, w in enumerate(elements)]
+    assert list(oracle.index.items()) == [(w, i) for i, w in enumerate(elements)]
     assert table.simple == oracle.simple
     assert table.s_theta == oracle.s_theta
     assert table.right == oracle.right
@@ -367,10 +365,10 @@ def test_enumeration_cap_is_checked_before_any_product(monkeypatch):
 def test_charpoly_matches_exact_determinants_on_every_element(name):
     points = (Fraction(1), Fraction(-2, 3), Fraction(7, 5))
     for w in elements_of(group_table_of(name)):
-        coeffs = one_minus_charpoly(w.matrix)
-        assert len(coeffs) == len(w.matrix) + 1
+        coeffs = one_minus_charpoly(w)
+        assert len(coeffs) == len(w) + 1
         for x in points:
-            assert sum(c * x**k for k, c in enumerate(coeffs)) == det_one_minus(w.matrix, x)
+            assert sum(c * x**k for k, c in enumerate(coeffs)) == det_one_minus(w, x)
 
 
 def test_charpoly_rejects_a_non_integral_step():
@@ -431,11 +429,11 @@ def test_a_failing_class_lists_its_members(monkeypatch, verify):
     members = [i for i in range(table.order) if classes.class_of[i] == target]
     assert len(members) == classes.sizes[target] > 1
     assert [f.element for f in report.failures] == members
-    assert [f.matrix for f in report.failures] == [table.element(i).matrix for i in members]
+    assert [f.matrix for f in report.failures] == [table.element(i) for i in members]
     assert len({(f.lhs, f.rhs) for f in report.failures}) == 1
     assert abs(report.failures[0].rhs - report.failures[0].lhs) == 1
     first = report.as_dict()["failures"][0]
     assert list(first) == ["element", "matrix", "lhs", "rhs"]
     assert first["element"] == members[0]
-    assert first["matrix"] == [list(row) for row in table.element(members[0]).matrix]
+    assert first["matrix"] == [list(row) for row in table.element(members[0])]
     assert report.as_dict()["pass"] is False

@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 from rootvol.diagram import classify
 from rootvol.invariants import degrees_of, weyl_order
-from rootvol.rootsys import Root, RootSystem, highest_root, reflection_matrix
+from rootvol.rootsys import RootSystem, highest_root, reflection_matrix
 from rootvol.weylgrp import (
     DEFAULT_CAP,
     ConjugacyClasses,
     EnumerationCapError,
     GroupTable,
     Matrix,
-    WeylElement,
 )
 
 
@@ -42,7 +41,7 @@ class OracleTable:
     """The walk's record: elements in index order, the matrix -> index dict,
     and the generator indices and columns in the library's layout."""
 
-    elements: tuple[WeylElement, ...]
+    elements: tuple[Matrix, ...]
     index: dict[Matrix, int]
     simple: tuple[int, ...]
     s_theta: int
@@ -62,7 +61,7 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> OracleTable:
 
     rank = rs.rank
     generators = [
-        reflection_matrix(rs, Root(tuple(int(j == i) for j in range(rank))))
+        reflection_matrix(rs, tuple(int(j == i) for j in range(rank)))
         for i in range(rank)
     ]
     identity = _identity_matrix(rank)
@@ -104,7 +103,7 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> OracleTable:
     # s_theta is an involution, so w * s_theta = (s_theta * w^-1)^-1.
     right_theta = array("I", (inverse[left_theta[inverse[j]]] for j in range(len(elements))))
     return OracleTable(
-        elements=tuple(WeylElement(m) for m in elements),
+        elements=tuple(elements),
         index=index,
         simple=simple,
         s_theta=s_theta,
