@@ -40,6 +40,13 @@ if TYPE_CHECKING:
 # 100 anyway.
 MAX_SWEEP_LENGTH = 1_000
 
+# Largest total rank of the labels in one type selector: 500,500 is that of
+# A1..A1000, the longest sweep.  The cost of `nu` grows with the rank of each
+# label, so without a total a selector of many high-rank entries, such as
+# B4001..B5000, ran for 21 s.  A total of 495,050 (B4901..B5000) takes about
+# 1.7 s in a fresh process.
+MAX_SELECTOR_RANK = 500_500
+
 # Largest `series --order`.  Both routes sum integer products, and each costs
 # four to six times as much per doubling of the order: at 256 the direct
 # sums take about 0.08 s and the generating-function coefficients about
@@ -147,6 +154,9 @@ def _parse_selector(text: str) -> list[DecompositionLabel]:
             raise UsageError(str(exc)) from None
     if not out:
         raise UsageError("empty type selector")
+    total = sum(d.rank for d in out)
+    if total > MAX_SELECTOR_RANK:
+        raise UsageError(f"type selector has total rank {total}; at most {MAX_SELECTOR_RANK} is allowed")
     return out
 
 

@@ -38,9 +38,15 @@ DEFAULT_TOL = 1e-9
 # contend with the Monte Carlo worker threads.
 _BATCH_ROWS = 4096
 
-# Largest rank of the partition scan.  A batch holds the coordinates of each
-# sample in all rank+1 cones, _BATCH_ROWS * (rank+1) * rank floats: 0.33 GB
-# at rank 100, and ten times that at rank 300.
+# Most floats in one batch of the partition scan, which holds the
+# coordinates of each sample in all rank+1 cones, rows * (rank+1) * rank
+# floats: its batches shrink from 4096 rows above rank 15, so a batch stays
+# within 8 MB (A100 scans 103 rows at a time).  F4 and E8 keep 4096 rows.
+_PARTITION_BATCH_FLOATS = 2**20
+
+# Largest rank of the partition scan.  Its change of basis to every cone,
+# `to_cones`, holds (rank+1) * rank^2 floats: 8 MB at rank 100, 217 MB at
+# rank 300.
 PARTITION_RANK_CEILING = 100
 
 # Planar angle of the cone between two simple roots, as a fraction of the
@@ -127,15 +133,16 @@ class VolumeEstimate:
 
 
 def _coordinate_batches(
-    embedding: Embedding, rng: np.random.Generator, count: int
+    embedding: Embedding, rng: np.random.Generator, count: int, rows: int = _BATCH_ROWS
 ) -> Iterator[np.ndarray]:
     """Simple-root coordinates of `count` Gaussian directions, as columns of
-    (dim, batch) arrays.  Each batch draws the next rows of the same
-    row-major stream that one (count, dim) draw would give."""
+    (dim, batch) arrays of at most `rows` columns.  Each batch draws the next
+    rows of the same row-major stream that one (count, dim) draw would give,
+    so the directions do not depend on `rows`."""
     transform = embedding.inverse.T
     remaining = count
     while remaining > 0:
-        batch = min(remaining, _BATCH_ROWS)
+        batch = min(remaining, rows)
         yield transform @ rng.standard_normal((batch, embedding.dimension)).T
         remaining -= batch
 
@@ -284,7 +291,8 @@ def partition_check(
     counts = np.zeros(dim + 1, dtype=np.int64)
     boundary_count = failure_count = mismatch_count = 0
     rng = np.random.default_rng(seed)
-    for coords in _coordinate_batches(embedding, rng, n_samples):
+    rows = min(_BATCH_ROWS, _PARTITION_BATCH_FLOATS // ((dim + 1) * dim))
+    for coords in _coordinate_batches(embedding, rng, n_samples, rows):
         batch = coords.shape[1]
         lowest = (to_cones @ coords).reshape(dim + 1, dim, batch).min(axis=1)
         inside = lowest >= -tol

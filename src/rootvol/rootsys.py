@@ -1,4 +1,4 @@
-"""Root systems generated from Cartan matrices by reflection closure.
+"""Root systems generated from Cartan matrices one height at a time.
 
 Roots are integer coordinate vectors over the simple basis.  Reflection
 matrices follow the row convention: row i holds the image of basis vector i,
@@ -7,12 +7,9 @@ so a coordinate row vector v maps to v @ M.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .diagram import (
     CartanMatrix,
@@ -23,14 +20,12 @@ from .diagram import (
 from .exact import as_int
 
 # Closures larger than this are refused before they start: B100 and C100,
-# with 20,000 roots, are the largest that fit.  Only the positive half is
-# closed, but each positive root's pairings cost a few operations per simple
-# root and each of its images copies a row, so a closure still costs about
-# |roots| * rank operations in numpy, and A1000 would need a million roots.
+# with 20,000 roots, are the largest that fit.  Each positive root costs a
+# few Python operations per nonzero pairing and a coordinate tuple of length
+# rank per new root, so a closure costs about |positive roots| * rank
+# operations: B100 closes in about 0.15 s, and A1000 would need half a
+# million positive roots.
 CLOSURE_CEILING = 20_000
-
-# Bound on |entry| * (rank * largest Cartan entry + 1) before a product.
-_INT64_HEADROOM = 2**63 - 1
 
 
 class ClosureCeilingError(ValueError):
@@ -68,22 +63,26 @@ class RootSystem:
 
 
 def generate_roots(cartan: CartanMatrix) -> RootSystem:
-    """Close the simple roots under the simple reflections.
+    """Build the positive roots one height at a time from root strings.
 
-    The closure of a finite-type matrix is the full root set.  Inputs that
-    are not finite type make the orbit grow without bound and are rejected
-    once twice its positive part exceeds ``closure_bound(cartan)``; ranks
-    whose bound exceeds ``CLOSURE_CEILING`` are rejected before the closure
-    starts.
+    For a positive root beta other than a_i, beta + a_i is a root iff
+    p_i(beta) > <beta, a_i^v>, where p_i(beta) is the length of the a_i-string
+    below beta (Humphreys, Introduction to Lie Algebras, 9.4).  Each parent
+    records p_i(beta + a_i) = p_i(beta) + 1, and the pairings of beta + a_i
+    are those of beta plus row i of the Cartan matrix.  Every height is
+    complete before the next one is expanded, so each level is sorted once
+    and the levels concatenate in (height, coordinates) order; the negative
+    roots are the positive ones reversed and negated.
 
-    The closure runs level by level on int64 rows over the positive roots
-    only: one gather over the nonzero entries of each Cartan column gives the
-    pairings of a whole frontier with every simple root, each nonzero pairing
-    gives one image, and images are deduplicated by their bytes.  A simple
-    reflection sends a positive root to a positive root or to -a_j, so
-    seeding the seen set with both signs of the simple roots keeps every
-    frontier positive.  Each half of the roots is then sorted by height and
-    coordinates.
+    Every non-simple beta is checked for <beta, a_k^v> <= p_k(beta) at every
+    k.  Then each a_k-string found is closed under s_k, so a generation that
+    ends has found a finite set of vectors closed under the simple
+    reflections, which certifies finite type.  The root strings of a
+    Kac-Moody algebra are unbroken (Kac, Infinite Dimensional Lie Algebras,
+    3.6), so a Cartan matrix of infinite type passes the check and is
+    rejected once twice the positive roots found exceed
+    ``closure_bound(cartan)``.  Ranks whose bound exceeds ``CLOSURE_CEILING``
+    are rejected before the generation starts.
     """
     n = cartan.size
     bound = closure_bound(cartan)
@@ -92,76 +91,75 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
             f"rank {n} admits up to {bound} roots, above the closure "
             f"ceiling of {CLOSURE_CEILING}"
         )
-    largest = max(map(abs, itertools.chain.from_iterable(cartan.entries)), default=0)
-    # A frontier entry above this could overflow int64 in the next product.
-    # Finite-type roots have entries of at most 6.
-    limit = _INT64_HEADROOM // (n * largest + 1)
-    if limit < 6:
-        raise NotFiniteTypeError(f"Cartan entry {largest} is too large for a finite type")
-    a = np.array(cartan.entries, dtype=np.int64).reshape(n, n)
-    # Row j of `support` lists the nonzero rows of Cartan column j, padded
-    # with row 0 at weight 0, so the pairing with simple root j is a sum
-    # over at most a few columns of the frontier, not over all n.
-    nonzero = [np.flatnonzero(column) for column in a.T]
-    width = max(map(len, nonzero), default=0)
-    support = np.zeros((n, width), dtype=np.intp)
-    weight = np.zeros((n, width), dtype=np.int64)
-    for j, rows in enumerate(nonzero):
-        support[j, : len(rows)] = rows
-        weight[j, : len(rows)] = a[rows, j]
-    frontier = np.eye(n, dtype=np.int64)
-    as_bytes = np.dtype((np.void, 8 * n))
-    seen = set(frontier.view(as_bytes).ravel().tolist())
-    # `* -1` reuses the multiply loop of the pairings; unary minus would
-    # page in numpy's negative loop for the closure alone.
-    seen.update((frontier * -1).view(as_bytes).ravel().tolist())
-    levels = [frontier]
+    a = cartan.entries
+    # Row i of the Cartan matrix as (node, entry) pairs: the pairings that
+    # adding a_i changes.
+    rows = [((i, 2), *((j, a[i][j]) for j in cartan.edges[i])) for i in range(n)]
+    # A root is keyed by its coordinates packed into one integer, the first
+    # coordinate highest, so that integer order is coordinate order.  A
+    # coordinate is at most the height, and the height at most the number of
+    # roots found, which stays below `bound`, so no field carries into the
+    # next.
+    width = bound.bit_length()
+    units = [1 << width * (n - 1 - k) for k in range(n)]
+    # A level maps each key to the coordinate tuple, the nonzero pairings
+    # and the nonzero string lengths p_k of its root, the last two as dicts
+    # from node to value.
+    level = {
+        units[i]: ((0,) * i + (1,) + (0,) * (n - i - 1), dict(rows[i]), {}) for i in range(n)
+    }
+    levels = []
     count = n
-    while len(frontier):
-        if int(np.abs(frontier).max()) > limit:
-            raise NotFiniteTypeError(
-                f"reflection closure produced an entry above {limit}; "
-                "input is not finite type"
-            )
-        pairing = (frontier[:, support] * weight).sum(axis=2)
-        rows, cols = np.nonzero(pairing)
-        images = frontier[rows]
-        images[np.arange(len(rows)), cols] -= pairing[rows, cols]
-        fresh = set(images.view(as_bytes).ravel().tolist()) - seen
-        seen |= fresh
-        count += len(fresh)
-        if 2 * count > bound:
-            raise NotFiniteTypeError(
-                f"reflection closure exceeded {bound} vectors; "
-                "input is not finite type"
-            )
-        frontier = np.frombuffer(b"".join(fresh), dtype=np.int64).reshape(-1, n)
-        levels.append(frontier)
-    del seen
-    if any(((c > 0).any(axis=1) & (c < 0).any(axis=1)).any() for c in levels):
-        raise NotFiniteTypeError("closure produced a mixed-sign vector")
-    # One level at a time, so that only one level's lists are alive at once.
-    # Tuples made from `tolist` rows are allocated at their final size;
-    # negating the sorted positive tuples item by item fragmented the heap
-    # and raised the peak RSS of the benchmark's exact sweep by 0.3 MB.
-    lower, upper = [], []
-    for level in levels:
-        upper.extend(map(tuple, level.tolist()))
-        lower.extend(map(tuple, (level * -1).tolist()))
+    # A simple root pairs to 2 with itself and has no string below it: the
+    # one case that the string check skips.
+    simple = True
+    while level:
+        fresh = {}
+        for key, (beta, pairing, below) in level.items():
+            steps = []
+            for k, c in pairing.items():
+                p = below.pop(k, 0)
+                if c < p:
+                    steps.append((k, p))
+                elif c > p and not simple:
+                    raise NotFiniteTypeError(
+                        f"{beta} pairs to {c} with simple root {k}, beyond its "
+                        f"string of {p} below; input is not finite type"
+                    )
+            steps.extend(below.items())
+            for k, p in steps:
+                up = key + units[k]
+                found = fresh.get(up)
+                if found is not None:
+                    found[2][k] = p + 1
+                    continue
+                count += 1
+                if 2 * count > bound:
+                    raise NotFiniteTypeError(
+                        f"reflection closure exceeded {bound} vectors; "
+                        "input is not finite type"
+                    )
+                sums = pairing.copy()
+                for j, x in rows[k]:
+                    x += sums.get(j, 0)
+                    if x:
+                        sums[j] = x
+                    else:
+                        del sums[j]
+                fresh[up] = (beta[:k] + (beta[k] + 1,) + beta[k + 1 :], sums, {k: p + 1})
+        levels.append([level[key][0] for key in sorted(level)])
+        level = fresh
+        simple = False
+    irreducible = n >= 1 and len(cartan.components()) == 1
+    if irreducible and len(levels[-1]) > 1:
+        raise NotFiniteTypeError("highest root is not unique")
+    positive = tuple([beta for roots in levels for beta in roots])
     del levels
-    # By height, then coordinates: a sort by coordinates, then a stable sort
-    # by height, both in C.  A sort in numpy would page in numpy's sorting
-    # code, about 0.2 MB of peak RSS, in runs that sort nothing else in numpy.
-    for half in (lower, upper):
-        half.sort()
-        half.sort(key=sum)
-    positive = tuple(upper)
-    roots = tuple(lower) + positive
-    theta = None
-    if n >= 1 and len(cartan.components()) == 1:
-        if len(positive) > 1 and sum(positive[-2]) == sum(positive[-1]):
-            raise NotFiniteTypeError("highest root is not unique")
-        theta = positive[-1]
+    # Each negated tuple is built at its final size: tuples grown by
+    # resizing, as from map(), raised the peak RSS of the benchmark's exact
+    # sweep by half a megabyte.
+    roots = tuple([tuple([-x for x in beta]) for beta in reversed(positive)]) + positive
+    theta = positive[-1] if irreducible else None
     return RootSystem(cartan=cartan, roots=roots, positive=positive, theta=theta)
 
 

@@ -1,9 +1,10 @@
 """Pure-Python oracles for root closure and diagram matching, for the tests.
 
-``reflection_closure`` closes the simple roots one tuple at a time, pairing
-each root with the nonzero entries of each Cartan column.  The library
-closes whole levels as integer arrays; the tests require the same roots,
-order, highest root and errors from both.
+``reflection_closure`` closes the simple roots under the simple reflections
+one tuple at a time, pairing each root with the nonzero entries of each
+Cartan column.  The library builds the positive roots by height from root
+strings; the tests require the same roots, order, highest root and errors
+from both.
 
 ``extend_by_gram`` builds an extended diagram from Fraction pairings in the
 Gram matrix, where the library pairs integer Cartan entries.

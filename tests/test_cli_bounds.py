@@ -14,11 +14,14 @@ from pathlib import Path
 import pytest
 
 from rootvol import cli, geometry, identity, invariants, rootsys, weylgrp
-from rootvol.cli import MAX_CAP, MAX_SERIES_ORDER, MAX_SWEEP_LENGTH, main
+from rootvol.cli import MAX_CAP, MAX_SELECTOR_RANK, MAX_SERIES_ORDER, MAX_SWEEP_LENGTH, main
 
 
 def test_sweep_at_the_cap_is_accepted():
-    assert len(cli._parse_selector(f"A1..A{MAX_SWEEP_LENGTH}")) == MAX_SWEEP_LENGTH
+    selector = cli._parse_selector(f"A1..A{MAX_SWEEP_LENGTH}")
+    assert len(selector) == MAX_SWEEP_LENGTH
+    # The longest sweep of A_n also reaches the selector's rank budget.
+    assert sum(d.rank for d in selector) == MAX_SELECTOR_RANK
 
 
 @pytest.mark.parametrize("end", [MAX_SWEEP_LENGTH + 1, 100_000_000])
@@ -31,6 +34,22 @@ def test_sweep_past_the_cap_is_a_usage_error(monkeypatch, capsys, end):
     err = capsys.readouterr().err
     assert f"{end} entries" in err
     assert f"at most {MAX_SWEEP_LENGTH}" in err
+
+
+@pytest.mark.parametrize(
+    "selector,total",
+    [("B4001..B5000", 4_500_500), (",".join(["A5000"] * 101), 505_000)],
+    ids=["B4001..B5000", "101xA5000"],
+)
+def test_selector_past_the_rank_budget_is_a_usage_error(monkeypatch, capsys, selector, total):
+    def no_nu(*args):
+        raise AssertionError("a value was computed before the selector's total rank was checked")
+
+    monkeypatch.setattr(cli, "nu_of", no_nu)
+    assert main(["nu", "--type", selector]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: type selector has total rank {total}; at most {MAX_SELECTOR_RANK} is allowed\n"
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

@@ -295,3 +295,22 @@ def test_planar_fraction_requires_rank_two():
         planar_cone_fraction("A3")
     with pytest.raises(ValueError):
         planar_cone_fraction("A1")
+
+
+def test_partition_batches_shrink_with_rank():
+    # One batch of all 3000 samples would hold 61 * 60 * 3000 floats, 88 MB;
+    # batches of 286 rows keep the traced peak near 12 MB and read the same
+    # directions as the oracle's single draw.
+    partition_check("A60", 10, 0)
+    tracemalloc.start()
+    try:
+        got = partition_check("A60", 3_000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = geometry_oracle.partition_check("A60", 3_000, 5)
+    assert got.counts == want.counts
+    assert got.boundary_count == want.boundary_count
+    assert got.failure_count == want.failure_count
+    assert got.mismatch_count == want.mismatch_count
+    assert peak < 24 * 1024 * 1024

@@ -46,13 +46,33 @@ for argv in (["nu", "--type", "A1"], ["series", "--order", "30"], ["identity", "
 """
 
 
-def test_nu_series_and_identity_never_import_numpy():
+_ROOTS_WITHOUT_NUMPY = """
+import sys
+from rootvol.diagram import parse_label
+from rootvol.invariants import exponents_from_heights
+from rootvol.rootsys import system_of_type
+rs = system_of_type(parse_label("E8"))
+assert exponents_from_heights(rs) == (1, 7, 11, 13, 17, 19, 23, 29)
+assert "numpy" not in sys.modules
+"""
+
+
+def _run(script: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _NO_NUMPY],
+    return subprocess.run(
+        [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_nu_series_and_identity_never_import_numpy():
+    done = _run(_NO_NUMPY)
+    assert done.returncode == 0, done.stderr
+
+
+def test_root_generation_and_exponents_never_import_numpy():
+    done = _run(_ROOTS_WITHOUT_NUMPY)
     assert done.returncode == 0, done.stderr

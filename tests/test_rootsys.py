@@ -1,7 +1,8 @@
-"""Root generation by reflection closure, highest roots, subsystems."""
+"""Root generation, highest roots, reflections, subsystems."""
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -174,6 +175,10 @@ def test_closure_of_products_matches_tuple_oracle(name):
     [
         ((2, -2), (-2, 2)),  # affine A1
         ((2, -2, 0), (-2, 2, -1), (0, -1, 2)),  # indefinite
+        # Entries far beyond any finite type: an int64 closure overflowed or
+        # grew its roots by a factor of 10^9 a level on these.
+        ((2, -(2**62)), (-1, 2)),
+        ((2, -(10**9)), (-(10**9), 2)),
     ],
 )
 def test_closure_rejects_infinite_types_as_the_oracle_does(entries):
@@ -185,20 +190,44 @@ def test_closure_rejects_infinite_types_as_the_oracle_does(entries):
     assert str(got.value) == str(want.value)
 
 
+def _random_cartan(rng: random.Random) -> CartanMatrix:
+    """A generalized Cartan matrix of rank 2 to 5: each pair of nodes is
+    joined with probability 1/2, by two independent entries in -4..-1."""
+    n = rng.randint(2, 5)
+    entries = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                entries[i][j] = -rng.randint(1, 4)
+                entries[j][i] = -rng.randint(1, 4)
+    return CartanMatrix(tuple(map(tuple, entries)))
+
+
+def test_closure_matches_the_oracle_on_random_cartan_matrices():
+    # Finite, affine and indefinite, reducible and not, symmetrizable and
+    # not: the roots, or the error message, must be the oracle's.
+    rng = random.Random(1301)
+    outcomes = {"finite": 0, "refused": 0}
+    for _ in range(500):
+        cartan = _random_cartan(rng)
+        try:
+            want = rootsys_oracle.reflection_closure(cartan)
+        except NotFiniteTypeError as refused:
+            with pytest.raises(NotFiniteTypeError) as got:
+                generate_roots(cartan)
+            assert str(got.value) == str(refused), cartan.entries
+            outcomes["refused"] += 1
+            continue
+        got = generate_roots(cartan)
+        assert (got.roots, got.positive, got.theta) == (want.roots, want.positive, want.theta), cartan.entries
+        outcomes["finite"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
 def test_rank_zero_closes_to_nothing():
     rs = generate_roots(CartanMatrix(()))
     assert rs.roots == rs.positive == ()
     assert rs.theta is None
-
-
-def test_closure_refuses_entries_that_could_overflow():
-    # Finite types have Cartan entries of at least -3 and roots with entries
-    # of at most 6.  The first matrix would overflow int64 in its first
-    # product; the second grows its roots by a factor of 10^9 a level.
-    with pytest.raises(NotFiniteTypeError, match="too large"):
-        generate_roots(CartanMatrix(((2, -(2**62)), (-1, 2))))
-    with pytest.raises(NotFiniteTypeError, match="entry above"):
-        generate_roots(CartanMatrix(((2, -(10**9)), (-(10**9), 2))))
 
 
 def test_reflection_matrix_rank_two_example():
