@@ -49,8 +49,6 @@ _EXPORTS = {
     "ClosureCeilingError": "rootsys",
     "RootSystem": "rootsys",
     "generate_roots": "rootsys",
-    "highest_root": "rootsys",
-    "reflection_matrix": "rootsys",
     "system_of_type": "rootsys",
     "BinomialCheck": "series",
     "check_binomial_identity": "series",

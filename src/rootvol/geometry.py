@@ -31,18 +31,13 @@ from .invariants import nu_of
 
 DEFAULT_TOL = 1e-9
 
-# Rows per batch when sampling.  Only the arrays of one batch are alive at a
-# time, so sampling memory is bounded per batch, whatever the sample count.
+# Rows per batch when sampling and in the partition scan.  Only the arrays of
+# one batch are alive at a time, so their memory is bounded per batch,
+# whatever the sample count.
 # At 4096 rows an E8 batch (256 KB of draws) keeps each matrix product in L2
 # and below the size at which BLAS starts threads of its own, which would
 # contend with the Monte Carlo worker threads.
 _BATCH_ROWS = 4096
-
-# Most floats in one batch of the partition scan, which holds the
-# coordinates of each sample in all rank+1 cones, rows * (rank+1) * rank
-# floats: its batches shrink from 4096 rows above rank 15, so a batch stays
-# within 8 MB (A100 scans 103 rows at a time).  F4 and E8 keep 4096 rows.
-_PARTITION_BATCH_FLOATS = 2**20
 
 # Largest rank of the partition scan.  Its change of basis to every cone,
 # `to_cones`, holds (rank+1) * rank^2 floats: 8 MB at rank 100, 217 MB at
@@ -133,16 +128,16 @@ class VolumeEstimate:
 
 
 def _coordinate_batches(
-    embedding: Embedding, rng: np.random.Generator, count: int, rows: int = _BATCH_ROWS
+    embedding: Embedding, rng: np.random.Generator, count: int
 ) -> Iterator[np.ndarray]:
     """Simple-root coordinates of `count` Gaussian directions, as columns of
-    (dim, batch) arrays of at most `rows` columns.  Each batch draws the next
-    rows of the same row-major stream that one (count, dim) draw would give,
-    so the directions do not depend on `rows`."""
+    (dim, batch) arrays of at most `_BATCH_ROWS` columns.  Each batch draws
+    the next rows of the same row-major stream that one (count, dim) draw
+    would give, so the directions do not depend on the batch size."""
     transform = embedding.inverse.T
     remaining = count
     while remaining > 0:
-        batch = min(remaining, rows)
+        batch = min(remaining, _BATCH_ROWS)
         yield transform @ rng.standard_normal((batch, embedding.dimension)).T
         remaining -= batch
 
@@ -281,20 +276,21 @@ def partition_check(
     dim = embedding.dimension
 
     # Cone 0 keeps the simple basis; cone i swaps row i for the mark vector.
-    # Rows j*dim..(j+1)*dim of `to_cones` map simple-root coordinates to
-    # the coefficients in cone j's basis.
-    bases = np.repeat(np.eye(dim)[None], dim + 1, axis=0)
-    for i in range(dim):
-        bases[i + 1, i] = marks
-    to_cones = np.concatenate([np.linalg.inv(basis).T for basis in bases])
+    # to_cones[j] maps simple-root coordinates to the coefficients in cone
+    # j's basis.  The cones are scanned one at a time, so a batch holds the
+    # coefficients of one cone, not of all rank+1.
+    to_cones = []
+    for i in range(dim + 1):
+        basis = np.eye(dim)
+        if i:
+            basis[i - 1] = marks
+        to_cones.append(np.linalg.inv(basis).T)
 
     counts = np.zeros(dim + 1, dtype=np.int64)
     boundary_count = failure_count = mismatch_count = 0
     rng = np.random.default_rng(seed)
-    rows = min(_BATCH_ROWS, _PARTITION_BATCH_FLOATS // ((dim + 1) * dim))
-    for coords in _coordinate_batches(embedding, rng, n_samples, rows):
-        batch = coords.shape[1]
-        lowest = (to_cones @ coords).reshape(dim + 1, dim, batch).min(axis=1)
+    for coords in _coordinate_batches(embedding, rng, n_samples):
+        lowest = np.array([(inv @ coords).min(axis=0) for inv in to_cones])
         inside = lowest >= -tol
         interior = lowest > tol
 

@@ -1,14 +1,14 @@
 """Root systems generated from Cartan matrices one height at a time.
 
-Roots are integer coordinate vectors over the simple basis.  Reflection
-matrices follow the row convention: row i holds the image of basis vector i,
-so a coordinate row vector v maps to v @ M.
+Roots are integer coordinate vectors over the simple basis, and the roots of
+a system are numbered by their position in `RootSystem.roots`: the Weyl
+group tables store each element as the ids of the roots it sends the simple
+roots to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .diagram import (
@@ -17,7 +17,6 @@ from .diagram import (
     TypeLabel,
     cartan_of_type,
 )
-from .exact import as_int
 
 # Closures larger than this are refused before they start: B100 and C100,
 # with 20,000 roots, are the largest that fit.  Each positive root costs a
@@ -167,28 +166,3 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
 def system_of_type(label: TypeLabel) -> RootSystem:
     return generate_roots(cartan_of_type(label))
 
-
-def highest_root(rs: RootSystem) -> tuple[int, ...]:
-    """Unique root dominating every positive root componentwise."""
-    if rs.theta is None:
-        raise ValueError("highest root requires an irreducible system")
-    theta = rs.theta
-    for r in rs.positive:
-        if any(rc > tc for rc, tc in zip(r, theta)):
-            raise RuntimeError("maximal-height root fails componentwise dominance")
-    return theta
-
-
-def reflection_matrix(rs: RootSystem, alpha: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Integer matrix of the reflection through alpha, rows as images."""
-    if alpha not in rs.roots:
-        raise ValueError(f"{alpha} is not a root of this system")
-    n = rs.rank
-    g = rs.cartan.gram()
-    support = [i for i in range(n) if alpha[i]]
-    norm = sum(alpha[i] * alpha[j] * g[i][j] for i in support for j in support)
-    rows = []
-    for i in range(n):
-        coeff = as_int(Fraction(2 * sum(g[i][j] * alpha[j] for j in support), norm))
-        rows.append(tuple((1 if i == k else 0) - coeff * alpha[k] for k in range(n)))
-    return tuple(rows)

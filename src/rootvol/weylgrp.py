@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .diagram import DecompositionLabel, TypeLabel, classify, parse_label
+from .exact import as_int
 from .invariants import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -37,7 +38,7 @@ from .invariants import (
     weyl_order,
 )
 from .identity import node_terms
-from .rootsys import RootSystem, highest_root, reflection_matrix, system_of_type
+from .rootsys import RootSystem, system_of_type
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -100,49 +101,84 @@ class GroupTable:
         return (self.s_theta, *self.simple)
 
 
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(u, v))
+
+
 def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     """Closure of the simple reflections, one length layer at a time; the
-    expected order is checked against the cap before any multiplication.
+    expected order is checked against the cap before any product.
 
     Right multiplication by a simple reflection changes the length by one
     (Humphreys, Reflection Groups and Coxeter Groups, 1990, 1.6-1.7), so
-    the images of layer l lie in layers l - 1 and l + 1.  2 rho, the sum of
-    the positive roots, is regular, so only the identity fixes it (ibid.
-    1.12) and the row w(2 rho) = 2 rho @ w determines w.  Each layer is the
-    (m, n) int64 array of these rows; one batched product with the stacked
-    simple reflections forms all its images, which are matched by their
-    bytes against layer l - 1 and against each other.  New elements keep
-    the order of their first (parent, generator) pair, the order of a
+    the images of layer l lie in layers l - 1 and l + 1.  Each element is
+    its row of root ids, and row i of w * s_k is s_k applied to row i of w,
+    so one gather from the reflection table forms a layer's images under
+    every s_k.  Only the identity fixes every simple root, so the row
+    determines the element.  Each row is packed into one int64 key, one
+    field per root id as wide as the largest id, and the images are matched
+    by key against layer l - 1 and against each other.  A system whose keys
+    would need more than 63 bits is refused before any product: A8 needs
+    56 bits and E7 49, and A10, the first type refused, 70.  New elements
+    keep the order of their first (parent, generator) pair, the order of a
     breadth-first walk.
     """
     if len(rs.cartan.components()) != 1:
         raise ValueError("group enumeration requires an irreducible system")
     decomposition = classify(rs.cartan)
-    if decomposition is None:
-        raise ValueError("system is not of finite type")
     expected = weyl_order(degrees_of(decomposition))
     if expected > cap:
         raise EnumerationCapError(expected, cap)
-
     rank = rs.rank
-    units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    generators = [reflection_matrix(rs, unit) for unit in units]
-    stacked = np.array(generators, dtype=np.int64).reshape(rank, rank, rank)
-    as_key = np.dtype((np.void, 8 * rank))
-    frontier = np.array(rs.positive, dtype=np.int64).sum(axis=0)[None]
-    previous = frontier[:0]
-    # right[i, k] is the index of w_i * s_k; element j was first reached as
-    # w_parent[j] * s_via[j].  Layer l holds the indices from starts[l + 1]
-    # up to starts[l + 2]; layer -1 is empty.
-    right: list[np.ndarray] = []
-    parent = [np.zeros(1, dtype=np.int64)]
-    via = [np.zeros(1, dtype=np.int64)]
+    roots = rs.roots
+    width = (len(roots) - 1).bit_length()
+    if width * rank > 63:
+        raise ValueError(
+            f"{decomposition} needs {width * rank}-bit element keys; at most 63 fit in an int64"
+        )
+
+    position = {beta: i for i, beta in enumerate(roots)}
+    # reflected[k, i] is the id of s_k(root i) = beta - <beta, a_k^v> a_k,
+    # where <beta, a_k^v> = sum_j beta_j a_jk, beta dotted with column k.
+    reflected = np.array(
+        [
+            [position[(*beta[:k], beta[k] - _dot(beta, column), *beta[k + 1 :])] for beta in roots]
+            for k, column in enumerate(zip(*rs.cartan.entries))
+        ]
+    )
+    weights = np.array([1 << width * k for k in range(rank)], dtype=np.int64)
+    # s_theta(a_i) = a_i - <a_i, theta^v> theta, where <a_i, theta^v> is
+    # 2 (a_i, theta) / (theta, theta).
+    theta = rs.theta
+    dots = [_dot(row, theta) for row in rs.cartan.gram()]
+    norm = _dot(theta, dots)
+    theta_ids = []
+    for i, dot in enumerate(dots):
+        coeff = as_int(Fraction(2 * dot, norm))
+        theta_ids.append(position[tuple(int(i == j) - coeff * t for j, t in enumerate(theta))])
+
+    # Each row of these arrays is written once: that of root_ids, parent and
+    # via when its element is found, that of right when its element's layer
+    # is the frontier.  right[i, k] is the index of w_i * s_k; element j was
+    # first reached as w_parent[j] * s_via[j].  Layer l holds the indices
+    # from starts[l + 1] up to starts[l + 2]; layer -1 is empty.
+    root_ids = np.empty((expected, rank), dtype=np.int64)
+    right = np.empty((expected, rank), dtype=np.int64)
+    parent = np.zeros(expected, dtype=np.int64)
+    via = np.zeros(expected, dtype=np.int64)
+    root_ids[0] = [position[tuple(int(j == i) for j in range(rank))] for i in range(rank)]
+    frontier = root_ids[:1]
+    keys = np.matmul(frontier, weights)
+    previous = keys[:0]
     starts = [0, 0, 1]
-    while len(frontier) and starts[-1] <= expected:
+    while len(frontier):
         previous_start, start, count = starts[-3:]
-        images = np.matmul(frontier[:, None, None], stacked).reshape(-1, rank)
+        # images[e, :, k] is the row of w * s_k for the e-th element w of
+        # the layer, and image_keys[e * rank + k] its key.
+        images = reflected.T[frontier]
+        image_keys = np.matmul(weights, images).ravel()
         _, first, found = np.unique(
-            np.concatenate((previous, images)).view(as_key).ravel(),
+            np.concatenate((previous, image_keys)),
             return_index=True,
             return_inverse=True,
         )
@@ -152,44 +188,35 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
         slot = np.empty(len(first), dtype=np.int64)
         slot[seen] = previous_start + first[seen]
         slot[fresh] = count + np.arange(len(fresh))
-        right.append(slot[found[len(previous) :]].reshape(-1, rank))
+        right[start:count] = slot[found[len(previous) :]].reshape(-1, rank)
+        stop = count + len(fresh)
+        starts.append(stop)
+        if stop > expected:
+            break
         origin = first[fresh] - len(previous)
-        parent.append(start + origin // rank)
-        via.append(origin % rank)
-        previous, frontier = frontier, images[origin]
-        starts.append(count + len(fresh))
+        element, generator = origin // rank, origin % rank
+        parent[count:stop] = start + element
+        via[count:stop] = generator
+        root_ids[count:stop] = images[element, :, generator]
+        previous, keys = keys, image_keys[origin]
+        frontier = root_ids[count:stop]
     order = starts[-1]
     if order != expected:
         raise RuntimeError(f"closure produced {order} elements, expected {expected}")
+    s_theta = int(np.flatnonzero(np.matmul(root_ids, weights) == np.matmul(theta_ids, weights))[0])
 
-    right_simple = np.concatenate(right)
-    parent_of = np.concatenate(parent)
-    via_of = np.concatenate(via)
     layer_slices = [slice(a, b) for a, b in zip(starts[2:], starts[3:])]
-    roots = rs.roots
-    position = {coords: i for i, coords in enumerate(roots)}
-    # reflected[i, k] is the id of the root s_k(root i).  Row i of w * s is
-    # s applied to row i of w, so each layer's rows are looked up from the
-    # rows of the layer before it.
-    reflections = np.matmul(np.array(roots, dtype=np.int64), stacked).tolist()
-    reflected = np.array([[position[tuple(v)] for v in image] for image in reflections]).T
-    root_ids = np.empty((order, rank), dtype=np.int64)
-    root_ids[0] = [position[unit] for unit in units]
-    for part in layer_slices:
-        root_ids[part] = reflected[root_ids[parent_of[part]], via_of[part, None]]
-    simple = tuple(right_simple[0].tolist())
-    theta_ids = [position[row] for row in reflection_matrix(rs, highest_root(rs))]
-    s_theta = int(np.flatnonzero((root_ids == theta_ids).all(axis=1))[0])
+    simple = tuple(right[0].tolist())
     # x * w_j = (x * w_parent) * s_via: each layer's left products come from
     # the layer before it.  The columns are s_1..s_l, then s_theta.
     left = np.empty((order, rank + 1), dtype=np.int64)
     left[0] = (*simple, s_theta)
     for part in layer_slices:
-        left[part] = right_simple[left[parent_of[part]], via_of[part, None]]
+        left[part] = right[left[parent[part]], via[part, None]]
     # w_j^-1 = s_via * w_parent^-1, in the same layer as w_j.
     inverse = np.zeros(order, dtype=np.int64)
     for part in layer_slices:
-        inverse[part] = left[inverse[parent_of[part]], via_of[part]]
+        inverse[part] = left[inverse[parent[part]], via[part]]
     # s_theta is an involution, so w * s_theta = (s_theta * w^-1)^-1.
     right_theta = inverse[left[inverse, rank]]
 
@@ -202,7 +229,7 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
         roots=roots,
         simple=simple,
         s_theta=s_theta,
-        right=(column(right_theta), *map(column, right_simple.T)),
+        right=(column(right_theta), *map(column, right.T)),
         left=(column(left[:, rank]), *map(column, left[:, :rank].T)),
     )
 

@@ -297,10 +297,11 @@ def test_planar_fraction_requires_rank_two():
         planar_cone_fraction("A1")
 
 
-def test_partition_batches_shrink_with_rank():
-    # One batch of all 3000 samples would hold 61 * 60 * 3000 floats, 88 MB;
-    # batches of 286 rows keep the traced peak near 12 MB and read the same
-    # directions as the oracle's single draw.
+def test_partition_scan_matches_the_oracle_within_24_mb():
+    # Coefficients of all 3000 samples in all 61 cones at once would be
+    # 61 * 60 * 3000 floats, 88 MB; one cone of one batch at a time keeps
+    # the traced peak near 8 MB, and the batches read the same directions
+    # as the oracle's single draw.
     partition_check("A60", 10, 0)
     tracemalloc.start()
     try:

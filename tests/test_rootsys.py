@@ -20,15 +20,10 @@ from rootvol.diagram import (
     parse_label,
 )
 from rootvol.identity import verify_identity
-from rootvol.rootsys import (
-    ClosureCeilingError,
-    generate_roots,
-    highest_root,
-    reflection_matrix,
-    system_of_type,
-)
+from rootvol.rootsys import ClosureCeilingError, generate_roots, system_of_type
 
 import rootsys_oracle
+from weylgrp_oracle import highest_root, reflection_matrix
 
 ROOT_COUNTS = {
     "A1": 2,

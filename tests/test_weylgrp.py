@@ -14,9 +14,10 @@ from weylgrp_oracle import _matmul
 from coset_oracle import left_cosets, perm_character
 from det_oracle import delta_value, det, det_int, det_one_minus, one_minus
 from rootvol import weylgrp
+from rootvol.cli import MAX_CAP
 from rootvol.diagram import parse_label
 from rootvol.identity import node_terms
-from rootvol.invariants import degrees_of, weyl_order
+from rootvol.invariants import degrees_of, degrees_of_type, weyl_order
 from rootvol.rootsys import system_of_type
 from rootvol.weylgrp import (
     DEFAULT_CAP,
@@ -337,7 +338,7 @@ def test_conjugacy_classes_match_the_stack_walk(name, cap):
     assert conjugacy_classes(table) == weylgrp_oracle.conjugacy_classes(table)
 
 
-@pytest.mark.parametrize("name", BATTERY)
+@pytest.mark.parametrize("name", [*BATTERY, "D5", "B5"])
 def test_layered_enumeration_matches_breadth_first_oracle(name):
     rs = system_of_type(parse_label(name))
     table = enumerate_group(rs)
@@ -359,6 +360,31 @@ def test_enumeration_cap_is_checked_before_any_product(monkeypatch):
     monkeypatch.setattr(np, "matmul", no_products)
     with pytest.raises(EnumerationCapError):
         enumerate_group(rs, cap=1151)
+
+
+def test_enumeration_refuses_keys_wider_than_an_int64_before_any_product(monkeypatch):
+    # A10 has 110 roots, so a root id takes 7 bits and a row of 10 ids 70.
+    def no_products(*args, **kwargs):
+        raise AssertionError("an array operation ran before the key width was checked")
+
+    rs = system_of_type(parse_label("A10"))
+    monkeypatch.setattr(np, "matmul", no_products)
+    monkeypatch.setattr(np, "unique", no_products)
+    with pytest.raises(ValueError, match="^A10 needs 70-bit element keys; at most 63 fit in an int64$"):
+        enumerate_group(rs, cap=10**8)
+
+
+def test_every_type_within_the_cli_cap_has_keys_that_fit_an_int64():
+    labels = [f"{family}{rank}" for family, low in zip("ABCD", (1, 2, 2, 4)) for rank in range(low, 10)]
+    labels += ["E6", "E7", "E8", "F4", "G2"]
+    fitting = []
+    for name in labels:
+        label = parse_label(name)
+        if weyl_order(degrees_of_type(label)) <= MAX_CAP:
+            roots = len(system_of_type(label).roots)
+            assert (roots - 1).bit_length() * label.rank <= 63, name
+            fitting.append(name)
+    assert "A8" in fitting and "E7" in fitting and "A9" not in fitting
 
 
 @pytest.mark.parametrize("name", ["F4", "B4", "A5", "D4"])

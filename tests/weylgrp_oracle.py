@@ -3,9 +3,12 @@ classes by a stack walk, for the tests.
 
 ``enumerate_group`` multiplies one element by one generator at a time and
 records each new product in the order it is first reached, as a tuple
-matrix with its index in a dict.  The library enumerates whole length
-layers as integer arrays of root ids; the tests require the same elements,
-indices and generator columns from both.  ``conjugacy_classes`` walks each
+matrix with its index in a dict.  Its generators are reflection matrices
+built from the Gram matrix in ``Fraction`` arithmetic, and s_theta is found
+from the highest root checked for dominance.  The library enumerates whole
+length layers as integer arrays of root ids, with a reflection table built
+from the Cartan matrix; the tests require the same elements, indices and
+generator columns from both.  ``conjugacy_classes`` walks each
 class from its least index, one element at a time; the library propagates
 least labels over whole arrays, and the tests require the same classes.
 """
@@ -14,10 +17,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 
 from rootvol.diagram import classify
+from rootvol.exact import as_int
 from rootvol.invariants import degrees_of, weyl_order
-from rootvol.rootsys import RootSystem, highest_root, reflection_matrix
+from rootvol.rootsys import RootSystem
 from rootvol.weylgrp import (
     DEFAULT_CAP,
     ConjugacyClasses,
@@ -25,6 +30,33 @@ from rootvol.weylgrp import (
     GroupTable,
     Matrix,
 )
+
+
+def highest_root(rs: RootSystem) -> tuple[int, ...]:
+    """Unique root dominating every positive root componentwise."""
+    if rs.theta is None:
+        raise ValueError("highest root requires an irreducible system")
+    theta = rs.theta
+    for r in rs.positive:
+        if any(rc > tc for rc, tc in zip(r, theta)):
+            raise RuntimeError("maximal-height root fails componentwise dominance")
+    return theta
+
+
+def reflection_matrix(rs: RootSystem, alpha: tuple[int, ...]) -> Matrix:
+    """Integer matrix of the reflection through alpha, rows as images: a
+    coordinate row vector v maps to v @ M."""
+    if alpha not in rs.roots:
+        raise ValueError(f"{alpha} is not a root of this system")
+    n = rs.rank
+    g = rs.cartan.gram()
+    support = [i for i in range(n) if alpha[i]]
+    norm = sum(alpha[i] * alpha[j] * g[i][j] for i in support for j in support)
+    rows = []
+    for i in range(n):
+        coeff = as_int(Fraction(2 * sum(g[i][j] * alpha[j] for j in support), norm))
+        rows.append(tuple((1 if i == k else 0) - coeff * alpha[k] for k in range(n)))
+    return tuple(rows)
 
 
 def _identity_matrix(n: int) -> Matrix:
@@ -52,10 +84,7 @@ class OracleTable:
 def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> OracleTable:
     if len(rs.cartan.components()) != 1:
         raise ValueError("group enumeration requires an irreducible system")
-    decomposition = classify(rs.cartan)
-    if decomposition is None:
-        raise ValueError("system is not of finite type")
-    expected = weyl_order(degrees_of(decomposition))
+    expected = weyl_order(degrees_of(classify(rs.cartan)))
     if expected > cap:
         raise EnumerationCapError(expected, cap)
 
