@@ -290,7 +290,9 @@ def partition_check(
     boundary_count = failure_count = mismatch_count = 0
     rng = np.random.default_rng(seed)
     for coords in _coordinate_batches(embedding, rng, n_samples):
-        lowest = np.array([(inv @ coords).min(axis=0) for inv in to_cones])
+        lowest = np.empty((dim + 1, coords.shape[1]))
+        for j, inv in enumerate(to_cones):
+            np.min(inv @ coords, axis=0, out=lowest[j])
         inside = lowest >= -tol
         interior = lowest > tol
 

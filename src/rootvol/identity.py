@@ -21,7 +21,7 @@ from .diagram import (
     extend,
     parse_label,
 )
-from .invariants import degrees_of, nu, weyl_order
+from .invariants import degrees_of, degrees_of_type, nu, weyl_order
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def extended_diagram(label: TypeLabel) -> MarkedDiagram:
 def node_terms(label: TypeLabel) -> tuple[NodeTerm, ...]:
     """One term per node of the extended diagram, with |W|-scaled values."""
     marked = extended_diagram(label)
-    order = weyl_order(degrees_of(classify(cartan_of_type(label))))
+    order = weyl_order(degrees_of_type(label))
     terms = []
     for i in range(marked.rank + 1):
         decomposition = classify_deletion(marked, i)
