@@ -31,17 +31,19 @@ from .invariants import nu_of
 
 DEFAULT_TOL = 1e-9
 
-# Rows per batch when sampling and in the partition scan.  Only the arrays of
-# one batch are alive at a time, so their memory is bounded per batch,
-# whatever the sample count.
+# Rows per batch when sampling and in the partition scan.  Monte Carlo draws
+# each batch into one buffer; the partition scan keeps two, so that one helper
+# thread can draw the next batch while the current one is scanned.  Only the
+# buffers and the arrays of one batch are alive at a time, so memory is
+# bounded per batch, whatever the sample count.
 # At 4096 rows an E8 batch (256 KB of draws) keeps each matrix product in L2
 # and below the size at which BLAS starts threads of its own, which would
-# contend with the Monte Carlo worker threads.
+# contend with the Monte Carlo worker threads and the partition scan's helper.
 _BATCH_ROWS = 4096
 
-# Largest rank of the partition scan.  Its change of basis to every cone,
-# `to_cones`, holds (rank+1) * rank^2 floats: 8 MB at rank 100, 217 MB at
-# rank 300.
+# Largest rank of the partition scan.  Its change of basis to every cone but
+# cone 0, `to_cones`, holds rank^3 floats: 8 MB at rank 100, 216 MB at rank
+# 300.
 PARTITION_RANK_CEILING = 100
 
 # Planar angle of the cone between two simple roots, as a fraction of the
@@ -128,18 +130,49 @@ class VolumeEstimate:
 
 
 def _coordinate_batches(
-    embedding: Embedding, rng: np.random.Generator, count: int
+    embedding: Embedding,
+    rng: np.random.Generator,
+    count: int,
+    helper: ThreadPoolExecutor | None = None,
 ) -> Iterator[np.ndarray]:
     """Simple-root coordinates of `count` Gaussian directions, as columns of
     (dim, batch) arrays of at most `_BATCH_ROWS` columns.  Each batch draws
     the next rows of the same row-major stream that one (count, dim) draw
-    would give, so the directions do not depend on the batch size."""
+    would give, so the directions do not depend on the batch size.
+
+    Without `helper` the draws are made inline, into one buffer.  With it,
+    an executor of one thread, the helper draws batch k+1 into the other of
+    two buffers while the caller transforms and uses batch k; the transform
+    stays in the caller's thread.  Every batch is transformed into the same
+    buffer, so a batch is overwritten when the next one is taken."""
+    dim = embedding.dimension
     transform = embedding.inverse.T
-    remaining = count
-    while remaining > 0:
-        batch = min(remaining, _BATCH_ROWS)
-        yield transform @ rng.standard_normal((batch, embedding.dimension)).T
-        remaining -= batch
+    size = min(count, _BATCH_ROWS) * dim
+    buffers = [np.empty(size) for _ in range(1 if helper is None else 2)]
+    coords = np.empty(size)
+    batches = -(-count // _BATCH_ROWS)
+
+    def draw(k: int) -> np.ndarray:
+        # Batch k, as a (rows, dim) view of the start of its buffer.
+        rows = min(count - k * _BATCH_ROWS, _BATCH_ROWS)
+        draws = buffers[k % len(buffers)][: rows * dim].reshape(rows, dim)
+        rng.standard_normal(out=draws)
+        return draws
+
+    def transformed(draws: np.ndarray) -> np.ndarray:
+        out = coords[: draws.size].reshape(dim, len(draws))
+        return np.matmul(transform, draws.T, out=out)
+
+    if helper is None:
+        for k in range(batches):
+            yield transformed(draw(k))
+        return
+    pending = helper.submit(draw, 0)
+    for k in range(batches):
+        draws = pending.result()
+        if k + 1 < batches:
+            pending = helper.submit(draw, k + 1)
+        yield transformed(draws)
 
 
 def _count_cone0(
@@ -156,6 +189,10 @@ def _count_cone0(
 # generator even when it draws nothing: 100,000 of them took 28 s and 161 MB.
 MAX_WORKERS = 4_096
 
+# Most samples one estimate or partition scan may draw: about 67 s of Monte
+# Carlo with one worker at 15M samples/s.
+MAX_SAMPLES = 10**9
+
 
 def montecarlo_nu(
     spec: str | TypeLabel | DecompositionLabel,
@@ -169,14 +206,17 @@ def montecarlo_nu(
     Directions are isotropic Gaussian points in Cartesian coordinates with
     the magnitude ignored.  Each worker consumes its own (seed, worker)
     substream, so totals depend only on (seed, workers); the substreams
-    share a thread pool of at most os.cpu_count() threads.  At most
-    ``MAX_WORKERS`` substreams are allowed.  The trivial system, of rank 0,
+    share a thread pool of at most os.cpu_count() threads, and each draws
+    its batches inline.  At most ``MAX_WORKERS`` substreams and
+    ``MAX_SAMPLES`` samples are allowed.  The trivial system, of rank 0,
     has no directions to sample and is refused."""
     decomposition = as_decomposition(spec)
     if decomposition.rank == 0:
         raise ValueError(f"type {decomposition} has rank 0; Monte Carlo sampling needs rank 1 or more")
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"n_samples must be at most {MAX_SAMPLES}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
     embedding = embedding_for(decomposition)
@@ -252,6 +292,31 @@ class PartitionReport:
         }
 
 
+def _count_and_index(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of a boolean mask: how many entries are set and, where
+    exactly one is, its row.  One float32 product gives both; its sums of
+    row indices are exact, and the copy the mask is cast to is half the size
+    of a float64 one."""
+    rows = mask.shape[0]
+    weights = np.array([np.ones(rows), np.arange(rows)], dtype=np.float32)
+    return weights @ mask
+
+
+def _constructive_cones(ratios: np.ndarray, nonneg: np.ndarray) -> np.ndarray:
+    """Constructive cone of each column, from its ratios b_i / n_i and
+    whether all its coordinates are nonnegative: cone 0 if they are, else 1
+    plus the index maximizing b_i / n_i, the smallest index on ties.  This
+    vectorizes the scalar oracle in tests/geometry_oracle.py.  Columns whose
+    maximum is not unique, which random draws almost never give, fall back
+    to `np.argmax`."""
+    hits, index = _count_and_index(ratios == ratios.max(axis=0))
+    tied = np.flatnonzero(hits != 1)
+    index[tied] = np.argmax(ratios[:, tied], axis=0)
+    cones = index.astype(np.intp) + 1
+    cones[nonneg] = 0
+    return cones
+
+
 def partition_check(
     label: TypeLabel | str,
     n_samples: int = 10_000,
@@ -260,9 +325,15 @@ def partition_check(
 ) -> PartitionReport:
     """Scan every cone for membership of each sampled direction: exactly one
     cone may contain it in its interior, and the constructive location must
-    name that cone for every non-boundary sample."""
+    name that cone for every non-boundary sample.
+
+    One helper thread draws the next batch while the caller scans the
+    current one; it ends before the call returns or raises.  At most
+    ``MAX_SAMPLES`` samples are allowed."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"n_samples must be at most {MAX_SAMPLES}")
     if isinstance(label, str):
         label = parse_label(label)
     if label.rank > PARTITION_RANK_CEILING:
@@ -275,44 +346,47 @@ def partition_check(
     embedding = embedding_for(label)
     dim = embedding.dimension
 
-    # Cone 0 keeps the simple basis; cone i swaps row i for the mark vector.
-    # to_cones[j] maps simple-root coordinates to the coefficients in cone
-    # j's basis.  The cones are scanned one at a time, so a batch holds the
-    # coefficients of one cone, not of all rank+1.
+    # Cone i >= 1 swaps row i of the simple basis for the mark vector, and
+    # to_cones[i - 1] maps simple-root coordinates to the coefficients in its
+    # basis; cone 0 keeps the simple basis and needs no map.  The cones are
+    # scanned one at a time, so a batch holds the coefficients of one cone,
+    # not of all rank+1.
     to_cones = []
-    for i in range(dim + 1):
+    for i in range(dim):
         basis = np.eye(dim)
-        if i:
-            basis[i - 1] = marks
+        basis[i] = marks
         to_cones.append(np.linalg.inv(basis).T)
 
+    rows = min(n_samples, _BATCH_ROWS)
+    lowest_buffer = np.empty((dim + 1) * rows)
+    # Holds each cone's coefficients in turn, then the ratios b_i / n_i.
+    scratch_buffer = np.empty(dim * rows)
     counts = np.zeros(dim + 1, dtype=np.int64)
     boundary_count = failure_count = mismatch_count = 0
     rng = np.random.default_rng(seed)
-    for coords in _coordinate_batches(embedding, rng, n_samples):
-        lowest = np.empty((dim + 1, coords.shape[1]))
-        for j, inv in enumerate(to_cones):
-            np.min(inv @ coords, axis=0, out=lowest[j])
-        inside = lowest >= -tol
-        interior = lowest > tol
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for coords in _coordinate_batches(embedding, rng, n_samples, helper):
+            width = coords.shape[1]
+            lowest = lowest_buffer[: (dim + 1) * width].reshape(dim + 1, width)
+            scratch = scratch_buffer[: dim * width].reshape(dim, width)
+            np.min(coords, axis=0, out=lowest[0])
+            for j, inv in enumerate(to_cones, 1):
+                np.min(np.matmul(inv, coords, out=scratch), axis=0, out=lowest[j])
 
-        inside_counts = inside.sum(axis=0)
-        interior_counts = interior.sum(axis=0)
-        failures = (interior_counts >= 2) | (inside_counts == 0)
-        boundary = ~failures & ((inside_counts >= 2) | (interior_counts == 0))
-        clean = ~failures & ~boundary
+            # A clean sample lies in exactly one interior, so `scanned`, the
+            # interior's index, is only read where it is well defined.
+            inside_counts = np.count_nonzero(lowest >= -tol, axis=0)
+            interior_counts, scanned = _count_and_index(lowest > tol)
+            failures = (interior_counts >= 2) | (inside_counts == 0)
+            boundary = ~failures & ((inside_counts >= 2) | (interior_counts == 0))
+            clean = ~failures & ~boundary
 
-        # Constructive assignment, vectorized to mirror the scalar oracle in
-        # tests/geometry_oracle.py: smallest index wins ties of b_i / n_i.
-        nonneg = coords.min(axis=0) >= 0
-        ratios = coords / marks[:, None]
-        assigned = np.where(nonneg, 0, np.argmax(ratios, axis=0) + 1)
-
-        scanned = np.argmax(interior, axis=0)
-        mismatch_count += int(np.count_nonzero(clean & (assigned != scanned)))
-        boundary_count += int(np.count_nonzero(boundary))
-        failure_count += int(np.count_nonzero(failures))
-        counts += np.bincount(assigned, minlength=dim + 1)
+            ratios = np.divide(coords, marks[:, None], out=scratch)
+            assigned = _constructive_cones(ratios, lowest[0] >= 0)
+            mismatch_count += int(np.count_nonzero(clean & (assigned != scanned)))
+            boundary_count += int(np.count_nonzero(boundary))
+            failure_count += int(np.count_nonzero(failures))
+            counts += np.bincount(assigned, minlength=dim + 1)
 
     return PartitionReport(
         label=label,

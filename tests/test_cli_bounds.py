@@ -72,6 +72,34 @@ def test_volume_past_the_worker_cap_is_a_usage_error(monkeypatch, capsys):
     assert f"between 1 and {geometry.MAX_WORKERS}" in captured.err
 
 
+@pytest.mark.parametrize("command", ["volume", "partition"])
+def test_samples_past_the_cap_is_a_usage_error(monkeypatch, capsys, command):
+    def no_generator(*args):
+        raise AssertionError("a generator was built before the sample count was checked")
+
+    monkeypatch.setattr(geometry.np.random, "default_rng", no_generator)
+    samples = str(geometry.MAX_SAMPLES + 1)
+    assert main([command, "--type", "A2", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n_samples must be at most {geometry.MAX_SAMPLES}\n"
+
+
+class _GeneratorBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fn", [geometry.montecarlo_nu, geometry.partition_check], ids=["volume", "partition"])
+def test_samples_at_the_cap_pass_the_check(monkeypatch, fn):
+    # The check passes when the call goes on to build its generator.
+    def built(*args):
+        raise _GeneratorBuilt
+
+    monkeypatch.setattr(geometry.np.random, "default_rng", built)
+    with pytest.raises(_GeneratorBuilt):
+        fn("A2", geometry.MAX_SAMPLES, 0)
+
+
 def _no_coefficients(*args):
     raise AssertionError("a coefficient was computed before the order was checked")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction
@@ -236,6 +237,87 @@ def test_partition_matches_whole_array_oracle(name, tol):
     assert got.boundary_count == want.boundary_count
     assert got.failure_count == want.failure_count
     assert got.mismatch_count == want.mismatch_count
+
+
+# One short batch; whole batches with no tail; and enough batches that each
+# of the two draw buffers is refilled while the other is read.
+BUFFER_SWAP_SAMPLES = [
+    1,
+    geometry._BATCH_ROWS - 1,
+    geometry._BATCH_ROWS,
+    2 * geometry._BATCH_ROWS,
+    3 * geometry._BATCH_ROWS + 1,
+]
+
+
+@pytest.mark.parametrize("name", ["G2", "E8"])
+@pytest.mark.parametrize("samples", BUFFER_SWAP_SAMPLES)
+@pytest.mark.parametrize("tol", ORACLE_TOLS)
+def test_partition_buffer_swaps_match_whole_array_oracle(name, samples, tol):
+    got = partition_check(name, samples, 19, tol)
+    want = geometry_oracle.partition_check(name, samples, 19, tol)
+    assert got.counts == want.counts
+    assert got.boundary_count == want.boundary_count
+    assert got.failure_count == want.failure_count
+    assert got.mismatch_count == want.mismatch_count
+
+
+def test_partition_reraises_a_failed_draw_and_leaves_no_thread(monkeypatch):
+    # The third fill raises in the helper thread; the scan must re-raise it
+    # and end its helper before it returns.
+    fills = []
+
+    class FailingGenerator:
+        def standard_normal(self, out):
+            fills.append(threading.get_ident())
+            if len(fills) == 3:
+                raise RuntimeError("draw 3 failed")
+            out[...] = 0.5
+
+    monkeypatch.setattr(geometry.np.random, "default_rng", lambda seed: FailingGenerator())
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^draw 3 failed$"):
+        partition_check("G2", 5 * geometry._BATCH_ROWS, 0)
+    assert threading.active_count() == before
+    assert len(fills) == 3
+    assert len(set(fills)) == 1
+    assert threading.get_ident() not in fills
+
+
+def test_partition_leaves_no_thread_after_it_returns():
+    before = threading.active_count()
+    partition_check("B3", 3 * geometry._BATCH_ROWS, 0)
+    assert threading.active_count() == before
+
+
+def _tied_columns(marks: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Columns whose ratios b_i / n_i come from a few dyadic values, so that
+    ratios tie exactly, at the maximum and below it.  Each b_i = t * n_i is
+    exact, and so is b_i / n_i = t."""
+    ratios = rng.choice([-1.0, -0.25, 0.0, 0.125, 0.5], size=(len(marks), count))
+    return ratios * marks[:, None]
+
+
+@pytest.mark.parametrize("name", ["A1", "G2", "F4", "E8"])
+def test_constructive_cones_break_exact_ties_like_the_scalar_oracle(name):
+    marks = np.array(extended_diagram(parse_label(name)).marks, dtype=float)
+    rng = np.random.default_rng(3)
+    coords = np.concatenate(
+        [_tied_columns(marks, rng, 2_000), rng.standard_normal((len(marks), 500))], axis=1
+    )
+    ratios = coords / marks[:, None]
+    top = ratios.max(axis=0)
+    negative = coords.min(axis=0) < 0
+    # Ties at the maximum, and with three ratios or more ties below it, occur
+    # among the columns that the constructive rule places.
+    if len(marks) >= 2:
+        assert np.any(negative & (np.count_nonzero(ratios == top, axis=0) >= 2))
+    if len(marks) >= 3:
+        below = np.sort(ratios, axis=0)[:-1]
+        assert np.any(negative & np.any((below[1:] == below[:-1]) & (below[1:] < top), axis=0))
+    got = geometry._constructive_cones(ratios, coords.min(axis=0) >= 0)
+    want = [locate_cone(tuple(column), tuple(marks)).cone for column in coords.T]
+    assert got.tolist() == want
 
 
 def _traced_peak(fn, *args) -> int:
