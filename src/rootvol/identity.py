@@ -81,6 +81,11 @@ def gamma_set(label: TypeLabel) -> frozenset[int]:
 def verify_identity(label: TypeLabel | str) -> IdentityReport:
     if isinstance(label, str):
         label = parse_label(label)
+    return _identity_report(label)
+
+
+@lru_cache(maxsize=None)
+def _identity_report(label: TypeLabel) -> IdentityReport:
     terms = node_terms(label)
     total = sum((t.nu_value for t in terms), Fraction(0))
     return IdentityReport(label, terms, total, gamma_set(label))

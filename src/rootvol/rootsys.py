@@ -8,6 +8,7 @@ roots to.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,11 +21,19 @@ from .diagram import (
 
 # Closures larger than this are refused before they start: B100 and C100,
 # with 20,000 roots, are the largest that fit.  Each positive root costs a
-# few Python operations per nonzero pairing and a coordinate tuple of length
-# rank per new root, so a closure costs about |positive roots| * rank
-# operations: B100 closes in about 0.15 s, and A1000 would need half a
-# million positive roots.
+# few Python operations per nonzero pairing, and its coordinate tuples are
+# unpacked from bytes at the end: B100 closes in about 0.065 s on a 2-vCPU
+# VM, and A1000 would need half a million positive roots.
 CLOSURE_CEILING = 20_000
+
+# Largest height of a root that the closure builds: a coordinate is at most
+# the height, and each coordinate of a key is one byte.  Every finite type
+# within the closure ceiling stays far below it: the highest roots of B100
+# and C100, at height 199, are the highest.
+HEIGHT_CEILING = 255
+
+# Byte x to the byte of -x, in two's complement.
+_NEGATE = bytes(-x & 0xFF for x in range(256))
 
 
 class ClosureCeilingError(ValueError):
@@ -80,8 +89,9 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
     Kac-Moody algebra are unbroken (Kac, Infinite Dimensional Lie Algebras,
     3.6), so a Cartan matrix of infinite type passes the check and is
     rejected once twice the positive roots found exceed
-    ``closure_bound(cartan)``.  Ranks whose bound exceeds ``CLOSURE_CEILING``
-    are rejected before the generation starts.
+    ``closure_bound(cartan)``, or once its roots would pass
+    ``HEIGHT_CEILING``.  Ranks whose bound exceeds ``CLOSURE_CEILING`` are
+    rejected before the generation starts.
     """
     n = cartan.size
     bound = closure_bound(cartan)
@@ -94,27 +104,30 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
     # Row i of the Cartan matrix as (node, entry) pairs: the pairings that
     # adding a_i changes.
     rows = [((i, 2), *((j, a[i][j]) for j in cartan.edges[i])) for i in range(n)]
-    # A root is keyed by its coordinates packed into one integer, the first
-    # coordinate highest, so that integer order is coordinate order.  A
-    # coordinate is at most the height, and the height at most the number of
-    # roots found, which stays below `bound`, so no field carries into the
-    # next.
-    width = bound.bit_length()
-    units = [1 << width * (n - 1 - k) for k in range(n)]
-    # A level maps each key to the coordinate tuple, the nonzero pairings
-    # and the nonzero string lengths p_k of its root, the last two as dicts
-    # from node to value.
-    level = {
-        units[i]: ((0,) * i + (1,) + (0,) * (n - i - 1), dict(rows[i]), {}) for i in range(n)
-    }
+    # A root is keyed by its coordinates packed into one integer, one byte
+    # each, the first coordinate highest, so that integer order is
+    # coordinate order and the key's big-endian bytes are the coordinates.
+    # A coordinate is at most the height, and no level past HEIGHT_CEILING
+    # is built, so no field carries into the next.
+    units = [1 << 8 * (n - 1 - k) for k in range(n)]
+    # A level maps each key to the nonzero pairings and the nonzero string
+    # lengths p_k of its root, as dicts from node to value.
+    level = {units[i]: (dict(rows[i]), {}) for i in range(n)}
     levels = []
     count = n
-    # A simple root pairs to 2 with itself and has no string below it: the
-    # one case that the string check skips.
-    simple = True
     while level:
+        # The roots of this level have height len(levels) + 1, and those it
+        # finds one more.
+        if len(levels) + 2 > HEIGHT_CEILING:
+            raise NotFiniteTypeError(
+                f"roots would pass height {HEIGHT_CEILING}, beyond every finite "
+                "type within the closure ceiling; input is not finite type"
+            )
+        # A simple root pairs to 2 with itself and has no string below it:
+        # the one case that the string check skips.
+        simple = not levels
         fresh = {}
-        for key, (beta, pairing, below) in level.items():
+        for key, (pairing, below) in level.items():
             steps = []
             for k, c in pairing.items():
                 p = below.pop(k, 0)
@@ -122,15 +135,16 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
                     steps.append((k, p))
                 elif c > p and not simple:
                     raise NotFiniteTypeError(
-                        f"{beta} pairs to {c} with simple root {k}, beyond its "
-                        f"string of {p} below; input is not finite type"
+                        f"{tuple(key.to_bytes(n, 'big'))} pairs to {c} with simple "
+                        f"root {k}, beyond its string of {p} below; input is not "
+                        "finite type"
                     )
             steps.extend(below.items())
             for k, p in steps:
                 up = key + units[k]
                 found = fresh.get(up)
                 if found is not None:
-                    found[2][k] = p + 1
+                    found[1][k] = p + 1
                     continue
                 count += 1
                 if 2 * count > bound:
@@ -145,19 +159,23 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
                         sums[j] = x
                     else:
                         del sums[j]
-                fresh[up] = (beta[:k] + (beta[k] + 1,) + beta[k + 1 :], sums, {k: p + 1})
-        levels.append([level[key][0] for key in sorted(level)])
+                fresh[up] = (sums, {k: p + 1})
+        levels.append(sorted(level))
         level = fresh
-        simple = False
     irreducible = n >= 1 and len(cartan.components()) == 1
     if irreducible and len(levels[-1]) > 1:
         raise NotFiniteTypeError("highest root is not unique")
-    positive = tuple([beta for roots in levels for beta in roots])
+    if not n:
+        return RootSystem(cartan=cartan, roots=(), positive=(), theta=None)
+    # Every tuple is built at its final size by struct.  The system is of
+    # finite type now, so each coordinate is at most 6, the largest mark of
+    # a highest root (E8), and the negated bytes read back as signed.
+    blob = b"".join([key.to_bytes(n, "big") for keys in levels for key in keys])
     del levels
-    # Each negated tuple is built at its final size: tuples grown by
-    # resizing, as from map(), raised the peak RSS of the benchmark's exact
-    # sweep by half a megabyte.
-    roots = tuple([tuple([-x for x in beta]) for beta in reversed(positive)]) + positive
+    positive = tuple(struct.iter_unpack(f"{n}B", blob))
+    negative = list(struct.iter_unpack(f"{n}b", blob.translate(_NEGATE)))
+    negative.reverse()
+    roots = tuple(negative) + positive
     theta = positive[-1] if irreducible else None
     return RootSystem(cartan=cartan, roots=roots, positive=positive, theta=theta)
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 
 @dataclass(frozen=True)
@@ -52,10 +51,23 @@ def _validate_part_range(part: int, n: int) -> None:
         raise ValueError(f"part {part} requires n >= 2")
 
 
+# C(2h, h) for every h below its length.  A longer prefix replaces it whole,
+# never in place, so a caller in another thread reads a complete list.
+_CENTRAL_BINOMIALS = [1]
+
+
 def central_binomials(n: int) -> list[int]:
     """C(2h, h) for h = 0..n, by C(2h+2, h+1) = C(2h, h) (4h+2) / (h+1),
-    which is exact in integers."""
-    return list(accumulate(range(n), lambda a, h: a * (4 * h + 2) // (h + 1), initial=1))
+    which is exact in integers.  The list is a fresh copy of a shared
+    prefix, so callers may change it."""
+    global _CENTRAL_BINOMIALS
+    known = _CENTRAL_BINOMIALS
+    if len(known) <= n:
+        known = known.copy()
+        for h in range(len(known) - 1, n):
+            known.append(known[h] * (4 * h + 2) // (h + 1))
+        _CENTRAL_BINOMIALS = known
+    return known[: max(n, 0) + 1]
 
 
 def twice_half_ratio(f: list[int]) -> list[int]:

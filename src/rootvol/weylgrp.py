@@ -221,7 +221,9 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     right_theta = inverse[left[inverse, rank]]
 
     def column(values: np.ndarray) -> array:
-        return array("I", values.astype(np.uintc).tobytes())
+        packed = array("I")
+        packed.frombytes(values.astype(np.uintc).data.cast("B"))
+        return packed
 
     return GroupTable(
         decomposition=decomposition,

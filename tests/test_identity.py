@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rootvol.diagram import parse_label
+from rootvol.diagram import TypeLabel, parse_label
 from rootvol.identity import (
     extended_diagram,
     gamma_set,
@@ -43,6 +43,14 @@ def test_totals_are_exactly_one(name):
     report = verify_identity(name)
     assert report.total == 1
     assert report.passed
+
+
+def test_each_type_has_one_report():
+    report = verify_identity("B5")
+    assert verify_identity(TypeLabel("B", 5)) is report
+    assert verify_identity("B5") is report
+    assert isinstance(report.terms, tuple)
+    assert isinstance(report.gamma, frozenset)
 
 
 def test_term_count_is_rank_plus_one():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
@@ -9,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootvol import rootsys
 from rootvol.cli import main
 from rootvol.diagram import (
     CartanMatrix,
+    InadmissibleLabelError,
     NotFiniteTypeError,
+    TypeLabel,
     cartan_of_decomposition,
     cartan_of_type,
     extend,
@@ -20,7 +24,14 @@ from rootvol.diagram import (
     parse_label,
 )
 from rootvol.identity import verify_identity
-from rootvol.rootsys import ClosureCeilingError, generate_roots, system_of_type
+from rootvol.rootsys import (
+    CLOSURE_CEILING,
+    HEIGHT_CEILING,
+    ClosureCeilingError,
+    closure_bound,
+    generate_roots,
+    system_of_type,
+)
 
 import rootsys_oracle
 from weylgrp_oracle import highest_root, reflection_matrix
@@ -163,6 +174,59 @@ def test_closure_matches_tuple_oracle(name):
 @pytest.mark.parametrize("name", ["E8xA1", "x".join(["A1"] * 84)])
 def test_closure_of_products_matches_tuple_oracle(name):
     _assert_same_closure(cartan_of_decomposition(parse_decomposition(name)))
+
+
+# sha256 of repr(roots) for the closures of rank 100, the largest that the
+# closure ceiling admits, as the tuple oracle gives them.  The oracle takes
+# 1-3 s on each of these, so its result is kept as a digest.
+RANK_100_DIGESTS = {
+    "A100": "97232c561718403b7d542f7002e50a04d3eae4d0112cabc9c7f3518cb9fc178f",
+    "B100": "eb8cceb2f3e0619985cbe51a532c8b7270a34e514f5fde88d70e0ba700d6e5f5",
+    "C100": "1a7d9498ccc38efe7a2b8fe470aad07351f8ca8a6020f1d05b27de3103b3b561",
+    "D100": "4e52edc9e8542c9e194e2d27321922b91d563bb64f1802a63c827c3a21999601",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_100_DIGESTS))
+def test_closure_at_rank_100_matches_the_oracle_digest(name):
+    rs = system_of_type(parse_label(name))
+    assert hashlib.sha256(repr(rs.roots).encode()).hexdigest() == RANK_100_DIGESTS[name]
+    assert rs.positive == rs.roots[len(rs.roots) // 2 :]
+    assert rs.theta == rs.positive[-1]
+
+
+def test_every_type_within_the_closure_ceiling_fits_the_byte_keys():
+    # A root's height bounds its coordinates, and the highest root has the
+    # greatest height and coordinates; a product's roots are its factors'.
+    # So byte-sized keys hold every root of a type the ceiling admits, and
+    # its negated coordinates read back as signed bytes.
+    labels = [parse_label(name) for name in ("G2", "F4", "E6", "E7", "E8")]
+    for family in "ABCD":
+        for rank in range(1, 102):
+            try:
+                label = TypeLabel(family, rank)
+            except InadmissibleLabelError:
+                continue
+            if closure_bound(cartan_of_type(label)) <= CLOSURE_CEILING:
+                labels.append(label)
+    assert max(label.rank for label in labels) == 100
+    thetas = {label: [-m for m in extend(label).marks] for label in labels}
+    heights = {label: sum(theta) for label, theta in thetas.items()}
+    assert max(heights.values()) == 199
+    assert {str(label) for label, h in heights.items() if h == 199} == {"B100", "C100"}
+    assert max(heights.values()) < HEIGHT_CEILING
+    assert max(max(theta) for theta in thetas.values()) == 6
+
+
+def test_closure_refuses_roots_past_the_height_ceiling(monkeypatch):
+    # E8's highest root has height 29: its closure expands the level at
+    # height 29 only if roots of height 30 would still fit.
+    cartan = cartan_of_type(parse_label("E8"))
+    monkeypatch.setattr(rootsys, "HEIGHT_CEILING", 29)
+    with pytest.raises(NotFiniteTypeError, match="^roots would pass height 29, beyond every finite type"):
+        generate_roots(cartan)
+    monkeypatch.setattr(rootsys, "HEIGHT_CEILING", 30)
+    assert generate_roots(cartan).theta == (2, 3, 4, 6, 5, 4, 3, 2)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+import threading
 from fractions import Fraction
 from typing import Sequence
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootvol import series
 from rootvol.cli import MAX_SERIES_ORDER
 from rootvol.series import (
     central_binomials,
@@ -106,6 +109,51 @@ def test_central_binomial_series_matches_combinatorial_oracle():
     assert len(f) == MAX_SERIES_ORDER + 1
     for n in range(MAX_SERIES_ORDER + 1):
         assert f[n] == math.comb(2 * n, n) == central_binomial(n)
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [range(MAX_SERIES_ORDER + 1), [MAX_SERIES_ORDER, *range(MAX_SERIES_ORDER + 1)]],
+    ids=["ascending", "largest-first"],
+)
+def test_central_binomials_from_the_shared_prefix(monkeypatch, orders):
+    # Start from an empty prefix, whatever other tests have asked for.
+    monkeypatch.setattr(series, "_CENTRAL_BINOMIALS", [1])
+    for n in orders:
+        assert central_binomials(n) == [math.comb(2 * h, h) for h in range(n + 1)]
+
+
+def test_central_binomials_from_threads_that_extend_the_prefix(monkeypatch):
+    want = [math.comb(2 * h, h) for h in range(MAX_SERIES_ORDER + 1)]
+    wrong = []
+
+    def ask(start):
+        for n in range(start, MAX_SERIES_ORDER + 1, 3):
+            if central_binomials(n) != want[: n + 1]:
+                wrong.append(n)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(series, "_CENTRAL_BINOMIALS", [1])
+            threads = [threading.Thread(target=ask, args=(i % 3,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert wrong == []
+
+
+def test_central_binomials_returns_a_copy_of_the_prefix():
+    f = central_binomials(10)
+    f[3] = 0
+    f.append(-1)
+    assert central_binomials(10) == [math.comb(2 * h, h) for h in range(11)]
+    assert central_binomials(11)[11] == math.comb(22, 11)
 
 
 def test_half_ratio_coefficients():
