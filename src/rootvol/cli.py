@@ -105,8 +105,11 @@ def _cell(value: Any) -> str:
 def _render(command: str, outcome: Outcome, fmt: str) -> str:
     reports = outcome.reports
     if fmt == "json":
-        entries = [outcome.entry(r) for r in reports]
-        return json.dumps({"command": command, outcome.key: entries, "pass": outcome.ok}, indent=2)
+        # json.dumps(..., indent=2) of the whole object, one report at a time.
+        blocks = (json.dumps(outcome.entry(r), indent=2) for r in reports)
+        entries = ",\n".join("    " + block.replace("\n", "\n    ") for block in blocks)
+        shell = json.dumps({"command": command, outcome.key: [], "pass": outcome.ok}, indent=2)
+        return shell.replace("[]", f"[\n{entries}\n  ]", 1) if reports else shell
     if fmt == "tsv":
         rows = [outcome.tsv_header, *(row for r in reports for row in outcome.tsv_rows(r))]
         return "\n".join("\t".join(map(_cell, row)) for row in rows)

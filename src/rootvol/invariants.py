@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -102,8 +101,8 @@ def exponents_from_heights(rs: RootSystem) -> tuple[int, ...]:
     The number of positive roots of height k equals the number of exponents
     that are >= k.  Both sides add up over the components of a product, so
     for any system the exponent multiset is the conjugate partition of the
-    height counts.  This route never consults the degree catalogue.
+    height counts `rs.heights`, whose first entry, the number of simple
+    roots, is the rank.  This route never consults the degree catalogue.
     """
-    counts = Counter(map(sum, rs.positive))
-    exponents = [sum(c >= j for c in counts.values()) for j in range(1, counts[1] + 1)]
+    exponents = [sum(c >= j for c in rs.heights) for j in range(1, rs.rank + 1)]
     return tuple(sorted(exponents))

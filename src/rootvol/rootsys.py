@@ -9,6 +9,7 @@ roots to.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,9 +22,9 @@ from .diagram import (
 
 # Closures larger than this are refused before they start: B100 and C100,
 # with 20,000 roots, are the largest that fit.  Each positive root costs a
-# few Python operations per nonzero pairing, and its coordinate tuples are
-# unpacked from bytes at the end: B100 closes in about 0.065 s on a 2-vCPU
-# VM, and A1000 would need half a million positive roots.
+# few Python operations per nonzero pairing, and the closed roots are kept
+# as one byte per coordinate: B100 closes in about 0.03 s on a 2-vCPU VM
+# and keeps 3 MB, and A1000 would need half a million positive roots.
 CLOSURE_CEILING = 20_000
 
 # Largest height of a root that the closure builds: a coordinate is at most
@@ -56,13 +57,36 @@ def closure_bound(cartan: CartanMatrix) -> int:
 
 
 @dataclass(frozen=True)
+class Roots(Sequence):
+    """Roots packed as rows of `rank` signed bytes, one per coordinate, and
+    read back as coordinate tuples; equal when their ranks and bytes are."""
+
+    rank: int
+    data: bytes
+
+    def __len__(self) -> int:
+        return len(self.data) // (self.rank or 1)
+
+    def __getitem__(self, index):
+        n = self.rank
+        if isinstance(index, slice):
+            return Roots(n, b"".join(self.data[i * n : i * n + n] for i in range(len(self))[index]))
+        return struct.unpack_from(f"{n}b", self.data, range(len(self))[index] * n)
+
+    def __iter__(self):
+        return struct.iter_unpack(f"{self.rank}b", self.data) if self.data else iter(())
+
+
+@dataclass(frozen=True)
 class RootSystem:
-    """Roots as coordinate tuples over the simple basis: all of them, the
-    positive half, and the highest root of an irreducible system."""
+    """Roots over the simple basis, packed: all of them and the positive
+    half; the number of positive roots at each height 1, 2, ...; and the
+    highest root of an irreducible system as a coordinate tuple."""
 
     cartan: CartanMatrix
-    roots: tuple[tuple[int, ...], ...]
-    positive: tuple[tuple[int, ...], ...]
+    roots: Roots
+    positive: Roots
+    heights: tuple[int, ...]
     theta: tuple[int, ...] | None
 
     @property
@@ -80,7 +104,8 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
     are those of beta plus row i of the Cartan matrix.  Every height is
     complete before the next one is expanded, so each level is sorted once
     and the levels concatenate in (height, coordinates) order; the negative
-    roots are the positive ones reversed and negated.
+    roots are the positive ones reversed and negated, and the level sizes
+    are the height counts.
 
     Every non-simple beta is checked for <beta, a_k^v> <= p_k(beta) at every
     k.  Then each a_k-string found is closed under s_k, so a generation that
@@ -165,19 +190,16 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
     irreducible = n >= 1 and len(cartan.components()) == 1
     if irreducible and len(levels[-1]) > 1:
         raise NotFiniteTypeError("highest root is not unique")
-    if not n:
-        return RootSystem(cartan=cartan, roots=(), positive=(), theta=None)
-    # Every tuple is built at its final size by struct.  The system is of
-    # finite type now, so each coordinate is at most 6, the largest mark of
-    # a highest root (E8), and the negated bytes read back as signed.
-    blob = b"".join([key.to_bytes(n, "big") for keys in levels for key in keys])
+    # The system is of finite type now, so each coordinate is at most 6, the
+    # largest mark of a highest root (E8), and every byte reads back signed.
+    heights = tuple(map(len, levels))
+    packed = [key.to_bytes(n, "big") for keys in levels for key in keys]
     del levels
-    positive = tuple(struct.iter_unpack(f"{n}B", blob))
-    negative = list(struct.iter_unpack(f"{n}b", blob.translate(_NEGATE)))
-    negative.reverse()
-    roots = tuple(negative) + positive
+    positive = Roots(n, b"".join(packed))
+    packed.reverse()
+    roots = Roots(n, b"".join(packed).translate(_NEGATE) + positive.data)
     theta = positive[-1] if irreducible else None
-    return RootSystem(cartan=cartan, roots=roots, positive=positive, theta=theta)
+    return RootSystem(cartan=cartan, roots=roots, positive=positive, heights=heights, theta=theta)
 
 
 @lru_cache(maxsize=None)

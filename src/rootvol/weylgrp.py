@@ -130,7 +130,7 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     if expected > cap:
         raise EnumerationCapError(expected, cap)
     rank = rs.rank
-    roots = rs.roots
+    roots = tuple(rs.roots)
     width = (len(roots) - 1).bit_length()
     if width * rank > 63:
         raise ValueError(
@@ -161,9 +161,10 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     # via when its element is found, that of right when its element's layer
     # is the frontier.  right[i, k] is the index of w_i * s_k; element j was
     # first reached as w_parent[j] * s_via[j].  Layer l holds the indices
-    # from starts[l + 1] up to starts[l + 2]; layer -1 is empty.
+    # from starts[l + 1] up to starts[l + 2]; layer -1 is empty.  Element
+    # indices take 32 bits: the largest groups whose keys fit have 10,321,920.
     root_ids = np.empty((expected, rank), dtype=np.int64)
-    right = np.empty((expected, rank), dtype=np.int64)
+    right = np.empty((expected, rank), dtype=np.uintc)
     parent = np.zeros(expected, dtype=np.int64)
     via = np.zeros(expected, dtype=np.int64)
     root_ids[0] = [position[tuple(int(j == i) for j in range(rank))] for i in range(rank)]
@@ -209,7 +210,7 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     simple = tuple(right[0].tolist())
     # x * w_j = (x * w_parent) * s_via: each layer's left products come from
     # the layer before it.  The columns are s_1..s_l, then s_theta.
-    left = np.empty((order, rank + 1), dtype=np.int64)
+    left = np.empty((order, rank + 1), dtype=np.uintc)
     left[0] = (*simple, s_theta)
     for part in layer_slices:
         left[part] = right[left[parent[part]], via[part, None]]
@@ -219,19 +220,23 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
         inverse[part] = left[inverse[parent[part]], via[part]]
     # s_theta is an involution, so w * s_theta = (s_theta * w^-1)^-1.
     right_theta = inverse[left[inverse, rank]]
+    # Each array is freed once it is last read, right once it is packed.
+    del parent, via, inverse
 
     def column(values: np.ndarray) -> array:
         packed = array("I")
         packed.frombytes(values.astype(np.uintc).data.cast("B"))
         return packed
 
+    right_columns = (column(right_theta), *map(column, right.T))
+    del right, right_theta
     return GroupTable(
         decomposition=decomposition,
         root_ids=root_ids,
         roots=roots,
         simple=simple,
         s_theta=s_theta,
-        right=(column(right_theta), *map(column, right.T)),
+        right=right_columns,
         left=(column(left[:, rank]), *map(column, left[:, :rank].T)),
     )
 

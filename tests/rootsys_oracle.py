@@ -2,8 +2,9 @@
 
 ``reflection_closure`` closes the simple roots under the simple reflections
 one tuple at a time, pairing each root with the nonzero entries of each
-Cartan column.  The library builds the positive roots by height from root
-strings; the tests require the same roots, order, highest root and errors
+Cartan column, and keeps the roots as tuples.  The library builds the
+positive roots by height from root strings and packs them into bytes; the
+tests require the same roots, order, height counts, highest root and errors
 from both.
 
 ``extend_by_gram`` builds an extended diagram from Fraction pairings in the
@@ -27,6 +28,7 @@ by regenerating from the deleted Cartan matrix.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -85,7 +87,8 @@ def reflection_closure(cartan: CartanMatrix) -> RootSystem:
         if len(peaks) != 1:
             raise NotFiniteTypeError("highest root is not unique")
         theta = peaks[0]
-    return RootSystem(cartan=cartan, roots=roots, positive=positive, theta=theta)
+    heights = tuple(Counter(map(sum, positive)).values())
+    return RootSystem(cartan=cartan, roots=roots, positive=positive, heights=heights, theta=theta)
 
 
 def extend_by_gram(label: TypeLabel, rootsystem: RootSystem) -> MarkedDiagram:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from rootvol.cli import main
+from rootvol.cli import Outcome, _render, main
 
 
 def run(capsys, *argv):
@@ -176,3 +176,13 @@ def test_report_all_runs_every_criterion(capsys):
     assert [c["criterion"] for c in payload["criteria"]] == list(range(1, 10))
     assert payload["pass"] is True
     assert all(c["pass"] for c in payload["criteria"])
+
+
+@pytest.mark.parametrize(
+    "reports",
+    [[], [{"type": "A1"}], [{"type": "G2", "terms": [{"node": 0}, []], "nested": {}}, {"pass": False}]],
+)
+def test_json_rendered_per_report_is_the_text_of_one_dump(reports):
+    outcome = Outcome(reports, text=str, tsv_header=(), tsv_rows=list, entry=dict, passed=bool)
+    want = json.dumps({"command": "nu", "reports": reports, "pass": outcome.ok}, indent=2)
+    assert _render("nu", outcome, "json") == want

@@ -5,12 +5,15 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootvol import rootsys
+from rootvol.acceptance import IDENTITY_TYPES
 from rootvol.cli import main
 from rootvol.diagram import (
     CartanMatrix,
@@ -160,8 +163,9 @@ CATALOGUE = (
 def _assert_same_closure(cartan):
     got = generate_roots(cartan)
     want = rootsys_oracle.reflection_closure(cartan)
-    assert got.roots == want.roots
-    assert got.positive == want.positive
+    assert tuple(got.roots) == want.roots
+    assert tuple(got.positive) == want.positive
+    assert got.heights == want.heights
     assert got.theta == want.theta
 
 
@@ -176,9 +180,9 @@ def test_closure_of_products_matches_tuple_oracle(name):
     _assert_same_closure(cartan_of_decomposition(parse_decomposition(name)))
 
 
-# sha256 of repr(roots) for the closures of rank 100, the largest that the
-# closure ceiling admits, as the tuple oracle gives them.  The oracle takes
-# 1-3 s on each of these, so its result is kept as a digest.
+# sha256 of repr(tuple(roots)) for the closures of rank 100, the largest
+# that the closure ceiling admits, as the tuple oracle gives them.  The
+# oracle takes 1-3 s on each of these, so its result is kept as a digest.
 RANK_100_DIGESTS = {
     "A100": "97232c561718403b7d542f7002e50a04d3eae4d0112cabc9c7f3518cb9fc178f",
     "B100": "eb8cceb2f3e0619985cbe51a532c8b7270a34e514f5fde88d70e0ba700d6e5f5",
@@ -190,7 +194,7 @@ RANK_100_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(RANK_100_DIGESTS))
 def test_closure_at_rank_100_matches_the_oracle_digest(name):
     rs = system_of_type(parse_label(name))
-    assert hashlib.sha256(repr(rs.roots).encode()).hexdigest() == RANK_100_DIGESTS[name]
+    assert hashlib.sha256(repr(tuple(rs.roots)).encode()).hexdigest() == RANK_100_DIGESTS[name]
     assert rs.positive == rs.roots[len(rs.roots) // 2 :]
     assert rs.theta == rs.positive[-1]
 
@@ -278,15 +282,80 @@ def test_closure_matches_the_oracle_on_random_cartan_matrices():
             outcomes["refused"] += 1
             continue
         got = generate_roots(cartan)
-        assert (got.roots, got.positive, got.theta) == (want.roots, want.positive, want.theta), cartan.entries
+        assert (tuple(got.roots), tuple(got.positive), got.heights, got.theta) == (
+            want.roots,
+            want.positive,
+            want.heights,
+            want.theta,
+        ), cartan.entries
         outcomes["finite"] += 1
     assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_rank_zero_closes_to_nothing():
     rs = generate_roots(CartanMatrix(()))
-    assert rs.roots == rs.positive == ()
+    assert tuple(rs.roots) == tuple(rs.positive) == ()
+    assert rs.heights == ()
     assert rs.theta is None
+
+
+def _packed_and_tuples():
+    """(packed, tuples) for the roots and the positive roots of each battery
+    type and of rank 0, the tuples from the tuple oracle."""
+    pairs = []
+    for cartan in [cartan_of_type(parse_label(name)) for name in sorted(ROOT_COUNTS)] + [CartanMatrix(())]:
+        got, want = generate_roots(cartan), rootsys_oracle.reflection_closure(cartan)
+        pairs += [(got.roots, want.roots), (got.positive, want.positive)]
+    return pairs
+
+
+@pytest.mark.parametrize("packed,tuples", _packed_and_tuples())
+def test_packed_roots_read_as_their_tuples(packed, tuples):
+    assert len(packed) == len(tuples)
+    assert tuple(packed) == tuples
+    assert tuple(reversed(packed)) == tuples[::-1]
+    for i in range(-len(tuples), len(tuples)):
+        assert packed[i] == tuples[i]
+    for i in (len(tuples), -len(tuples) - 1):
+        with pytest.raises(IndexError):
+            packed[i]
+    for piece in (slice(None), slice(1, -1), slice(None, None, 2), slice(None, None, -3), slice(5, 2)):
+        assert isinstance(packed[piece], rootsys.Roots)
+        assert tuple(packed[piece]) == tuples[piece]
+    assert all(r in packed for r in tuples)
+    assert packed.count(tuples[0] if tuples else ()) == (1 if tuples else 0)
+    outside = (7,) * packed.rank
+    assert outside not in packed and outside not in tuples
+
+
+def test_packed_roots_are_equal_and_hash_as_their_tuples():
+    sequences = [packed for packed, _ in _packed_and_tuples()]
+    sequences.append(rootsys.Roots(2, bytes(sequences[0].data)))
+    for a in sequences:
+        for b in sequences:
+            assert (a == b) == (tuple(a) == tuple(b) and a.rank == b.rank)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("name", [*IDENTITY_TYPES, "A100", "B100", "C100", "D100"])
+def test_heights_count_the_positive_roots_by_height(name):
+    rs = system_of_type(parse_label(name))
+    assert dict(enumerate(rs.heights, 1)) == Counter(map(sum, rs.positive))
+
+
+def test_closure_of_b100_keeps_its_roots_packed():
+    # 20,000 roots of 100 coordinates: 3 MB as bytes for the roots and the
+    # positive half, where coordinate tuples kept 16.4 MB.
+    cartan = cartan_of_type(parse_label("B100"))
+    tracemalloc.start()
+    try:
+        rs = generate_roots(cartan)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rs.roots) == 20_000
+    assert retained <= 4_000_000
 
 
 def test_reflection_matrix_rank_two_example():
