@@ -8,10 +8,10 @@ by Faddeev-LeVerrier: Solomon and the expansion evaluate it exactly at
 rational points, and Steinberg and the companion read det(1 - w) and det(w)
 from its coefficients.
 
-The generator list S_0 is indexed by position: position 0 is the reflection
-in the highest root, positions 1..l are the simple reflections.  Subsets of
-S_0 are subsets of positions; at rank 1 the two positions name the same
-group element and are still counted separately.
+Subgroups are named by positions in the generator list S_0: position 0 is
+the reflection in the highest root, positions 1..l are the simple
+reflections, and position p indexes `GroupTable.right`.  At rank 1 the two
+positions name the same group element and are still counted separately.
 """
 
 from __future__ import annotations
@@ -96,10 +96,6 @@ class GroupTable:
     def element(self, i: int) -> Matrix:
         return tuple(self.roots[r] for r in self.root_ids[i].tolist())
 
-    def generator_positions(self) -> tuple[int, ...]:
-        """Element indices for S_0 positions 0..l (position 0 = s_theta)."""
-        return (self.s_theta, *self.simple)
-
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(u, v))
@@ -115,13 +111,13 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     its row of root ids, and row i of w * s_k is s_k applied to row i of w,
     so one gather from the reflection table forms a layer's images under
     every s_k.  Only the identity fixes every simple root, so the row
-    determines the element.  Each row is packed into one int64 key, one
-    field per root id as wide as the largest id, and the images are matched
-    by key against layer l - 1 and against each other.  A system whose keys
-    would need more than 63 bits is refused before any product: A8 needs
-    56 bits and E7 49, and A10, the first type refused, 70.  New elements
-    keep the order of their first (parent, generator) pair, the order of a
-    breadth-first walk.
+    determines the element.  Root ids take one byte, and each row is packed
+    into one int64 key, one field per id as wide as the largest id; images
+    are matched by key against layer l - 1 and against each other.  A system
+    with over 256 roots or keys over 63 bits is refused before any product:
+    A8 needs 56 bits and E7 49, and A10, the first type refused, 70.  New
+    elements keep the order of their first (parent, generator) pair, the
+    order of a breadth-first walk.
     """
     if len(rs.cartan.components()) != 1:
         raise ValueError("group enumeration requires an irreducible system")
@@ -132,6 +128,8 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     rank = rs.rank
     roots = tuple(rs.roots)
     width = (len(roots) - 1).bit_length()
+    if width > 8:
+        raise ValueError(f"{decomposition} has {len(roots)} roots; root ids are stored in one byte")
     if width * rank > 63:
         raise ValueError(
             f"{decomposition} needs {width * rank}-bit element keys; at most 63 fit in an int64"
@@ -144,7 +142,8 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
         [
             [position[(*beta[:k], beta[k] - _dot(beta, column), *beta[k + 1 :])] for beta in roots]
             for k, column in enumerate(zip(*rs.cartan.entries))
-        ]
+        ],
+        dtype=np.uint8,
     )
     weights = np.array([1 << width * k for k in range(rank)], dtype=np.int64)
     # s_theta(a_i) = a_i - <a_i, theta^v> theta, where <a_i, theta^v> is
@@ -163,7 +162,7 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     # first reached as w_parent[j] * s_via[j].  Layer l holds the indices
     # from starts[l + 1] up to starts[l + 2]; layer -1 is empty.  Element
     # indices take 32 bits: the largest groups whose keys fit have 10,321,920.
-    root_ids = np.empty((expected, rank), dtype=np.int64)
+    root_ids = np.empty((expected, rank), dtype=np.uint8)
     right = np.empty((expected, rank), dtype=np.uintc)
     parent = np.zeros(expected, dtype=np.int64)
     via = np.zeros(expected, dtype=np.int64)
@@ -204,7 +203,7 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     order = starts[-1]
     if order != expected:
         raise RuntimeError(f"closure produced {order} elements, expected {expected}")
-    s_theta = int(np.flatnonzero(np.matmul(root_ids, weights) == np.matmul(theta_ids, weights))[0])
+    s_theta = int(np.flatnonzero((root_ids == theta_ids).all(axis=1))[0])
 
     layer_slices = [slice(a, b) for a, b in zip(starts[2:], starts[3:])]
     simple = tuple(right[0].tolist())
@@ -280,7 +279,8 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     if table._classes is not None:
         return table._classes
     conjugators = [
-        _as_indices(table.left[p])[_as_indices(table.right[p])] for p in range(1, table.rank + 1)
+        np.frombuffer(table.left[p], dtype=np.uintc)[np.frombuffer(table.right[p], dtype=np.uintc)]
+        for p in range(1, table.rank + 1)
     ]
     label = np.arange(table.order)
     while True:
@@ -295,10 +295,6 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
         tuple(class_of.tolist()), tuple(representatives.tolist()), tuple(sizes.tolist())
     )
     return table._classes
-
-
-def _as_indices(column: array) -> np.ndarray:
-    return np.frombuffer(column, dtype=np.uintc).astype(np.int64)
 
 
 def one_minus_charpoly(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -357,21 +353,22 @@ def _horner(coeffs: Sequence[int], x: Fraction) -> Fraction:
     return Fraction(value, scale // b)
 
 
-def reflection_subgroup(table: GroupTable, generators: Iterable[int]) -> tuple[int, ...]:
-    """Indices of the subgroup generated by the given members of S_0 (as
-    element indices), closed breadth first through the right columns."""
-    position_of = {element: p for p, element in enumerate(table.generator_positions())}
-    try:
-        columns = [table.right[position_of[g]] for g in set(generators)]
-    except KeyError as exc:
-        raise ValueError(f"element {exc.args[0]} is not a member of S_0") from None
+def reflection_subgroup(table: GroupTable, positions: Iterable[int]) -> tuple[int, ...]:
+    """Indices of the subgroup generated by the members of S_0 at the given
+    positions, closed breadth first through their right columns."""
+    positions = set(positions)
+    outside = sorted(positions.difference(range(table.rank + 1)))
+    if outside:
+        raise ValueError(f"positions {outside} are outside S_0, whose positions are 0..{table.rank}")
+    columns = [table.right[p] for p in positions]
     members = [0]
-    seen = {0}
+    seen = bytearray(table.order)
+    seen[0] = 1
     for i in members:
         for column in columns:
             j = column[i]
-            if j not in seen:
-                seen.add(j)
+            if not seen[j]:
+                seen[j] = 1
                 members.append(j)
     return tuple(sorted(members))
 
@@ -501,16 +498,16 @@ class SubsetIdentityReport:
         }
 
 
-def coset_character(table: GroupTable, generators: Iterable[int]) -> tuple[int, ...]:
+def coset_character(table: GroupTable, positions: Iterable[int]) -> tuple[int, ...]:
     """Number of left cosets of W_J fixed by w, per conjugacy class of w,
-    where W_J is generated by the given members of S_0 (element indices).
+    where W_J is generated by the members of S_0 at the given positions.
 
     This character is induced from the trivial character of W_J, so its
     value on a class C is |W| * |C ∩ W_J| / (|C| * |W_J|) (Geck and
     Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
     Algebras, 2000, ch. 2): only the class counts of W_J are needed."""
     classes = conjugacy_classes(table)
-    members = reflection_subgroup(table, generators)
+    members = reflection_subgroup(table, positions)
     values = [0] * classes.count
     for cid, hits in Counter(classes.class_of[m] for m in members).items():
         value, remainder = divmod(table.order * hits, classes.sizes[cid] * len(members))
@@ -523,77 +520,54 @@ def coset_character(table: GroupTable, generators: Iterable[int]) -> tuple[int, 
     return tuple(values)
 
 
-def _signed_character_sums(
-    table: GroupTable,
-    positions: Sequence[int],
-    subsets: Iterable[tuple[int, ...]],
-    sign_of: Callable[[tuple[int, ...]], int],
-) -> list[int]:
-    """Sum over subsets J of sign(J) * perm character of W/W_J, as a vector
-    indexed by conjugacy class."""
-    totals = [0] * conjugacy_classes(table).count
+def _subset_identity(
+    label: TypeLabel | str,
+    cap: int,
+    check: str,
+    first: int,
+    sign: Callable[[int, int], int],
+    side: Callable[[tuple[int, ...]], int],
+) -> SubsetIdentityReport:
+    """Checks side(det(1 - x w)) = sum over the subsets J of the S_0
+    positions first..l with |J| <= l of sign(l, |J|) * (number of cosets of
+    W_J fixed by w), one conjugacy class at a time.  A failing class lists
+    every member, in index order."""
+    if isinstance(label, str):
+        label = parse_label(label)
+    table = group_table_of(label, cap)
+    classes = conjugacy_classes(table)
+    rank = table.rank
+    subsets = [J for size in range(rank + 1) for J in itertools.combinations(range(first, rank + 1), size)]
+    totals = [0] * classes.count
     for subset in subsets:
-        sign = sign_of(subset)
-        values = coset_character(table, (positions[p] for p in subset))
-        for cid, value in enumerate(values):
-            totals[cid] += sign * value
-    return totals
-
-
-def _class_failures(
-    table: GroupTable, lhs: Sequence[int], rhs: Sequence[int]
-) -> tuple[ElementFailure, ...]:
-    """Every member of each class whose two sides differ, in index order."""
-    failing = {cid for cid, (a, b) in enumerate(zip(lhs, rhs)) if a != b}
-    if not failing:
-        return ()
-    return tuple(
-        ElementFailure(i, table.element(i), Fraction(lhs[cid]), Fraction(rhs[cid]))
-        for i, cid in enumerate(conjugacy_classes(table).class_of)
-        if cid in failing
-    )
+        term = sign(rank, len(subset))
+        for cid, value in enumerate(coset_character(table, subset)):
+            totals[cid] += term * value
+    lhs = [side(coeffs) for coeffs in class_charpolys(table)]
+    failures: tuple[ElementFailure, ...] = ()
+    if lhs != totals:
+        failures = tuple(
+            ElementFailure(i, table.element(i), Fraction(lhs[cid]), Fraction(totals[cid]))
+            for i, cid in enumerate(classes.class_of)
+            if lhs[cid] != totals[cid]
+        )
+    return SubsetIdentityReport(label, check, table.order, len(subsets), failures)
 
 
 def verify_steinberg(label: TypeLabel | str, cap: int = DEFAULT_CAP) -> SubsetIdentityReport:
     """det(1 - w) = sum over proper subsets J of S_0 of
     (-1)^(l - |J|) * (number of cosets of W_J fixed by w), for every w.
     The left side is det(1 - x w) at x = 1, the sum of its coefficients."""
-    if isinstance(label, str):
-        label = parse_label(label)
-    table = group_table_of(label, cap)
-    rank = table.rank
-    subsets = [
-        subset
-        for size in range(rank + 1)
-        for subset in itertools.combinations(range(rank + 1), size)
-    ]
-    totals = _signed_character_sums(
-        table, table.generator_positions(), subsets, lambda s: (-1) ** (rank - len(s))
-    )
-    lhs = [sum(coeffs) for coeffs in class_charpolys(table)]
-    failures = _class_failures(table, lhs, totals)
-    return SubsetIdentityReport(label, "steinberg", table.order, len(subsets), failures)
+    return _subset_identity(label, cap, "steinberg", 0, lambda rank, size: (-1) ** (rank - size), sum)
 
 
 def verify_companion(label: TypeLabel | str, cap: int = DEFAULT_CAP) -> SubsetIdentityReport:
     """det(w) = sum over all subsets J of S of
     (-1)^|J| * (number of cosets of W_J fixed by w), for every w.
     The left side is (-1)^l times the top coefficient of det(1 - x w)."""
-    if isinstance(label, str):
-        label = parse_label(label)
-    table = group_table_of(label, cap)
-    rank = table.rank
-    subsets = [
-        subset
-        for size in range(rank + 1)
-        for subset in itertools.combinations(range(rank), size)
-    ]
-    totals = _signed_character_sums(
-        table, table.simple, subsets, lambda s: (-1) ** len(s)
+    return _subset_identity(
+        label, cap, "companion", 1, lambda rank, size: (-1) ** size, lambda c: (-1) ** (len(c) - 1) * c[-1]
     )
-    lhs = [(-1) ** rank * coeffs[-1] for coeffs in class_charpolys(table)]
-    failures = _class_failures(table, lhs, totals)
-    return SubsetIdentityReport(label, "companion", table.order, len(subsets), failures)
 
 
 @dataclass(frozen=True)

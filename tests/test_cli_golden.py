@@ -20,10 +20,10 @@ def _shift_regular_character(monkeypatch):
     # sign, so shifting one of its class values fails exactly that class.
     real = weylgrp.coset_character
 
-    def shifted(table, generators):
-        generators = list(generators)
-        values = list(real(table, generators))
-        if not generators:
+    def shifted(table, positions):
+        positions = list(positions)
+        values = list(real(table, positions))
+        if not positions:
             values[weylgrp.conjugacy_classes(table).class_of[table.simple[0]]] += 1
         return tuple(values)
 

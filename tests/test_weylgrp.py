@@ -116,7 +116,7 @@ def test_conjugacy_classes_partition_the_group():
 def test_class_function_property_of_characters():
     table = group_table_of("B2")
     classes = conjugacy_classes(table)
-    members = reflection_subgroup(table, [table.simple[0]])
+    members = reflection_subgroup(table, [1])
     cosets = left_cosets(table, members)
     values = [perm_character(cosets, w) for w in elements_of(table)]
     for i, value in enumerate(values):
@@ -135,7 +135,7 @@ def test_perm_character_regular_action():
 
 def test_perm_character_full_subgroup():
     table = group_table_of("B2")
-    members = reflection_subgroup(table, list(table.simple))
+    members = reflection_subgroup(table, range(1, table.rank + 1))
     cosets = left_cosets(table, members)
     assert cosets.count == 1
     assert all(perm_character(cosets, w) == 1 for w in elements_of(table))
@@ -144,8 +144,8 @@ def test_perm_character_full_subgroup():
 def test_perm_character_sums_to_group_order():
     # the action on cosets is transitive, so the character sums to |W|
     table = group_table_of("G2")
-    for gens in ([], [table.simple[0]], [table.s_theta], list(table.simple)):
-        cosets = left_cosets(table, reflection_subgroup(table, gens))
+    for positions in ([], [1], [0], [1, 2], [0, 2]):
+        cosets = left_cosets(table, reflection_subgroup(table, positions))
         assert sum(perm_character(cosets, w) for w in elements_of(table)) == table.order
 
 
@@ -153,8 +153,8 @@ def test_rank_one_redundant_generator():
     # at rank 1 the highest-root reflection is the simple reflection
     table = group_table_of("A1")
     assert table.s_theta == table.simple[0]
-    members = reflection_subgroup(table, [table.s_theta])
-    assert len(members) == 2
+    members = reflection_subgroup(table, [0])
+    assert members == reflection_subgroup(table, [1]) == (0, table.s_theta)
 
 
 def test_parabolic_orders_match_node_decompositions():
@@ -163,10 +163,9 @@ def test_parabolic_orders_match_node_decompositions():
     for name in ("B3", "G2", "F4"):
         label = parse_label(name)
         table = group_table_of(label)
-        positions = table.generator_positions()
         for term in node_terms(label):
-            gens = [positions[p] for p in range(len(positions)) if p != term.node]
-            members = reflection_subgroup(table, gens)
+            positions = [p for p in range(table.rank + 1) if p != term.node]
+            members = reflection_subgroup(table, positions)
             assert len(members) == weyl_order(degrees_of(term.decomposition))
 
 
@@ -230,6 +229,14 @@ def test_subset_identities_small_types():
         assert verify_companion(name).passed
 
 
+def test_subset_identities_on_e6():
+    # The first type past F4 whose Steinberg subsets with s_theta are checked.
+    steinberg = verify_steinberg("E6", cap=60_000)
+    companion = verify_companion("E6", cap=60_000)
+    assert (steinberg.passed, steinberg.subset_count) == (True, 127)
+    assert (companion.passed, companion.subset_count) == (True, 64)
+
+
 def test_expansion_rank_one_values():
     report = verify_restricted_expansion("A1", [Fraction(1, 2)])
     assert report.passed
@@ -282,12 +289,10 @@ def test_coset_character_matches_brute_force_oracle(name):
     # every subset of S_0: class counts against counting fixed cosets
     table = group_table_of(name)
     classes = conjugacy_classes(table)
-    positions = table.generator_positions()
-    for size in range(len(positions) + 1):
-        for subset in itertools.combinations(range(len(positions)), size):
-            gens = [positions[p] for p in subset]
-            values = coset_character(table, gens)
-            cosets = left_cosets(table, reflection_subgroup(table, gens))
+    for size in range(table.rank + 2):
+        for subset in itertools.combinations(range(table.rank + 1), size):
+            values = coset_character(table, subset)
+            cosets = left_cosets(table, reflection_subgroup(table, subset))
             for i, w in enumerate(elements_of(table)):
                 assert values[classes.class_of[i]] == perm_character(cosets, w)
 
@@ -296,7 +301,7 @@ def test_generator_columns_match_products():
     table = group_table_of("B3")
     elements = elements_of(table)
     index = {w: i for i, w in enumerate(elements)}
-    for p, s in enumerate(table.generator_positions()):
+    for p, s in enumerate((table.s_theta, *table.simple)):
         generator = elements[s]
         for i, w in enumerate(elements):
             assert table.right[p][i] == index[_matmul(w, generator)]
@@ -308,11 +313,13 @@ def test_conjugacy_classes_computed_once_per_table():
     assert conjugacy_classes(table) is conjugacy_classes(table)
 
 
-def test_reflection_subgroup_rejects_elements_outside_s0():
+@pytest.mark.parametrize("position", [-1, 3])
+def test_reflection_subgroup_rejects_positions_outside_s0(position):
+    # A2 has S_0 positions 0, 1 and 2; -1 would index right[2] if unchecked.
     table = group_table_of("A2")
-    outside = next(i for i in range(table.order) if i not in table.generator_positions() and i)
-    with pytest.raises(ValueError, match="S_0"):
-        reflection_subgroup(table, [outside])
+    message = rf"^positions \[{position}\] are outside S_0, whose positions are 0\.\.2$"
+    with pytest.raises(ValueError, match=message):
+        reflection_subgroup(table, [1, position])
 
 
 BATTERY = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2", "F4"]
@@ -374,6 +381,18 @@ def test_enumeration_refuses_keys_wider_than_an_int64_before_any_product(monkeyp
         enumerate_group(rs, cap=10**8)
 
 
+def test_enumeration_refuses_more_roots_than_one_byte_ids_before_any_product(monkeypatch):
+    # D12 has 264 roots: its ids need 9 bits.
+    def no_products(*args, **kwargs):
+        raise AssertionError("an array operation ran before the root count was checked")
+
+    rs = system_of_type(parse_label("D12"))
+    monkeypatch.setattr(np, "matmul", no_products)
+    monkeypatch.setattr(np, "unique", no_products)
+    with pytest.raises(ValueError, match="^D12 has 264 roots; root ids are stored in one byte$"):
+        enumerate_group(rs, cap=10**30)
+
+
 class _KeyWidthPassed(Exception):
     pass
 
@@ -433,6 +452,8 @@ def test_e6_enumerates_with_a_raised_cap():
     table = group_table_of("E6", cap=60_000)
     assert table.order == 51_840
     assert conjugacy_classes(table).count == 25
+    # One byte per root id.
+    assert table.root_ids.nbytes == 51_840 * 6
 
 
 def test_table_is_cached_by_type_not_by_cap():
@@ -453,10 +474,10 @@ def test_a_failing_class_lists_its_members(monkeypatch, verify):
     target = classes.class_of[table.simple[0]]
     real = weylgrp.coset_character
 
-    def shifted(table, generators):
-        generators = list(generators)
-        values = list(real(table, generators))
-        if not generators:
+    def shifted(table, positions):
+        positions = list(positions)
+        values = list(real(table, positions))
+        if not positions:
             values[target] += 1
         return tuple(values)
 
