@@ -94,10 +94,6 @@ class DecompositionLabel:
             object.__setattr__(self, "factors", ordered)
 
     @property
-    def is_trivial(self) -> bool:
-        return not self.factors
-
-    @property
     def rank(self) -> int:
         return sum(f.rank for f in self.factors)
 

@@ -2,7 +2,8 @@
 
 Elements act on simple-root coordinate rows, v -> v @ matrix, so the matrix
 rows are the images of the simple basis vectors, and a table stores each
-element as the ids of the roots w(alpha_1)..w(alpha_l).  Every identity
+element as the ids of the roots w(alpha_1)..w(alpha_l), with one index
+column per generator for w * s and one for w^-1.  Every identity
 reads det(1 - x w) as an integer polynomial, one per conjugacy class, found
 by Faddeev-LeVerrier: Solomon and the expansion evaluate it exactly at
 rational points, and Steinberg and the companion read det(1 - w) and det(w)
@@ -38,7 +39,7 @@ from .invariants import (
     weyl_order,
 )
 from .identity import node_terms
-from .rootsys import RootSystem, system_of_type
+from .rootsys import Roots, RootSystem, system_of_type
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -65,22 +66,17 @@ class GroupTable:
     """A fully enumerated Weyl group.
 
     Row i of `root_ids` holds the ids of the roots w_i(alpha_1)..w_i(alpha_l),
-    the rows of the matrix of w_i, as positions in `roots`; `element(i)`
-    builds that matrix.  `simple` holds the element indices of s_1..s_l in
-    node order and `s_theta` the index of the reflection in the highest
-    root; together they realize the generator list S_0.  For the generator
-    s at S_0 position p, `right[p][i]` is the index of w_i * s and
-    `left[p][i]` that of s * w_i, so every product with a generator is a
-    lookup.
+    the rows of the matrix of w_i, as positions in the closure's packed
+    `roots`; `element(i)` builds that matrix.  For the generator s at S_0
+    position p, `right[p][i]` is the index of w_i * s, so s itself is
+    `right[p][0]`; `inverse[i]` is the index of w_i^-1.
     """
 
     decomposition: DecompositionLabel
     root_ids: np.ndarray = field(repr=False)
-    roots: tuple[tuple[int, ...], ...] = field(repr=False)
-    simple: tuple[int, ...]
-    s_theta: int
+    roots: Roots = field(repr=False)
     right: tuple[array, ...] = field(repr=False)
-    left: tuple[array, ...] = field(repr=False)
+    inverse: array = field(repr=False)
     _classes: ConjugacyClasses | None = field(default=None, init=False, repr=False)
     _charpolys: tuple[tuple[int, ...], ...] | None = field(default=None, init=False, repr=False)
     _histogram: dict[tuple[int, ...], int] | None = field(default=None, init=False, repr=False)
@@ -91,7 +87,7 @@ class GroupTable:
 
     @property
     def rank(self) -> int:
-        return len(self.simple)
+        return len(self.right) - 1
 
     def element(self, i: int) -> Matrix:
         return tuple(self.roots[r] for r in self.root_ids[i].tolist())
@@ -117,7 +113,9 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     with over 256 roots or keys over 63 bits is refused before any product:
     A8 needs 56 bits and E7 49, and A10, the first type refused, 70.  New
     elements keep the order of their first (parent, generator) pair, the
-    order of a breadth-first walk.
+    order of a breadth-first walk.  Those pairs give the products s * w in
+    a work array, and it gives the inverses and the column of s_theta; it
+    is freed before any column is packed.
     """
     if len(rs.cartan.components()) != 1:
         raise ValueError("group enumeration requires an irreducible system")
@@ -126,7 +124,7 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     if expected > cap:
         raise EnumerationCapError(expected, cap)
     rank = rs.rank
-    roots = tuple(rs.roots)
+    roots = rs.roots
     width = (len(roots) - 1).bit_length()
     if width > 8:
         raise ValueError(f"{decomposition} has {len(roots)} roots; root ids are stored in one byte")
@@ -206,21 +204,20 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     s_theta = int(np.flatnonzero((root_ids == theta_ids).all(axis=1))[0])
 
     layer_slices = [slice(a, b) for a, b in zip(starts[2:], starts[3:])]
-    simple = tuple(right[0].tolist())
     # x * w_j = (x * w_parent) * s_via: each layer's left products come from
     # the layer before it.  The columns are s_1..s_l, then s_theta.
     left = np.empty((order, rank + 1), dtype=np.uintc)
-    left[0] = (*simple, s_theta)
+    left[0] = (*right[0], s_theta)
     for part in layer_slices:
         left[part] = right[left[parent[part]], via[part, None]]
     # w_j^-1 = s_via * w_parent^-1, in the same layer as w_j.
-    inverse = np.zeros(order, dtype=np.int64)
+    inverse = np.zeros(order, dtype=np.uintc)
     for part in layer_slices:
         inverse[part] = left[inverse[parent[part]], via[part]]
     # s_theta is an involution, so w * s_theta = (s_theta * w^-1)^-1.
     right_theta = inverse[left[inverse, rank]]
-    # Each array is freed once it is last read, right once it is packed.
-    del parent, via, inverse
+    # The work arrays are freed before anything is packed, right once it is.
+    del parent, via, left
 
     def column(values: np.ndarray) -> array:
         packed = array("I")
@@ -229,15 +226,7 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
 
     right_columns = (column(right_theta), *map(column, right.T))
     del right, right_theta
-    return GroupTable(
-        decomposition=decomposition,
-        root_ids=root_ids,
-        roots=roots,
-        simple=simple,
-        s_theta=s_theta,
-        right=right_columns,
-        left=(column(left[:, rank]), *map(column, left[:, :rank].T)),
-    )
+    return GroupTable(decomposition, root_ids, roots, right_columns, column(inverse))
 
 
 @lru_cache(maxsize=None)
@@ -271,6 +260,9 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     """Orbits under conjugation by the simple reflections (involutions, so
     conjugation is s * w * s).  Computed once per table and kept on it.
 
+    With flip = inverse[right_p], which takes w to s * w^-1, s * w * s is
+    flip[flip[w]]: one map per simple reflection, from two columns.
+
     Each element's label starts as its own index and takes the least label
     among its conjugates, then the label of its label (pointer jumping),
     until nothing changes; every label is then the least index in its
@@ -278,10 +270,9 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     """
     if table._classes is not None:
         return table._classes
-    conjugators = [
-        np.frombuffer(table.left[p], dtype=np.uintc)[np.frombuffer(table.right[p], dtype=np.uintc)]
-        for p in range(1, table.rank + 1)
-    ]
+    inverse = np.frombuffer(table.inverse, dtype=np.uintc)
+    flips = (inverse[np.frombuffer(column, dtype=np.uintc)] for column in table.right[1:])
+    conjugators = [flip[flip] for flip in flips]
     label = np.arange(table.order)
     while True:
         previous = label.copy()
@@ -355,7 +346,8 @@ def _horner(coeffs: Sequence[int], x: Fraction) -> Fraction:
 
 def reflection_subgroup(table: GroupTable, positions: Iterable[int]) -> tuple[int, ...]:
     """Indices of the subgroup generated by the members of S_0 at the given
-    positions, closed breadth first through their right columns."""
+    positions, closed breadth first through their right columns, in the
+    order the walk reaches them."""
     positions = set(positions)
     outside = sorted(positions.difference(range(table.rank + 1)))
     if outside:
@@ -370,7 +362,7 @@ def reflection_subgroup(table: GroupTable, positions: Iterable[int]) -> tuple[in
             if not seen[j]:
                 seen[j] = 1
                 members.append(j)
-    return tuple(sorted(members))
+    return tuple(members)
 
 
 @dataclass(frozen=True)

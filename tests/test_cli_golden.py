@@ -24,7 +24,7 @@ def _shift_regular_character(monkeypatch):
         positions = list(positions)
         values = list(real(table, positions))
         if not positions:
-            values[weylgrp.conjugacy_classes(table).class_of[table.simple[0]]] += 1
+            values[weylgrp.conjugacy_classes(table).class_of[table.right[1][0]]] += 1
         return tuple(values)
 
     monkeypatch.setattr(weylgrp, "coset_character", shifted)

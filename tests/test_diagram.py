@@ -58,7 +58,7 @@ def test_decomposition_sorts_factors():
 
 def test_trivial_decomposition():
     d = parse_decomposition("-")
-    assert d.is_trivial
+    assert d.factors == ()
     assert d.rank == 0
     assert str(d) == "-"
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import weylgrp_oracle
-from weylgrp_oracle import _matmul
+from weylgrp_oracle import _identity_matrix, _matmul, highest_root, reflection_matrix
 from coset_oracle import left_cosets, perm_character
 from det_oracle import delta_value, det, det_int, det_one_minus, one_minus
 from rootvol import weylgrp
@@ -18,7 +19,7 @@ from rootvol.cli import MAX_CAP
 from rootvol.diagram import parse_label
 from rootvol.identity import node_terms
 from rootvol.invariants import degrees_of, degrees_of_type, weyl_order
-from rootvol.rootsys import system_of_type
+from rootvol.rootsys import Roots, system_of_type
 from rootvol.weylgrp import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -63,8 +64,8 @@ def test_elements_have_unit_determinant():
 def test_generators_are_involutions():
     table = group_table_of("A3")
     identity = table.element(0)
-    for idx in (*table.simple, table.s_theta):
-        s = table.element(idx)
+    for column in table.right:
+        s = table.element(column[0])
         assert _matmul(s, s) == identity
 
 
@@ -77,7 +78,7 @@ def test_delta_value_identity_element():
 
 def test_delta_value_rank_one_reflection():
     table = group_table_of("A1")
-    s = table.element(table.simple[0])
+    s = table.element(table.right[1][0])
     assert delta_value(s, Fraction(1), Fraction(1, 2)) == Fraction(4, 3)
 
 
@@ -152,9 +153,10 @@ def test_perm_character_sums_to_group_order():
 def test_rank_one_redundant_generator():
     # at rank 1 the highest-root reflection is the simple reflection
     table = group_table_of("A1")
-    assert table.s_theta == table.simple[0]
+    s = table.right[1][0]
+    assert table.right[0][0] == s
     members = reflection_subgroup(table, [0])
-    assert members == reflection_subgroup(table, [1]) == (0, table.s_theta)
+    assert set(members) == set(reflection_subgroup(table, [1])) == {0, s}
 
 
 def test_parabolic_orders_match_node_decompositions():
@@ -202,7 +204,7 @@ def test_steinberg_rank_one_values():
     report = verify_steinberg("A1")
     assert report.passed
     assert report.subset_count == 3
-    s = table.element(table.simple[0])
+    s = table.element(table.right[1][0])
     assert det_one_minus(s, Fraction(1)) == 2
     assert det_one_minus(table.element(0), Fraction(1)) == 0
 
@@ -220,7 +222,7 @@ def test_companion_counts_and_values():
     # In A1 the reflection is -1: det(1 - x s) = 1 + x, and det(s) = -1.
     table = group_table_of("A1")
     classes = conjugacy_classes(table)
-    assert class_charpolys(table)[classes.class_of[table.simple[0]]] == (1, 1)
+    assert class_charpolys(table)[classes.class_of[table.right[1][0]]] == (1, 1)
 
 
 def test_subset_identities_small_types():
@@ -298,14 +300,31 @@ def test_coset_character_matches_brute_force_oracle(name):
 
 
 def test_generator_columns_match_products():
+    # right[p][0] is the generator at S_0 position p: s_theta, the
+    # reflection in the highest root, then s_1..s_l.
+    rs = system_of_type(parse_label("B3"))
     table = group_table_of("B3")
     elements = elements_of(table)
     index = {w: i for i, w in enumerate(elements)}
-    for p, s in enumerate((table.s_theta, *table.simple)):
-        generator = elements[s]
+    n = table.rank
+    alphas = [highest_root(rs), *(tuple(int(j == i) for j in range(n)) for i in range(n))]
+    for column, alpha in zip(table.right, alphas, strict=True):
+        generator = reflection_matrix(rs, alpha)
+        assert elements[column[0]] == generator
         for i, w in enumerate(elements):
-            assert table.right[p][i] == index[_matmul(w, generator)]
-            assert table.left[p][i] == index[_matmul(generator, w)]
+            assert column[i] == index[_matmul(w, generator)]
+    identity = _identity_matrix(n)
+    for w, j in zip(elements, table.inverse, strict=True):
+        assert _matmul(w, elements[j]) == identity
+
+
+def test_table_holds_root_ids_right_columns_and_inverses():
+    rs = system_of_type(parse_label("A3"))
+    table = enumerate_group(rs)
+    names = [f.name for f in dataclasses.fields(table) if f.init]
+    assert names == ["decomposition", "root_ids", "roots", "right", "inverse"]
+    assert isinstance(table.roots, Roots) and table.roots is rs.roots
+    assert (table.rank, len(table.right), len(table.inverse)) == (3, 4, 24)
 
 
 def test_conjugacy_classes_computed_once_per_table():
@@ -353,10 +372,9 @@ def test_layered_enumeration_matches_breadth_first_oracle(name):
     elements = elements_of(table)
     assert elements == list(oracle.elements)
     assert list(oracle.index.items()) == [(w, i) for i, w in enumerate(elements)]
-    assert table.simple == oracle.simple
-    assert table.s_theta == oracle.s_theta
+    assert tuple(column[0] for column in table.right) == (oracle.s_theta, *oracle.simple)
     assert table.right == oracle.right
-    assert table.left == oracle.left
+    assert table.inverse == oracle.inverse
 
 
 def test_enumeration_cap_is_checked_before_any_product(monkeypatch):
@@ -452,8 +470,11 @@ def test_e6_enumerates_with_a_raised_cap():
     table = group_table_of("E6", cap=60_000)
     assert table.order == 51_840
     assert conjugacy_classes(table).count == 25
-    # One byte per root id.
+    # One byte per root id, and 4 bytes per element in each of the l + 1
+    # right columns and the inverse column.
     assert table.root_ids.nbytes == 51_840 * 6
+    columns = (*table.right, table.inverse)
+    assert sum(c.itemsize * len(c) for c in columns) == (table.rank + 2) * 4 * 51_840
 
 
 def test_table_is_cached_by_type_not_by_cap():
@@ -471,7 +492,7 @@ def test_a_failing_class_lists_its_members(monkeypatch, verify):
     # class's right-hand total moves.
     table = group_table_of("B3")
     classes = conjugacy_classes(table)
-    target = classes.class_of[table.simple[0]]
+    target = classes.class_of[table.right[1][0]]
     real = weylgrp.coset_character
 
     def shifted(table, positions):

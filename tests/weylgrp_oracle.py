@@ -1,5 +1,5 @@
 """Breadth-first Weyl group enumeration on tuple matrices, and conjugacy
-classes by a stack walk, for the tests.
+classes by a stack walk over matrix products, for the tests.
 
 ``enumerate_group`` multiplies one element by one generator at a time and
 records each new product in the order it is first reached, as a tuple
@@ -7,10 +7,11 @@ matrix with its index in a dict.  Its generators are reflection matrices
 built from the Gram matrix in ``Fraction`` arithmetic, and s_theta is found
 from the highest root checked for dominance.  The library enumerates whole
 length layers as integer arrays of root ids, with a reflection table built
-from the Cartan matrix; the tests require the same elements, indices and
-generator columns from both.  ``conjugacy_classes`` walks each
-class from its least index, one element at a time; the library propagates
-least labels over whole arrays, and the tests require the same classes.
+from the Cartan matrix; the tests require the same elements, indices,
+generator columns and inverses from both.  ``conjugacy_classes`` walks each
+class from its least index, one element at a time, and finds s * w * s by
+multiplying matrices; the library propagates least labels over whole
+arrays of indices, and the tests require the same classes.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from rootvol.diagram import classify
 from rootvol.exact import as_int
 from rootvol.invariants import degrees_of, weyl_order
-from rootvol.rootsys import RootSystem
+from rootvol.rootsys import RootSystem, system_of_type
 from rootvol.weylgrp import (
     DEFAULT_CAP,
     ConjugacyClasses,
@@ -71,14 +74,15 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
 @dataclass(frozen=True)
 class OracleTable:
     """The walk's record: elements in index order, the matrix -> index dict,
-    and the generator indices and columns in the library's layout."""
+    the generator indices, and the right and inverse columns in the
+    library's layout."""
 
     elements: tuple[Matrix, ...]
     index: dict[Matrix, int]
     simple: tuple[int, ...]
     s_theta: int
     right: tuple[array, ...]
-    left: tuple[array, ...]
+    inverse: array
 
 
 def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> OracleTable:
@@ -126,9 +130,9 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> OracleTable:
 
     left = [left_by(x) for x in simple]
     left_theta = left_by(s_theta)
-    inverse = [0] * len(elements)
+    inverse = array("I", [0])
     for j in range(1, len(elements)):
-        inverse[j] = left[via[j]][inverse[parent[j]]]
+        inverse.append(left[via[j]][inverse[parent[j]]])
     # s_theta is an involution, so w * s_theta = (s_theta * w^-1)^-1.
     right_theta = array("I", (inverse[left_theta[inverse[j]]] for j in range(len(elements))))
     return OracleTable(
@@ -137,14 +141,24 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> OracleTable:
         simple=simple,
         s_theta=s_theta,
         right=(right_theta, *right),
-        left=(left_theta, *left),
+        inverse=inverse,
     )
 
 
 def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     """Orbits under s * w * s for the simple reflections s, numbered in the
-    order of their least index."""
-    conjugators = [(table.left[p], table.right[p]) for p in range(1, table.rank + 1)]
+    order of their least index.  Each s is built from its simple root, and
+    s * w * s is a product of matrices looked up in the element index;
+    numpy forms each generator's products for all w at once, since tuple
+    products take tens of seconds on E6."""
+    rs = system_of_type(table.decomposition.factors[0])
+    rank = table.rank
+    elements = np.array([table.element(i) for i in range(table.order)], dtype=np.int64)
+    index = {w.tobytes(): i for i, w in enumerate(elements)}
+    conjugators = []
+    for k in range(rank):
+        s = np.array(reflection_matrix(rs, tuple(int(j == k) for j in range(rank))), dtype=np.int64)
+        conjugators.append([index[m.tobytes()] for m in s @ elements @ s])
     class_of = [-1] * table.order
     reps: list[int] = []
     sizes: list[int] = []
@@ -158,8 +172,8 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
         size = 1
         while stack:
             j = stack.pop()
-            for left, right in conjugators:
-                k = left[right[j]]
+            for conjugate in conjugators:
+                k = conjugate[j]
                 if class_of[k] == -1:
                     class_of[k] = cid
                     size += 1
