@@ -301,117 +301,108 @@ def _components(edges: Sequence[Sequence[int]], nodes: Iterable[int]) -> tuple[t
     return tuple(out)
 
 
-def _classify_path(
-    entries: Sequence[Sequence[int]], edges: Sequence[Sequence[int]], start: int, size: int
-) -> TypeLabel | None:
-    """Label of a path of `size` nodes that starts at the end `start`, from
-    the position and direction of its one multiple bond, if any.  A bond of
-    multiplicity a_ij * a_ji = 1, 2 or 3 has entries -1 and -1, -1 and -2,
-    or -1 and -3, and the node j with a_ij = -2 is the short one."""
-    order = [start]
-    prev = -1
-    for _ in range(size - 1):
-        adjacent = edges[order[-1]]
-        step = adjacent[0] if adjacent[0] != prev else adjacent[-1]
-        prev = order[-1]
-        order.append(step)
-    mults = [entries[a][b] * entries[b][a] for a, b in zip(order, order[1:])]
-    multiple = [k for k, m in enumerate(mults) if m != 1]
-    if not multiple:
-        return TypeLabel("A", size)
-    if len(multiple) > 1:
-        return None
-    k = multiple[0]
-    if mults[k] == 3:
-        return TypeLabel("G", 2) if size == 2 else None
-    if mults[k] != 2:
-        return None
-    if size == 2:
-        return TypeLabel("B", 2)
-    if size == 4 and k == 1:
-        return TypeLabel("F", 4)
-    if k == 0:
-        end, inner = order[0], order[1]
-    elif k == size - 2:
-        end, inner = order[-1], order[-2]
-    else:
-        return None
-    # B_n ends in its one short node, C_n in its one long node.
-    return TypeLabel("B" if entries[inner][end] == -2 else "C", size)
-
-
-def _classify_branch(
-    entries: Sequence[Sequence[int]], edges: Sequence[Sequence[int]], branch: int
-) -> TypeLabel | None:
-    """Label of a simply laced tree whose only node of degree 3 is `branch`,
-    from the lengths of its three arms."""
-    arms: list[list[int]] = []
-    for first in edges[branch]:
-        arm = [first]
-        prev = branch
-        while len(edges[arm[-1]]) == 2:
-            adjacent = edges[arm[-1]]
-            step = adjacent[0] if adjacent[0] != prev else adjacent[1]
-            if step == branch:
-                return None  # the arm closes a cycle through the branch node
-            prev = arm[-1]
-            arm.append(step)
-        arms.append(arm)
-    nodes = chain([branch], *arms)
-    if any(entries[v][u] != -1 for v in nodes for u in edges[v]):
-        return None
-    la, lb, lc = sorted(map(len, arms))
-    size = la + lb + lc + 1
-    if la == 1 and lb == 1:
-        return TypeLabel("D", size)
-    if (la, lb) == (1, 2) and lc in (2, 3, 4):
-        return TypeLabel("E", size)
-    return None
-
-
-def _classify_component(
-    entries: Sequence[Sequence[int]], edges: Sequence[Sequence[int]], nodes: Sequence[int]
-) -> TypeLabel | None:
-    if len(nodes) == 1:
-        return TypeLabel("A", 1)
-    # A component is closed under adjacency, so its nodes' edge lists are
-    # its own.  With every degree at most 2 it is a path, with two ends, or
-    # a cycle, with none.  With one node of degree 3 it is a tree of three
-    # arms unless an arm leads back to that node.
-    degrees = [len(edges[v]) for v in nodes]
-    top = max(degrees)
-    if top >= 4 or degrees.count(3) >= 2:
-        return None
-    if top == 3:
-        return _classify_branch(entries, edges, nodes[degrees.index(3)])
-    if degrees.count(1) != 2:
-        return None
-    return _classify_path(entries, edges, nodes[degrees.index(1)], len(nodes))
-
-
 def _classify(
     entries: Sequence[Sequence[int]], edges: Sequence[Sequence[int]], deleted: int | None = None
 ) -> DecompositionLabel:
     """The one classifier: decompose the diagram with these Cartan entries
     and per-node edge lists, without node `deleted` if one is given.  The
-    edge lists must then already omit that node.  A failing component is
-    named in the numbering of the matrix without that node."""
-    nodes = range(len(entries))
+    edge lists must then already omit that node.
+
+    It walks each component once, from its least unseen node, and collects
+    its size, its degree sum, its one node of degree 3 and its one multiple
+    bond; a component with a second such node, a node of degree 4 or more,
+    a second multiple bond or a cycle is refused there.  Each directed edge
+    is read once, so a bond whose -2 or -3 sits on the far side is found
+    from that side.  A failing component is named in the numbering of the
+    matrix without `deleted`."""
+    seen = bytearray(len(entries))
     if deleted is not None:
-        nodes = chain(nodes[:deleted], nodes[deleted + 1 :])
+        seen[deleted] = 1
     factors = []
-    for comp in _components(edges, nodes):
-        label = _classify_component(entries, edges, comp)
+    v = seen.find(0)
+    while v >= 0:
+        seen[v] = 1
+        comp = [v]
+        degrees = 0
+        branch = bond = None
+        finite = True
+        # The loop also visits the nodes appended while it runs.
+        for x in comp:
+            adjacent = edges[x]
+            degrees += len(adjacent)
+            if len(adjacent) > 2:
+                finite = finite and len(adjacent) == 3 and branch is None
+                branch = x
+            row = entries[x]
+            for u in adjacent:
+                if row[u] != -1:
+                    finite = finite and bond is None
+                    bond = (x, u)
+                if not seen[u]:
+                    seen[u] = 1
+                    comp.append(u)
+        # A connected graph is a tree iff its degrees sum to 2 (size - 1).
+        label = None
+        if finite and degrees == 2 * len(comp) - 2:
+            label = _tree_label(entries, edges, len(comp), branch, bond)
         if label is None:
+            comp.sort()
             if deleted is not None:
-                comp = tuple(v - (v > deleted) for v in comp)
-            raise NotFiniteTypeError(f"component {comp} matches no finite-type diagram")
+                comp = [u - (u > deleted) for u in comp]
+            raise NotFiniteTypeError(f"component {tuple(comp)} matches no finite-type diagram")
         factors.append(label)
+        v = seen.find(0, v + 1)
     return DecompositionLabel(tuple(factors))
 
 
+def _tree_label(
+    entries: Sequence[Sequence[int]],
+    edges: Sequence[Sequence[int]],
+    size: int,
+    branch: int | None,
+    bond: tuple[int, int] | None,
+) -> TypeLabel | None:
+    """Label of a tree of `size` nodes with at most one node of degree 3,
+    `branch`, and at most one directed edge (i, j) with a_ij != -1, `bond`.
+    That bond has multiplicity a_ij * a_ji = -a_ij, and its node j is the
+    short one."""
+    if branch is not None:
+        # Simply laced, with arms of lengths (1, 1, n - 3) for D_n and
+        # (1, 2, n - 4) for E_n.
+        if bond is not None:
+            return None
+        arms = edges[branch]
+        leaves = [len(edges[u]) for u in arms].count(1)
+        if leaves >= 2:
+            return TypeLabel("D", size)
+        if leaves == 1 and size in (6, 7, 8):
+            for u in arms:
+                ends = edges[u]
+                if len(ends) == 2 and len(edges[ends[ends[0] == branch]]) == 1:
+                    return TypeLabel("E", size)
+        return None
+    if bond is None:
+        return TypeLabel("A", size)
+    long, short = bond
+    multiplicity = -entries[long][short]
+    if multiplicity == 3:
+        return TypeLabel("G", 2) if size == 2 else None
+    if multiplicity != 2:
+        return None
+    if size == 2:
+        return TypeLabel("B", 2)
+    # B_n ends in its one short node, C_n in its one long node, and F4 has
+    # its bond in the middle.
+    if len(edges[short]) == 1:
+        return TypeLabel("B", size)
+    if len(edges[long]) == 1:
+        return TypeLabel("C", size)
+    return TypeLabel("F", 4) if size == 4 else None
+
+
 def classify(cartan: CartanMatrix) -> DecompositionLabel:
-    """Decompose into irreducible factors, canonically labeled.
+    """Decompose into irreducible factors, canonically labeled, in one walk
+    per component (see `_classify`).
 
     Rank-2 double-bond components are reported as B2.  The empty matrix
     classifies as the trivial decomposition.

@@ -15,8 +15,6 @@ from .diagram import (
     DecompositionLabel,
     MarkedDiagram,
     TypeLabel,
-    cartan_of_type,
-    classify,
     classify_deletion,
     extend,
     parse_label,
@@ -73,9 +71,10 @@ def node_terms(label: TypeLabel) -> tuple[NodeTerm, ...]:
 
 
 def gamma_set(label: TypeLabel) -> frozenset[int]:
-    """Nodes whose deletion reproduces the original type; always contains 0."""
-    target = classify(cartan_of_type(label))
-    return frozenset(t.node for t in node_terms(label) if t.decomposition == target)
+    """Nodes whose deletion reproduces the original type; always contains 0,
+    whose deletion leaves the base diagram."""
+    terms = node_terms(label)
+    return frozenset(t.node for t in terms if t.decomposition == terms[0].decomposition)
 
 
 def verify_identity(label: TypeLabel | str) -> IdentityReport:

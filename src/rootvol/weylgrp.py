@@ -497,8 +497,13 @@ def coset_character(table: GroupTable, positions: Iterable[int]) -> tuple[int, .
     This character is induced from the trivial character of W_J, so its
     value on a class C is |W| * |C ∩ W_J| / (|C| * |W_J|) (Geck and
     Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
-    Algebras, 2000, ch. 2): only the class counts of W_J are needed."""
+    Algebras, 2000, ch. 2): only the class counts of W_J are needed.  When
+    J holds s_1..s_l, W_J is W, whose one coset every w fixes, and nothing
+    is closed."""
     classes = conjugacy_classes(table)
+    positions = set(positions)
+    if positions.issuperset(range(1, table.rank + 1)) and positions.issubset(range(table.rank + 1)):
+        return (1,) * classes.count
     members = reflection_subgroup(table, positions)
     values = [0] * classes.count
     for cid, hits in Counter(classes.class_of[m] for m in members).items():

@@ -160,8 +160,22 @@ def test_finite_type_catalogue():
         assert rootsys_oracle.is_finite_type(cartan_of_type(parse_label(name))), name
 
 
-def test_affine_extension_is_not_finite_type():
-    marked = extend(parse_label("A2"))
+# Each affine diagram is one component that the classifier refuses: the
+# cycle of A~n (n >= 2) and the quadruple bond of A~1; the branch node with
+# a double bond of B~n and the two double bonds of C~n; the node of degree 4
+# of D~4 and the two branch nodes of D~n (n >= 5); the arms (2, 2, 2),
+# (1, 3, 3) and (1, 2, 5) of E~6, E~7 and E~8; the double bond in the
+# middle of a path of five nodes of F~4 and the triple bond on three nodes
+# of G~2.
+@pytest.mark.parametrize("name", ALL_LABELS)
+def test_affine_extension_is_not_finite_type(name):
+    marked = extend(parse_label(name))
+    message = f"component {tuple(range(marked.rank + 1))} matches no finite-type diagram"
+    with pytest.raises(NotFiniteTypeError) as walked:
+        classify(marked.cartan)
+    with pytest.raises(NotFiniteTypeError) as dense:
+        rootsys_oracle.classify_by_reference(marked.cartan)
+    assert str(walked.value) == str(dense.value) == message
     assert not rootsys_oracle.is_finite_type(marked.cartan)
 
 
@@ -330,6 +344,14 @@ def test_extend_matches_the_gram_oracle(name):
     want = rootsys_oracle.extend_by_gram(label, rs)
     assert got.cartan.entries == want.cartan.entries
     assert got.marks == want.marks
+
+
+@pytest.mark.parametrize("name", ["A49", "B35", "C35", "D40", "B100"])
+def test_classify_deletion_at_large_rank_matches_the_reference_classifier(name):
+    marked = extended_diagram(parse_label(name))
+    for node in range(marked.rank + 1):
+        want = rootsys_oracle.classify_by_reference(delete_node(marked, node))
+        assert classify_deletion(marked, node) == want, (name, node)
 
 
 def test_classify_deletion_matches_the_dense_deletion():
