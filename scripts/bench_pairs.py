@@ -11,10 +11,14 @@ and quartiles of each side, the parent's spread between its quartiles, and
 how many pairs the change won (ties count for neither side).  A run names
 its checkout by the commit that ``bench/run.py`` reports, or, in a checkout
 without git metadata, by ``src-sha256:`` and a digest of its ``src/``
-sources.  The output
-file is rewritten after every pair, so a run that fails keeps the pairs
-before it; a run that reports wrong outputs stops the script with exit
-status 1, naming its workload, pair, seed and side.
+sources.  Each run also keeps the machine facts that ``bench/run.py``
+reports (core count, Python, numpy, BLAS and its thread count, and the
+thread variables of the environment; null where the report has none) and
+whether ``PYTHONDONTWRITEBYTECODE`` was set, since a worker that writes no
+bytecode compiles the package inside the measured run.  The output file is
+rewritten after every pair, so a run that fails keeps the pairs before it;
+a run that reports wrong outputs stops the script with exit status 1,
+naming its workload, pair, seed and side.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload exact-sweep=10 --workload sampling=4 \\
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -73,6 +78,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "repetitions": len(report["repetitions"]),
+        "machine": report.get("machine"),
+        "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         **{name: metric["value"] for name, metric in result["metrics"].items()},
     }
 

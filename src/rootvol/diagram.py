@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress, repeat
 from typing import Iterable, Sequence
 
-from .exact import as_int
+from .exact import exact_quotient
 
 __all__ = [
     "CartanMatrix",
@@ -355,6 +354,13 @@ def _classify(
     return DecompositionLabel(tuple(factors))
 
 
+@lru_cache(maxsize=None)
+def _type_label(family: str, rank: int) -> TypeLabel:
+    """One shared label per (family, rank), so a sweep of deletions checks
+    each label once."""
+    return TypeLabel(family, rank)
+
+
 def _tree_label(
     entries: Sequence[Sequence[int]],
     edges: Sequence[Sequence[int]],
@@ -374,30 +380,30 @@ def _tree_label(
         arms = edges[branch]
         leaves = [len(edges[u]) for u in arms].count(1)
         if leaves >= 2:
-            return TypeLabel("D", size)
+            return _type_label("D", size)
         if leaves == 1 and size in (6, 7, 8):
             for u in arms:
                 ends = edges[u]
                 if len(ends) == 2 and len(edges[ends[ends[0] == branch]]) == 1:
-                    return TypeLabel("E", size)
+                    return _type_label("E", size)
         return None
     if bond is None:
-        return TypeLabel("A", size)
+        return _type_label("A", size)
     long, short = bond
     multiplicity = -entries[long][short]
     if multiplicity == 3:
-        return TypeLabel("G", 2) if size == 2 else None
+        return _type_label("G", 2) if size == 2 else None
     if multiplicity != 2:
         return None
     if size == 2:
-        return TypeLabel("B", 2)
+        return _type_label("B", 2)
     # B_n ends in its one short node, C_n in its one long node, and F4 has
     # its bond in the middle.
     if len(edges[short]) == 1:
-        return TypeLabel("B", size)
+        return _type_label("B", size)
     if len(edges[long]) == 1:
-        return TypeLabel("C", size)
-    return TypeLabel("F", 4) if size == 4 else None
+        return _type_label("C", size)
+    return _type_label("F", 4) if size == 4 else None
 
 
 def classify(cartan: CartanMatrix) -> DecompositionLabel:
@@ -466,7 +472,7 @@ def extend(label: TypeLabel) -> MarkedDiagram:
     theta_norm = sum(t * dk * p for t, dk, p in zip(theta, d, pair))
     entries = [(2, *(-p for p in pair))]
     for row, dj, p in zip(a, d, pair):
-        entries.append((as_int(Fraction(-2 * dj * p, theta_norm)), *row))
+        entries.append((exact_quotient(-2 * dj * p, theta_norm), *row))
     marks = tuple(-t for t in theta)
     return MarkedDiagram(CartanMatrix(tuple(entries)), marks)
 

@@ -7,6 +7,7 @@ sum to exactly 1 over all nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +20,8 @@ from .diagram import (
     extend,
     parse_label,
 )
-from .invariants import degrees_of, degrees_of_type, nu, weyl_order
+from .exact import fraction_sum
+from .invariants import degrees_of_type, weyl_order
 
 
 @dataclass(frozen=True)
@@ -58,15 +60,27 @@ def extended_diagram(label: TypeLabel) -> MarkedDiagram:
 
 
 @lru_cache(maxsize=None)
+def _degree_products(label: TypeLabel) -> tuple[int, int]:
+    """prod (d - 1) and prod d over the degrees of one irreducible type."""
+    degrees = degrees_of_type(label)
+    return math.prod(d - 1 for d in degrees), weyl_order(degrees)
+
+
+@lru_cache(maxsize=None)
 def node_terms(label: TypeLabel) -> tuple[NodeTerm, ...]:
-    """One term per node of the extended diagram, with |W|-scaled values."""
+    """One term per node of the extended diagram, with |W|-scaled values,
+    each one Fraction of the factors' integer degree products."""
     marked = extended_diagram(label)
     order = weyl_order(degrees_of_type(label))
     terms = []
     for i in range(marked.rank + 1):
         decomposition = classify_deletion(marked, i)
-        value = nu(degrees_of(decomposition))
-        terms.append(NodeTerm(i, decomposition, value, order * value))
+        top = bottom = 1
+        for factor in decomposition.factors:
+            upper, lower = _degree_products(factor)
+            top *= upper
+            bottom *= lower
+        terms.append(NodeTerm(i, decomposition, Fraction(top, bottom), Fraction(order * top, bottom)))
     return tuple(terms)
 
 
@@ -86,7 +100,9 @@ def verify_identity(label: TypeLabel | str) -> IdentityReport:
 @lru_cache(maxsize=None)
 def _identity_report(label: TypeLabel) -> IdentityReport:
     terms = node_terms(label)
-    total = sum((t.nu_value for t in terms), Fraction(0))
+    # The sum of nu is that of the scaled values |W| nu, over |W|.
+    order = weyl_order(degrees_of_type(label))
+    total = fraction_sum(((t.scaled.numerator, t.scaled.denominator) for t in terms), order)
     return IdentityReport(label, terms, total, gamma_set(label))
 
 

@@ -70,8 +70,8 @@ def degree_product(degrees: Sequence[int], q: Fraction, t: Fraction) -> Fraction
     trivial system.  With q = r/s and t = a/b each factor is
     (s b^(d-1) - r a^(d-1)) b / ((b^d - a^d) s), so one Fraction is formed.
     Raises ZeroDivisionError where t^d = 1."""
-    r, s = Fraction(q).as_integer_ratio()
-    a, b = Fraction(t).as_integer_ratio()
+    r, s = q.as_integer_ratio()
+    a, b = t.as_integer_ratio()
     numerator = denominator = 1
     for d in degrees:
         numerator *= (s * b ** (d - 1) - r * a ** (d - 1)) * b

@@ -28,14 +28,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .diagram import DecompositionLabel, TypeLabel, classify, parse_label
-from .exact import as_int
+from .exact import exact_quotient, fraction_sum
 from .invariants import (
     DEFAULT_CAP,
     EnumerationCapError,
     degree_product,
     degrees_of,
     degrees_of_type,
-    nu,
     weyl_order,
 )
 from .identity import node_terms
@@ -151,7 +150,7 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
     norm = _dot(theta, dots)
     theta_ids = []
     for i, dot in enumerate(dots):
-        coeff = as_int(Fraction(2 * dot, norm))
+        coeff = exact_quotient(2 * dot, norm)
         theta_ids.append(position[tuple(int(i == j) - coeff * t for j, t in enumerate(theta))])
 
     # Each row of these arrays is written once: that of root_ids, parent and
@@ -333,15 +332,14 @@ def charpoly_histogram(table: GroupTable) -> dict[tuple[int, ...], int]:
     return table._histogram
 
 
-def _horner(coeffs: Sequence[int], x: Fraction) -> Fraction:
-    """sum c_k x^k, by Horner in integers on the homogeneous form: for
-    x = a/b and degree n, b^n sum c_k x^k = sum c_k a^k b^(n-k)."""
-    a, b = x.numerator, x.denominator
+def _homogeneous(coeffs: Sequence[int], a: int, b: int) -> int:
+    """b^n sum c_k (a/b)^k = sum c_k a^k b^(n-k) for the coefficients
+    c_0..c_n, by Horner in integers."""
     value, scale = 0, 1
     for c in reversed(coeffs):
         value = value * a + c * scale
         scale *= b
-    return Fraction(value, scale // b)
+    return value
 
 
 def reflection_subgroup(table: GroupTable, positions: Iterable[int]) -> tuple[int, ...]:
@@ -412,14 +410,15 @@ class SolomonReport:
         }
 
 
-def _group_average(table: GroupTable, term: Callable[[tuple[int, ...]], Fraction]) -> Fraction:
-    """Average over the group of term(p), where p is the coefficient tuple of
-    det(1 - x w)."""
-    total = sum(
-        (count * term(coeffs) for coeffs, count in charpoly_histogram(table).items()),
-        Fraction(0),
-    )
-    return total / table.order
+def _group_average(table: GroupTable, term: Callable[[tuple[int, ...]], tuple[int, int]]) -> Fraction:
+    """Average over the group of n/d, where term(p) = (n, d) is a pair of
+    integers and p is the coefficient tuple of det(1 - x w); one Fraction
+    is formed."""
+    pairs = []
+    for coeffs, count in charpoly_histogram(table).items():
+        n, d = term(coeffs)
+        pairs.append((count * n, d))
+    return fraction_sum(pairs, table.order)
 
 
 def verify_solomon(
@@ -430,7 +429,10 @@ def verify_solomon(
     """Group average of det(1-qw)/det(1-tw) against the degree product
     prod (1 - q t^(d-1)) / (1 - t^d), exactly at each sample point, plus the
     (q,t) = (1,0) specialization whose value must be exactly 1.  The group
-    average evaluates the histogram of det(1 - x w) at q and t."""
+    average evaluates the histogram of det(1 - x w) at q and t: with
+    q = r/s, t = a/b and rank l, det(1 - qw) / det(1 - tw) is
+    H(r, s) b^l / (H(a, b) s^l), where H(a, b) = b^l det(1 - (a/b) w) is an
+    integer."""
     if isinstance(label, str):
         label = parse_label(label)
     if sample_points is None:
@@ -443,7 +445,12 @@ def verify_solomon(
     degrees = degrees_of_type(label)
 
     def check_at(q: Fraction, t: Fraction) -> PointCheck:
-        lhs = _group_average(table, lambda p: _horner(p, q) / _horner(p, t))
+        r, s = q.as_integer_ratio()
+        a, b = t.as_integer_ratio()
+        scale_q, scale_t = b**table.rank, s**table.rank
+        lhs = _group_average(
+            table, lambda p: (_homogeneous(p, r, s) * scale_q, _homogeneous(p, a, b) * scale_t)
+        )
         return PointCheck(q, t, lhs, degree_product(degrees, q, t))
 
     checks = tuple(check_at(q, t) for q, t in points)
@@ -613,7 +620,10 @@ def verify_restricted_expansion(
     cap: int = DEFAULT_CAP,
 ) -> ExpansionReport:
     """Group average of det(1-w)^2 / det(1-tw) against the sum over extended
-    diagram nodes of the degree products of the deleted-node subsystems."""
+    diagram nodes of the degree products of the deleted-node subsystems.
+    With t = a/b and rank l, det(1 - w)^2 / det(1 - tw) is
+    (sum p)^2 b^l / H(a, b), where p holds the coefficients of
+    det(1 - x w) and H(a, b) = b^l det(1 - (a/b) w) is an integer."""
     if isinstance(label, str):
         label = parse_label(label)
     if t_samples is None:
@@ -624,11 +634,13 @@ def verify_restricted_expansion(
             raise ValueError(f"sample with |t| = 1 is not allowed: t = {t}")
     table = group_table_of(label, cap)
     degree_lists = _node_degree_lists(label)
-    nu_values = [nu(degrees) for degrees in degree_lists]
+    nu_values = [term.nu_value for term in node_terms(label)]
 
     def check_at(t: Fraction) -> tuple[PointCheck, list[Fraction]]:
-        lhs = _group_average(table, lambda p: _horner(p, Fraction(1)) ** 2 / _horner(p, t))
-        terms = [degree_product(degrees, Fraction(1), t) for degrees in degree_lists]
+        a, b = t.as_integer_ratio()
+        scale = b**table.rank
+        lhs = _group_average(table, lambda p: (sum(p) ** 2 * scale, _homogeneous(p, a, b)))
+        terms = [degree_product(degrees, 1, t) for degrees in degree_lists]
         return PointCheck(Fraction(1), t, lhs, sum(terms, Fraction(0))), terms
 
     sample_checks = tuple(check_at(t)[0] for t in samples)

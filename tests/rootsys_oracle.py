@@ -43,8 +43,14 @@ from rootvol.diagram import (
     TypeLabel,
     cartan_of_type,
 )
-from rootvol.exact import as_int
 from rootvol.rootsys import RootSystem, closure_bound, generate_roots
+
+
+def as_int(value: Fraction) -> int:
+    """Convert an exact rational known to be integral; raise if it is not."""
+    if value.denominator != 1:
+        raise ValueError(f"expected an integer, got {value}")
+    return value.numerator
 
 
 def reflection_closure(cartan: CartanMatrix) -> RootSystem:

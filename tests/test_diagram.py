@@ -190,6 +190,14 @@ def test_classify_roundtrip(name):
         assert got == DecompositionLabel((label,))
 
 
+def test_classified_labels_are_shared_per_family_and_rank():
+    # Every deletion of A5's extended diagram leaves A5, under one label.
+    marked = extended_diagram(parse_label("A5"))
+    labels = [classify_deletion(marked, node).factors for node in range(6)]
+    assert all(factors == (TypeLabel("A", 5),) for factors in labels)
+    assert len({id(factors[0]) for factors in labels}) == 1
+
+
 def test_classify_products():
     d = parse_decomposition("A1xA2xG2")
     assert classify(cartan_of_decomposition(d)) == d

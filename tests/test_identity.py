@@ -16,6 +16,7 @@ from rootvol.identity import (
     report_as_text,
     verify_identity,
 )
+from rootvol.invariants import degrees_of, degrees_of_type, nu, weyl_order
 
 SAMPLED_TYPES = [
     "A1",
@@ -51,6 +52,31 @@ def test_each_type_has_one_report():
     assert verify_identity("B5") is report
     assert isinstance(report.terms, tuple)
     assert isinstance(report.gamma, frozenset)
+
+
+NODE_TERM_TYPES = [
+    *(f"{family}{rank}" for family, low in zip("ABCD", (1, 2, 2, 4)) for rank in range(low, 25)),
+    "E6",
+    "E7",
+    "E8",
+    "F4",
+    "G2",
+    "A49",
+    "B35",
+    "C35",
+    "D40",
+]
+
+
+@pytest.mark.parametrize("name", NODE_TERM_TYPES)
+def test_node_term_values_match_nu_of_the_degrees(name):
+    label = parse_label(name)
+    order = weyl_order(degrees_of_type(label))
+    for term in node_terms(label):
+        value = nu(degrees_of(term.decomposition))
+        assert isinstance(term.nu_value, Fraction) and isinstance(term.scaled, Fraction)
+        assert term.nu_value == value
+        assert term.scaled == order * value
 
 
 def test_term_count_is_rank_plus_one():

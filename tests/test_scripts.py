@@ -126,3 +126,27 @@ def test_bench_pairs_names_a_checkout_without_git_by_its_sources(tmp_path, monke
         assert second != first
     else:
         assert first == second == commit
+
+
+@pytest.mark.parametrize("flag, recorded", [(None, False), ("", False), ("1", True)])
+def test_bench_pairs_keeps_the_machine_facts_of_each_run(tmp_path, monkeypatch, flag, recorded):
+    module = _load_bench_pairs()
+    machine = {"nproc": 2, "python": "3.11.7", "numpy": "1.26.4", "blas": "openblas 0.3", "thread_env": {}}
+    report = {"git_commit": "abc", "machine": machine, "repetitions": [{}]}
+    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {"wall_s": {"value": 0.5}}}
+    stdout = f"{json.dumps(report)}\n{json.dumps(result)}\n"
+    seen_env = []
+
+    def fake_run(argv, cwd, capture_output, text):
+        seen_env.append(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    if flag is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", flag)
+    run = module.run_once(tmp_path, "w", 1, 1)
+    assert run["machine"] == machine
+    assert run["dont_write_bytecode"] is recorded
+    assert seen_env == [flag]

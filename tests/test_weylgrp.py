@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -263,6 +264,61 @@ def test_expansion_small_types():
 def test_expansion_rejects_unit_sample():
     with pytest.raises(ValueError):
         verify_restricted_expansion("A2", [Fraction(-1)])
+
+
+def _random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+
+
+GROUP_AVERAGE_CASES = [(name, DEFAULT_CAP) for name in ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2", "F4"]]
+GROUP_AVERAGE_CASES.append(("E6", 60_000))
+
+
+@pytest.mark.parametrize("name,cap", GROUP_AVERAGE_CASES)
+def test_solomon_averages_match_the_fraction_oracle(name, cap):
+    rng = random.Random(f"solomon {name}")
+    points = [(_random_fraction(rng), _random_fraction(rng)) for _ in range(6)]
+    points = [(q, t) for q, t in points if abs(t) != 1]
+    table = group_table_of(name, cap)
+    report = verify_solomon(name, points, cap)
+    value = weylgrp_oracle.polynomial_value
+    for check in (*report.points, report.specialization):
+        q, t = check.q, check.t
+        want = weylgrp_oracle.group_average(table, lambda p: value(p, q) / value(p, t))
+        assert check.lhs == want
+    assert report.passed
+
+
+@pytest.mark.parametrize("name,cap", GROUP_AVERAGE_CASES)
+def test_expansion_averages_match_the_fraction_oracle(name, cap):
+    rng = random.Random(f"expansion {name}")
+    samples = [t for t in (_random_fraction(rng) for _ in range(4)) if abs(t) != 1]
+    table = group_table_of(name, cap)
+    report = verify_restricted_expansion(name, samples, cap)
+    value = weylgrp_oracle.polynomial_value
+    for check in (*report.samples, *report.probes):
+        t = check.t
+        want = weylgrp_oracle.group_average(table, lambda p: value(p, Fraction(1)) ** 2 / value(p, t))
+        assert check.lhs == want
+    assert report.passed
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2", "F4"])
+def test_group_averages_fail_when_one_class_count_moves(monkeypatch, name):
+    # The identity counted under the det(1 - x w) of an element with
+    # det(1 - w) != 0, which the expansion weights, must fail both checks.
+    table = group_table_of(name)
+    histogram = dict(charpoly_histogram(table))
+    identity = tuple(math.comb(table.rank, k) * (-1) ** k for k in range(table.rank + 1))
+    histogram[identity] -= 1
+    histogram[next(coeffs for coeffs in histogram if sum(coeffs))] += 1
+    monkeypatch.setattr(weylgrp, "charpoly_histogram", lambda table: histogram)
+    solomon = verify_solomon(name)
+    expansion = verify_restricted_expansion(name)
+    # At (q, t) = (2, 1/2) the term is (-2)^l det(w), which the move may keep.
+    assert not solomon.passed and not any(p.passed for p in solomon.points[1:])
+    assert not solomon.specialization.passed
+    assert not expansion.passed and not any(p.passed for p in (*expansion.samples, *expansion.probes))
 
 
 def test_report_dict_shapes():

@@ -12,6 +12,9 @@ generator columns and inverses from both.  ``conjugacy_classes`` walks each
 class from its least index, one element at a time, and finds s * w * s by
 multiplying matrices; the library propagates least labels over whole
 arrays of indices, and the tests require the same classes.
+``group_average`` sums ``Fraction`` terms over the characteristic
+polynomial histogram, one normalized sum per class, where the library sums
+integer numerators and denominators and forms one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Sequence
 
 import numpy as np
 
+from rootsys_oracle import as_int
 from rootvol.diagram import classify
-from rootvol.exact import as_int
 from rootvol.invariants import degrees_of, weyl_order
 from rootvol.rootsys import RootSystem, system_of_type
 from rootvol.weylgrp import (
@@ -32,6 +36,7 @@ from rootvol.weylgrp import (
     EnumerationCapError,
     GroupTable,
     Matrix,
+    charpoly_histogram,
 )
 
 
@@ -180,3 +185,18 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
                     stack.append(k)
         sizes.append(size)
     return ConjugacyClasses(tuple(class_of), tuple(reps), tuple(sizes))
+
+
+def polynomial_value(coeffs: Sequence[int], x: Fraction) -> Fraction:
+    """sum c_k x^k in Fraction arithmetic, one power at a time."""
+    return sum((c * x**k for k, c in enumerate(coeffs)), Fraction(0))
+
+
+def group_average(table: GroupTable, term: Callable[[tuple[int, ...]], Fraction]) -> Fraction:
+    """Average over the group of term(p), where p is the coefficient tuple of
+    det(1 - x w)."""
+    total = sum(
+        (count * term(coeffs) for coeffs, count in charpoly_histogram(table).items()),
+        Fraction(0),
+    )
+    return total / table.order
