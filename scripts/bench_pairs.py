@@ -7,9 +7,13 @@ side goes first from pair to pair.  Both runs of a pair use the same seed;
 pair k uses seed ``--seed`` + k, and every run lasts the ``run_seconds``
 that ``BENCHMARK.json`` sets.  The output file holds every run's
 end-to-end metrics and failed ops, and per workload and metric the median
-and quartiles of each side, the parent's spread between its quartiles, and
-how many pairs the change won (ties count for neither side).  A run names
-its checkout by the commit that ``bench/run.py`` reports, or, in a checkout
+and quartiles of each side, the parent's spread between its quartiles, how
+many pairs the change won (ties count for neither side), the median gap
+(the parent's median less the change's, signed so that a positive gap
+favours the change) and ``claim_rule_met``, the rule a claimed gain must
+meet: the change won at least nine tenths of the pairs, and its median gap
+exceeds the parent's spread between its quartiles.  A run names its
+checkout by the commit that ``bench/run.py`` reports, or, in a checkout
 without git metadata, by ``src-sha256:`` and a digest of its ``src/``
 sources.  Each run also keeps the machine facts that ``bench/run.py``
 reports (core count, Python, numpy, BLAS and its thread count, and the
@@ -85,7 +89,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Median and quartiles per side, and the pairs the change won."""
+    """Median and quartiles per side, the pairs the change won, the median
+    gap in the change's favour, and whether the claim rule holds."""
     out = {}
     for metric in metrics:
         name = metric["name"]
@@ -96,11 +101,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             q1, median, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
             sides[side] = {"median": median, "q1": q1, "q3": q3}
         wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        parent_iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
+        gap = sign * (sides["parent"]["median"] - sides["change"]["median"])
         out[name] = {
             **sides,
-            "parent_iqr": sides["parent"]["q3"] - sides["parent"]["q1"],
+            "parent_iqr": parent_iqr,
             "change_wins": wins,
             "pairs": len(runs),
+            "median_gap": gap,
+            "claim_rule_met": 10 * wins >= 9 * len(runs) and gap > parent_iqr,
         }
     return out
 

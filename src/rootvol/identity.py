@@ -128,14 +128,18 @@ def report_as_dict(report: IdentityReport) -> dict:
 
 
 def report_as_text(report: IdentityReport) -> str:
-    rows = [("node", "decomposition", "nu", "scaled")]
-    for t in report.terms:
-        rows.append((str(t.node), str(t.decomposition), str(t.nu_value), str(_scaled_json(t.scaled))))
-    widths = [max(len(r[c]) for r in rows) for c in range(4)]
-    lines = [f"type {report.label}"]
-    for r in rows:
-        lines.append("  ".join(val.ljust(w) for val, w in zip(r, widths)).rstrip())
+    """The report as a table, each column left-justified to its widest
+    cell and two spaces apart, the last column unpadded."""
+    header = ("node", "decomposition", "nu", "scaled")
+    cells = [(str(t.node), str(t.decomposition), str(t.nu_value), str(t.scaled)) for t in report.terms]
+    padded = list(zip(header, *cells))[:3]
+    row = "{:<%d}  {:<%d}  {:<%d}  {}" % tuple(max(map(len, column)) for column in padded)
     gamma = ",".join(str(i) for i in sorted(report.gamma))
     verdict = "PASS" if report.passed else "FAIL"
-    lines.append(f"total = {report.total}  gamma = {{{gamma}}}  {verdict}")
-    return "\n".join(lines)
+    return "\n".join(
+        [
+            f"type {report.label}",
+            *(row.format(*r) for r in (header, *cells)),
+            f"total = {report.total}  gamma = {{{gamma}}}  {verdict}",
+        ]
+    )

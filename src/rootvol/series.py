@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -51,15 +52,19 @@ def _validate_part_range(part: int, n: int) -> None:
         raise ValueError(f"part {part} requires n >= 2")
 
 
-# C(2h, h) for every h below its length.  A longer prefix replaces it whole,
-# never in place, so a caller in another thread reads a complete list.
+# Shared prefixes, each indexed from 0: C(2h, h); the weights
+# w_k = (k/(k+1)) C(2k, k) = k Catalan(k), an integer since k+1 divides
+# C(2k, k); and the coefficients 2g_h of 2g = (1-2t) f.  A longer prefix
+# replaces one whole, never in place, so a caller in another thread reads a
+# complete list.
 _CENTRAL_BINOMIALS = [1]
+_WEIGHTS = [0]
+_TWICE_HALF = [1]
 
 
-def central_binomials(n: int) -> list[int]:
-    """C(2h, h) for h = 0..n, by C(2h+2, h+1) = C(2h, h) (4h+2) / (h+1),
-    which is exact in integers.  The list is a fresh copy of a shared
-    prefix, so callers may change it."""
+def _known_binomials(n: int) -> list[int]:
+    """The shared prefix of C(2h, h), through h = n at least, by
+    C(2h+2, h+1) = C(2h, h) (4h+2) / (h+1), which is exact in integers."""
     global _CENTRAL_BINOMIALS
     known = _CENTRAL_BINOMIALS
     if len(known) <= n:
@@ -67,33 +72,58 @@ def central_binomials(n: int) -> list[int]:
         for h in range(len(known) - 1, n):
             known.append(known[h] * (4 * h + 2) // (h + 1))
         _CENTRAL_BINOMIALS = known
-    return known[: max(n, 0) + 1]
+    return known
 
 
-def twice_half_ratio(f: list[int]) -> list[int]:
-    """Coefficients of 2g = (1-2t) f, from those of f."""
-    return f[:1] + [f[h] - 2 * f[h - 1] for h in range(1, len(f))]
+def _known_weights(n: int) -> list[int]:
+    """The shared prefix of w_k, through k = n at least."""
+    global _WEIGHTS
+    known = _WEIGHTS
+    if len(known) <= n:
+        c = _known_binomials(n)
+        known = known + [k * c[k] // (k + 1) for k in range(len(known), n + 1)]
+        _WEIGHTS = known
+    return known
+
+
+def _known_twice_half(n: int) -> list[int]:
+    """The shared prefix of 2g_h, through h = n at least: 2g_0 = 1 and
+    2g_h = f_h - 2 f_(h-1)."""
+    global _TWICE_HALF
+    known = _TWICE_HALF
+    if len(known) <= n:
+        f = _known_binomials(n)
+        known = known + [f[h] - 2 * f[h - 1] for h in range(len(known), n + 1)]
+        _TWICE_HALF = known
+    return known
+
+
+def central_binomials(n: int) -> list[int]:
+    """C(2h, h) for h = 0..n, a fresh copy of the shared prefix, so callers
+    may change it."""
+    return _known_binomials(n)[: max(n, 0) + 1]
 
 
 def check_binomial_identity(part: int, n: int) -> BinomialCheck:
     """Evaluate one identity by direct summation of both sides.
 
-    Every summand is an integer: ((h-1)/h) C(2(h-1), h-1) is h-1 times a
-    Catalan number, and C(2n, n)/2 = C(2n-1, n).  So both sides are summed
-    in integers and become Fractions once, at the end."""
+    Every summand is an integer: ((h-1)/h) C(2(h-1), h-1) is the weight
+    w_(h-1), and C(2n, n)/2 = C(2n-1, n).  So both sides are summed in
+    integers, each sum one convolution over the shared prefixes (w_0 = 0
+    adds the terms h = 1 and h = n - 1 as zeros), and become Fractions
+    once, at the end."""
     _validate_part_range(part, n)
-    c = central_binomials(n)
-    # w[k] = (k/(k+1)) C(2k, k) = k Catalan(k); k+1 divides C(2k, k).
-    w = [k * c[k] // (k + 1) for k in range(n)]
+    c = _known_binomials(n)
     if part == 1:
         lhs = 4**n
-        rhs = sum(c[h] * c[n - h] for h in range(n + 1))
+        rhs = sum(map(mul, c, c[n::-1]))
     elif part == 2:
         lhs = 4 ** (n - 1)
-        rhs = c[n] // 2 + sum(w[h - 1] * c[n - h] for h in range(2, n + 1))
+        rhs = c[n] // 2 + sum(map(mul, _known_weights(n), c[n - 1 :: -1]))
     else:
+        w = _known_weights(n)
         lhs = 4 ** (n - 2)
-        rhs = w[n - 1] + sum(w[h - 1] * w[n - h - 1] for h in range(2, n - 1))
+        rhs = w[n - 1] + sum(map(mul, w, w[n - 2 :: -1]))
     return BinomialCheck(part, n, Fraction(lhs), Fraction(rhs))
 
 
@@ -101,11 +131,11 @@ def series_coefficient(part: int, n: int) -> Fraction:
     """The t^n coefficient of the part's generating product (f*f, g*f or g*g).
 
     Equals 4^n, 4^(n-1), 4^(n-2) respectively on the parts' valid ranges.
-    Each product is one integer convolution of f and 2g, divided by 1, 2
-    or 4 at the end.
+    Each product is one integer convolution over the shared prefixes of f
+    and 2g, divided by 1, 2 or 4 at the end.
     """
     _validate_part_range(part, n)
-    f = central_binomials(n)
-    g2 = twice_half_ratio(f)
+    f = _known_binomials(n)
+    g2 = _known_twice_half(n)
     a, b = ((f, f), (g2, f), (g2, g2))[part - 1]
-    return Fraction(sum(a[h] * b[n - h] for h in range(n + 1)), 1 << (part - 1))
+    return Fraction(sum(map(mul, a, b[n::-1])), 1 << (part - 1))

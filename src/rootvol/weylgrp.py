@@ -3,11 +3,11 @@
 Elements act on simple-root coordinate rows, v -> v @ matrix, so the matrix
 rows are the images of the simple basis vectors, and a table stores each
 element as the ids of the roots w(alpha_1)..w(alpha_l), with one index
-column per generator for w * s and one for w^-1.  Every identity
-reads det(1 - x w) as an integer polynomial, one per conjugacy class, found
-by Faddeev-LeVerrier: Solomon and the expansion evaluate it exactly at
-rational points, and Steinberg and the companion read det(1 - w) and det(w)
-from its coefficients.
+column per generator for w * s and one for w^-1.  Every identity reads
+det(1 - x w) as an integer polynomial, one per conjugacy class, found by
+Faddeev-LeVerrier on one stack of every class representative: Solomon and
+the expansion evaluate it exactly at rational points, and Steinberg and the
+companion read det(1 - w) and det(w) from its coefficients.
 
 Subgroups are named by positions in the generator list S_0: position 0 is
 the reflection in the highest root, positions 1..l are the simple
@@ -42,6 +42,11 @@ from .rootsys import Roots, RootSystem, system_of_type
 
 Matrix = tuple[tuple[int, ...], ...]
 
+# The first point is degenerate: with q t = 1, det(1 - qw) / det(1 - tw) is
+# (-q)^l det(w) for every w (w and w^-1 are conjugate in a Weyl group), so
+# it checks only that det(w) averages to 0 over the group.  It is kept
+# because the printed points are part of the CLI output; the other four
+# weigh the whole class histogram.
 DEFAULT_SOLOMON_POINTS: tuple[tuple[Fraction, Fraction], ...] = (
     (Fraction(2), Fraction(1, 2)),
     (Fraction(1, 3), Fraction(-1, 2)),
@@ -287,37 +292,54 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     return table._classes
 
 
-def one_minus_charpoly(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Coefficients c_0..c_n of det(1 - x M) = sum c_k x^k for an integer
-    matrix M, by Faddeev-LeVerrier in exact integers: c_0 = 1, N_1 = I,
-    c_k = -tr(M N_k) / k and N_(k+1) = M N_k + c_k I.  Every division is
-    exact for an integer matrix; one that is not raises ValueError."""
-    n = len(matrix)
-    columns = tuple(zip(*matrix))
-    coeffs = [1]
-    power = [[int(i == j) for j in range(n)] for i in range(n)]
+def one_minus_charpolys(stack: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Coefficients c_0..c_n of det(1 - x M) = sum c_k x^k for every integer
+    matrix M of a (count, n, n) stack, by Faddeev-LeVerrier on the whole
+    stack in int64: c_0 = 1, N_1 = I, c_k = -tr(M N_k) / k and
+    N_(k+1) = M N_k + c_k I, one batched product, trace and division per k.
+
+    Every entry of M N_k is at most n max|M| max|N_k| in size, its trace n
+    times that and N_(k+1) n + 1 times that; a step where the last bound
+    passes 2^63 - 1 raises ValueError before its product.  The entries of
+    a group element are root coordinates, at most 4 for every type within
+    the CLI's cap, so the check passes there by far.  Every division is
+    exact for an integer matrix; one that is not raises ValueError naming
+    the step and the trace of the first such matrix."""
+    matrices = np.asarray(stack, dtype=np.int64)
+    count, n = matrices.shape[:2]
+    largest_entry = int(np.abs(matrices).max(initial=0))
+    limit = np.iinfo(np.int64).max
+    diagonal = np.arange(n)
+    coeffs = np.ones((n + 1, count), dtype=np.int64)
+    power = np.eye(n, dtype=np.int64)
     for k in range(1, n + 1):
+        largest_power = int(np.abs(power).max(initial=0))
+        if n * (n + 1) * largest_entry * largest_power > limit:
+            raise ValueError(
+                f"Faddeev-LeVerrier step {k}: entries up to {largest_entry} and"
+                f" {largest_power} could overflow int64 products"
+            )
         # N_k is a polynomial in M, so N_k M = M N_k.
-        power = [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in power]
-        trace = sum(power[i][i] for i in range(n))
-        coeff, remainder = divmod(-trace, k)
-        if remainder:
-            raise ValueError(f"Faddeev-LeVerrier step {k}: trace {trace} is not divisible by {k}")
-        coeffs.append(coeff)
-        for i in range(n):
-            power[i][i] += coeff
-    return tuple(coeffs)
+        power = np.matmul(power, matrices)
+        trace = np.trace(power, axis1=1, axis2=2)
+        coeff, remainder = np.divmod(-trace, k)
+        if remainder.any():
+            bad = int(trace[np.flatnonzero(remainder)[0]])
+            raise ValueError(f"Faddeev-LeVerrier step {k}: trace {bad} is not divisible by {k}")
+        coeffs[k] = coeff
+        power[:, diagonal, diagonal] += coeff[:, None]
+    return tuple(map(tuple, coeffs.T.tolist()))
 
 
 def class_charpolys(table: GroupTable) -> tuple[tuple[int, ...], ...]:
     """Coefficients of det(1 - x w) per conjugacy class, indexed by class
-    id, from one representative each.  Computed once per table and kept on
-    it."""
+    id, from one representative each: the representatives' rows of root
+    ids, looked up in the packed roots as int8, form one stack of matrices.
+    Computed once per table and kept on it."""
     if table._charpolys is None:
-        classes = conjugacy_classes(table)
-        table._charpolys = tuple(
-            one_minus_charpoly(table.element(rep)) for rep in classes.representatives
-        )
+        representatives = list(conjugacy_classes(table).representatives)
+        packed = np.frombuffer(table.roots.data, dtype=np.int8).reshape(-1, table.rank)
+        table._charpolys = one_minus_charpolys(packed[table.root_ids[representatives]])
     return table._charpolys
 
 

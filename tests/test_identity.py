@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -188,3 +189,49 @@ def test_report_text_mentions_verdict():
     text = report_as_text(verify_identity("G2"))
     assert "total = 1" in text
     assert "PASS" in text
+
+
+def rendered_row_by_row(report) -> str:
+    """The text report built one row at a time, every cell padded to its
+    column's width and the joined row stripped on the right: the oracle
+    for `report_as_text`."""
+    rows = [("node", "decomposition", "nu", "scaled")]
+    for t in report.terms:
+        scaled = t.scaled.numerator if t.scaled.denominator == 1 else t.scaled
+        rows.append((str(t.node), str(t.decomposition), str(t.nu_value), str(scaled)))
+    widths = [max(len(r[c]) for r in rows) for c in range(4)]
+    lines = [f"type {report.label}"]
+    for r in rows:
+        lines.append("  ".join(val.ljust(w) for val, w in zip(r, widths)).rstrip())
+    gamma = ",".join(str(i) for i in sorted(report.gamma))
+    verdict = "PASS" if report.passed else "FAIL"
+    lines.append(f"total = {report.total}  gamma = {{{gamma}}}  {verdict}")
+    return "\n".join(lines)
+
+
+# The types of the benchmark's exact sweep.
+SWEEP_TYPES = [
+    "G2",
+    "F4",
+    "E6",
+    "E7",
+    "E8",
+    *(f"A{n}" for n in range(1, 25)),
+    *(f"B{n}" for n in range(2, 25)),
+    *(f"C{n}" for n in range(2, 25)),
+    *(f"D{n}" for n in range(4, 25)),
+]
+
+
+def test_report_text_matches_the_row_by_row_rendering():
+    assert len(SWEEP_TYPES) == 96
+    for name in [*SWEEP_TYPES, "B100", "C300", "D300"]:
+        report = verify_identity(name)
+        assert report_as_text(report) == rendered_row_by_row(report), name
+
+
+def test_report_text_of_a_failing_report_matches_the_row_by_row_rendering():
+    report = verify_identity("G2")
+    failing = dataclasses.replace(report, total=Fraction(13, 12), gamma=frozenset({0, 2}))
+    assert report_as_text(failing) == rendered_row_by_row(failing)
+    assert report_as_text(failing).endswith("total = 13/12  gamma = {0,2}  FAIL")

@@ -150,3 +150,29 @@ def test_bench_pairs_keeps_the_machine_facts_of_each_run(tmp_path, monkeypatch, 
     assert run["machine"] == machine
     assert run["dont_write_bytecode"] is recorded
     assert seen_env == [flag]
+
+
+PARENT_WALLS = [1.00 + 0.01 * k for k in range(10)]
+
+
+@pytest.mark.parametrize(
+    "change, better, wins, gap, met",
+    [
+        ([w - 0.1 for w in PARENT_WALLS], "lower", 10, 0.1, True),
+        ([w - 0.1 for w in PARENT_WALLS[:9]] + [1.2], "lower", 9, 0.1, True),
+        ([w - 0.1 for w in PARENT_WALLS[:8]] + [1.2, 1.2], "lower", 8, 0.1, False),
+        ([w - 0.05 for w in PARENT_WALLS], "lower", 10, 0.05, False),
+        ([w + 0.1 for w in PARENT_WALLS], "higher", 10, 0.1, True),
+        ([w + 0.1 for w in PARENT_WALLS], "lower", 0, -0.1, False),
+    ],
+    ids=["wide-gap", "nine-of-ten", "eight-of-ten", "gap-inside-the-spread", "higher-is-better", "worse"],
+)
+def test_bench_pairs_states_the_claim_rule(change, better, wins, gap, met):
+    # The parent's quartiles of 1.00..1.09 are 1.0175 and 1.0725, a spread of
+    # 0.055: a gap of 0.1 clears it and one of 0.05 does not.
+    module = _load_bench_pairs()
+    runs = [{"parent": {"wall_s": p}, "change": {"wall_s": c}} for p, c in zip(PARENT_WALLS, change)]
+    summary = module.summarize(runs, [{"name": "wall_s", "better": better}])["wall_s"]
+    assert summary["parent_iqr"] == pytest.approx(0.055)
+    assert summary["median_gap"] == pytest.approx(gap)
+    assert (summary["change_wins"], summary["pairs"], summary["claim_rule_met"]) == (wins, 10, met)

@@ -17,12 +17,18 @@ from hypothesis import strategies as st
 
 from rootvol import series
 from rootvol.cli import MAX_SERIES_ORDER
-from rootvol.series import (
-    central_binomials,
-    check_binomial_identity,
-    series_coefficient,
-    twice_half_ratio,
-)
+from rootvol.series import central_binomials, check_binomial_identity, series_coefficient
+
+
+def twice_half_ratio(f: Sequence[int]) -> list[int]:
+    """Coefficients of 2g = (1-2t) f, rebuilt from those of f: the oracle
+    of the shared prefix that `series_coefficient` reads."""
+    return [*f[:1], *(f[h] - 2 * f[h - 1] for h in range(1, len(f)))]
+
+
+def library_twice_half(n: int) -> list[int]:
+    """The library's 2g_0..2g_n."""
+    return series._known_twice_half(n)[: n + 1]
 
 
 def padded(values: Sequence[int], order: int) -> tuple[int, ...]:
@@ -157,7 +163,8 @@ def test_central_binomials_returns_a_copy_of_the_prefix():
 
 
 def test_half_ratio_coefficients():
-    g2 = twice_half_ratio(central_binomials(MAX_SERIES_ORDER))
+    g2 = library_twice_half(MAX_SERIES_ORDER)
+    assert g2 == twice_half_ratio(central_binomials(MAX_SERIES_ORDER))
     assert g2[0] == 1
     assert g2[1] == 0
     for h in range(2, MAX_SERIES_ORDER + 1):
@@ -171,7 +178,7 @@ def test_square_of_f_is_geometric_in_4t():
 
 def test_product_g_f_collapses():
     f = central_binomials(MAX_SERIES_ORDER)
-    prod = truncated_product(twice_half_ratio(f), f)
+    prod = truncated_product(library_twice_half(MAX_SERIES_ORDER), f)
     # 2 g f = 1 + 2t / (1 - 4t)
     assert prod[0] == 1
     for n in range(1, MAX_SERIES_ORDER + 1):
@@ -180,7 +187,7 @@ def test_product_g_f_collapses():
 
 def test_square_of_g_closed_form():
     # 4 (1 - 4t) g^2 = (1 - 4t) (2g)^2 = 1 - 4t + 4t^2 as truncated series
-    g2 = twice_half_ratio(central_binomials(MAX_SERIES_ORDER))
+    g2 = library_twice_half(MAX_SERIES_ORDER)
     lhs = truncated_product(padded([1, -4], MAX_SERIES_ORDER), truncated_product(g2, g2))
     assert lhs == padded([1, -4, 4], MAX_SERIES_ORDER)
 
@@ -201,6 +208,90 @@ def test_series_coefficient_matches_the_product_oracle(part, low):
         got = series_coefficient(part, n)
         assert got == oracle[n], n
         assert type(got) is Fraction
+
+
+PART_RANGES = ((1, 0), (2, 2), (3, 2))
+
+
+@functools.cache
+def oracle_values() -> dict[tuple[int, int], tuple]:
+    """(part, n) -> the generating-product coefficient and both direct
+    sides, by the Fraction oracles, for every n up to the order cap."""
+    products = fraction_products()
+    return {
+        (part, n): (products[part - 1][n], fraction_sums(part, n))
+        for part, low in PART_RANGES
+        for n in range(low, MAX_SERIES_ORDER + 1)
+    }
+
+
+def wrong_values(orders) -> list[tuple[int, int]]:
+    """(part, n) for each n of `orders` and each part whose series
+    coefficient or direct sides differ from the Fraction oracles."""
+    want = oracle_values()
+    wrong = []
+    for n in orders:
+        for part, low in PART_RANGES:
+            if n >= low:
+                check = check_binomial_identity(part, n)
+                if (series_coefficient(part, n), (check.lhs, check.rhs)) != want[part, n]:
+                    wrong.append((part, n))
+    return wrong
+
+
+def empty_prefixes(monkeypatch) -> None:
+    """Start every shared prefix afresh, whatever other tests have asked for."""
+    monkeypatch.setattr(series, "_CENTRAL_BINOMIALS", [1])
+    monkeypatch.setattr(series, "_WEIGHTS", [0])
+    monkeypatch.setattr(series, "_TWICE_HALF", [1])
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [range(MAX_SERIES_ORDER + 1), range(MAX_SERIES_ORDER, -1, -1)],
+    ids=["ascending", "descending"],
+)
+def test_both_routes_from_the_shared_prefixes_match_the_oracles(monkeypatch, orders):
+    oracle_values()
+    empty_prefixes(monkeypatch)
+    assert wrong_values(orders) == []
+    assert len(series._WEIGHTS) == len(series._TWICE_HALF) == MAX_SERIES_ORDER + 1
+
+
+def test_both_routes_from_threads_that_extend_the_prefixes(monkeypatch):
+    oracle_values()
+    wrong = []
+
+    def ask(start):
+        wrong.extend(wrong_values(range(start, MAX_SERIES_ORDER + 1, 3)))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            empty_prefixes(monkeypatch)
+            threads = [threading.Thread(target=ask, args=(i % 3,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert wrong == []
+
+
+def test_the_shared_prefixes_are_replaced_not_changed(monkeypatch):
+    empty_prefixes(monkeypatch)
+    series_coefficient(3, 10)
+    check_binomial_identity(3, 10)
+    weights, halves = series._WEIGHTS, series._TWICE_HALF
+    before = (list(weights), list(halves))
+    series_coefficient(3, 40)
+    check_binomial_identity(3, 40)
+    assert series._WEIGHTS is not weights and series._TWICE_HALF is not halves
+    assert (weights, halves) == before
+    assert series._TWICE_HALF[:11] == twice_half_ratio(central_binomials(10))
 
 
 @pytest.mark.parametrize("part,low", [(1, 0), (2, 2), (3, 2)])

@@ -10,9 +10,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weylgrp_oracle
-from weylgrp_oracle import _identity_matrix, _matmul, highest_root, reflection_matrix
+from weylgrp_oracle import _identity_matrix, _matmul, highest_root, one_minus_charpoly, reflection_matrix
 from coset_oracle import left_cosets, perm_character
 from det_oracle import delta_value, det, det_int, det_one_minus, one_minus
 from rootvol import weylgrp
@@ -23,6 +25,7 @@ from rootvol.invariants import degrees_of, degrees_of_type, weyl_order
 from rootvol.rootsys import Roots, system_of_type
 from rootvol.weylgrp import (
     DEFAULT_CAP,
+    DEFAULT_SOLOMON_POINTS,
     EnumerationCapError,
     charpoly_histogram,
     class_charpolys,
@@ -30,7 +33,7 @@ from rootvol.weylgrp import (
     coset_character,
     enumerate_group,
     group_table_of,
-    one_minus_charpoly,
+    one_minus_charpolys,
     reflection_subgroup,
     verify_companion,
     verify_restricted_expansion,
@@ -400,6 +403,24 @@ def test_reflection_subgroup_rejects_positions_outside_s0(position):
 BATTERY = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2", "F4"]
 
 
+def test_exactly_one_default_solomon_point_is_degenerate():
+    # At q t = 1 each term is (-q)^l det(w), so that point checks only that
+    # det(w) averages to 0; a second such point would check nothing new.
+    assert [q * t == 1 for q, t in DEFAULT_SOLOMON_POINTS] == [True, False, False, False, False]
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_the_degenerate_solomon_point_reads_only_det_w(name):
+    table = group_table_of(name)
+    q, t = DEFAULT_SOLOMON_POINTS[0]
+    n = table.rank
+    for coeffs in class_charpolys(table):
+        value = weylgrp_oracle.polynomial_value
+        assert value(coeffs, q) / value(coeffs, t) == (-q) ** n * (-1) ** n * coeffs[-1]
+    point = verify_solomon(name).points[0]
+    assert (point.q, point.t, point.lhs, point.rhs) == (q, t, 0, 0)
+
+
 @pytest.mark.parametrize("name", BATTERY)
 def test_class_determinants_match_every_element(name):
     # det(1 - w) = sum of the coefficients of det(1 - x w), and
@@ -494,15 +515,81 @@ def test_every_type_within_the_cli_cap_has_keys_that_fit_an_int64(monkeypatch):
 
 @pytest.mark.parametrize("name", ["F4", "B4", "A5", "D4"])
 def test_charpoly_matches_exact_determinants_on_every_element(name):
+    # Every element in one stack, each row checked by elimination.
     points = (Fraction(1), Fraction(-2, 3), Fraction(7, 5))
-    for w in elements_of(group_table_of(name)):
-        coeffs = one_minus_charpoly(w)
+    elements = elements_of(group_table_of(name))
+    polys = one_minus_charpolys(np.array(elements))
+    assert len(polys) == len(elements)
+    for w, coeffs in zip(elements, polys):
         assert len(coeffs) == len(w) + 1
         for x in points:
             assert sum(c * x**k for k, c in enumerate(coeffs)) == det_one_minus(w, x)
 
 
+@pytest.mark.parametrize("name,cap", [(name, DEFAULT_CAP) for name in BATTERY] + [("E6", 60_000)])
+def test_batched_class_charpolys_match_the_per_element_oracle(name, cap):
+    # Every element of the battery; on E6 each class's representative and a
+    # seeded sample of 600 more, since the oracle takes about 0.1 ms each.
+    table = group_table_of(name, cap)
+    classes = conjugacy_classes(table)
+    polys = class_charpolys(table)
+    assert len(polys) == classes.count
+    elements = range(table.order)
+    if table.order > 2_000:
+        elements = [*classes.representatives, *random.Random(name).sample(elements, 600)]
+    for i in elements:
+        assert polys[classes.class_of[i]] == one_minus_charpoly(table.element(i)), i
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+def test_batched_charpolys_match_the_oracle_on_integer_stacks(stack):
+    assert one_minus_charpolys(np.array(stack)) == tuple(map(one_minus_charpoly, stack))
+
+
+def test_batched_charpolys_refuse_entries_that_could_overflow_int64():
+    # M is 2^31 everywhere: N_2 = M - tr(M) I has entries up to 2^32, and
+    # 3 * 4 * 2^31 * 2^32 passes 2^63 - 1, so step 2 is refused.  The
+    # exact result (1 - 3 * 2^31 x) fits, but M^2 = 3 * 2^62 would not.
+    big = np.full((3, 3), 2**31, dtype=np.int64)
+    stack = np.stack([np.eye(3, dtype=np.int64), big])
+    message = "^Faddeev-LeVerrier step 2: entries up to 2147483648 and 4294967296 could overflow int64 products$"
+    with pytest.raises(ValueError, match=message):
+        one_minus_charpolys(stack)
+    assert one_minus_charpoly(big.tolist()) == (1, -3 * 2**31, 0, 0)
+    # M = a [[1, 1], [1, -1]] with a = 3 * 2^29: every entry of M^2 = 2a^2 I
+    # fits, but its trace 4a^2 does not, so a bound of n max|M| max|N_k|
+    # on the product's entries alone would let step 2 wrap.
+    a = 3 * 2**29
+    assert 2 * a * a <= 2**63 - 1 < 4 * a * a
+    with pytest.raises(ValueError, match=f"^Faddeev-LeVerrier step 2: entries up to {a} and {a} could"):
+        one_minus_charpolys(np.array([[[a, a], [a, -a]]]))
+    # Just inside the bound the stack goes through: 3 * 4 * m * m <= 2^63 - 1.
+    m = math.isqrt((2**63 - 1) // 12)
+    assert one_minus_charpolys(np.array([[[m, 0, 0], [0, 0, 0], [0, 0, 0]]])) == ((1, -m, 0, 0),)
+
+
+def test_batched_charpolys_name_the_first_non_integral_step(monkeypatch):
+    # Integer matrices always divide exactly, so the check is reached by
+    # shifting every trace by one: for M = [[0, 1], [1, 0]], step 1 reads
+    # 1 and passes, and step 2 reads tr((M - I) M) + 1 = 3.  The identity
+    # after it fails step 2 as well, with -3; the first failure is named.
+    real = np.trace
+    monkeypatch.setattr(np, "trace", lambda *args, **kwargs: real(*args, **kwargs) + 1)
+    with pytest.raises(ValueError, match="^Faddeev-LeVerrier step 2: trace 3 is not divisible by 2$"):
+        one_minus_charpolys(np.array([[[0, 1], [1, 0]], [[1, 0], [0, 1]]]))
+
+
 def test_charpoly_rejects_a_non_integral_step():
+    # The per-element oracle, on rational matrices.
     # tr(M) = 1/2 is not divisible by 1 in the integers.
     with pytest.raises(ValueError, match="step 1"):
         one_minus_charpoly(((Fraction(1, 2), 0), (0, 0)))

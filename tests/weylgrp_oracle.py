@@ -12,7 +12,9 @@ generator columns and inverses from both.  ``conjugacy_classes`` walks each
 class from its least index, one element at a time, and finds s * w * s by
 multiplying matrices; the library propagates least labels over whole
 arrays of indices, and the tests require the same classes.
-``group_average`` sums ``Fraction`` terms over the characteristic
+``one_minus_charpoly`` runs Faddeev-LeVerrier on one matrix in Python
+lists, where the library runs it on a stack of every class representative
+at once in int64 arrays.  ``group_average`` sums ``Fraction`` terms over the characteristic
 polynomial histogram, one normalized sum per class, where the library sums
 integer numerators and denominators and forms one ``Fraction``.
 """
@@ -185,6 +187,28 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
                     stack.append(k)
         sizes.append(size)
     return ConjugacyClasses(tuple(class_of), tuple(reps), tuple(sizes))
+
+
+def one_minus_charpoly(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Coefficients c_0..c_n of det(1 - x M) = sum c_k x^k for one matrix M,
+    by Faddeev-LeVerrier in exact arithmetic: c_0 = 1, N_1 = I,
+    c_k = -tr(M N_k) / k and N_(k+1) = M N_k + c_k I.  Every division is
+    exact for an integer matrix; one that is not raises ValueError."""
+    n = len(matrix)
+    columns = tuple(zip(*matrix))
+    coeffs = [1]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        # N_k is a polynomial in M, so N_k M = M N_k.
+        power = [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in power]
+        trace = sum(power[i][i] for i in range(n))
+        coeff, remainder = divmod(-trace, k)
+        if remainder:
+            raise ValueError(f"Faddeev-LeVerrier step {k}: trace {trace} is not divisible by {k}")
+        coeffs.append(coeff)
+        for i in range(n):
+            power[i][i] += coeff
+    return tuple(coeffs)
 
 
 def polynomial_value(coeffs: Sequence[int], x: Fraction) -> Fraction:
