@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import itemgetter
 
 from .diagram import (
     CartanMatrix,
@@ -20,11 +20,11 @@ from .diagram import (
     cartan_of_type,
 )
 
-# Closures larger than this are refused before they start: B100 and C100,
-# with 20,000 roots, are the largest that fit.  Each positive root costs a
-# few Python operations per nonzero pairing, and the closed roots are kept
-# as one byte per coordinate: B100 closes in about 0.03 s on a 2-vCPU VM
-# and keeps 3 MB, and A1000 would need half a million positive roots.
+# Closures larger than this are refused before they start, seeded or not:
+# B100 and C100, with 20,000 roots, are the largest that fit.  Each root
+# built costs a few Python operations per nonzero pairing, and each kept
+# root one byte per coordinate: B100 closes in 0.025 s (0.008 s from a held
+# B99) on a 2-vCPU VM and keeps 3 MB; A1000 has half a million positive roots.
 CLOSURE_CEILING = 20_000
 
 # Largest height of a root that the closure builds: a coordinate is at most
@@ -116,8 +116,21 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
     rejected once twice the positive roots found exceed
     ``closure_bound(cartan)``, or once its roots would pass
     ``HEIGHT_CEILING``.  Ranks whose bound exceeds ``CLOSURE_CEILING`` are
-    rejected before the generation starts.
+    rejected before the generation starts.  This closes any matrix from its
+    simple roots; `system_of_type` may seed it with a system it holds.
     """
+    return _close(cartan)
+
+
+def _close(cartan: CartanMatrix, base: RootSystem | None = None) -> RootSystem:
+    """The closure of `generate_roots`, seeded by `base` if given: the system
+    of `cartan` without node 1, which is joined to node 2 alone.  Its roots
+    are those of first coordinate 0 and passed every check on nodes 2..n (on
+    node 1 they pair to <= 0 = p_1), so only the others are built, from a_1
+    up, and the result is certified as a plain one is.  Each new root but a_1
+    is reached from another a level below (those of first coordinate 1 span
+    an irreducible module of lowest weight a_1 for the base's Lie algebra),
+    so a base root beta touching node 2 only sets p_1(beta + a_1) = 1."""
     n = cartan.size
     bound = closure_bound(cartan)
     if bound > CLOSURE_CEILING:
@@ -135,11 +148,20 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
     # A coordinate is at most the height, and no level past HEIGHT_CEILING
     # is built, so no field carries into the next.
     units = [1 << 8 * (n - 1 - k) for k in range(n)]
+    # The base's positive rows, their heights and first coordinates, and all
+    # its rows widened by a leading zero byte, negative half first.
+    m = n - 1
+    old, old_heights, firsts, wide = b"", (), b"", b""
+    if base is not None:
+        old, old_heights, firsts = base.positive.data, base.heights, base.positive.data[::m]
+        unpacked = struct.iter_unpack(f"{m}s", base.roots.data)
+        wide = memoryview(b"\0" + b"\0".join(map(itemgetter(0), unpacked)))
     # A level maps each key to the nonzero pairings and the nonzero string
     # lengths p_k of its root, as dicts from node to value.
-    level = {units[i]: (dict(rows[i]), {}) for i in range(n)}
+    level = {units[i]: (dict(rows[i]), {}) for i in range(n if base is None else 1)}
     levels = []
-    count = n
+    count = len(level) + len(firsts)
+    start = 0
     while level:
         # The roots of this level have height len(levels) + 1, and those it
         # finds one more.
@@ -185,6 +207,13 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
                     else:
                         del sums[j]
                 fresh[up] = (sums, {k: p + 1})
+        # The base roots of this height that touch node 2 come last in it,
+        # and a base root's key is its key in the base.
+        if len(levels) < len(old_heights):
+            end = start + old_heights[len(levels)]
+            for r in range(start + firsts.count(0, start, end), end):
+                fresh[int.from_bytes(old[r * m : r * m + m], "big") + units[0]][1][0] = 1
+            start = end
         levels.append(sorted(level))
         level = fresh
     irreducible = n >= 1 and len(cartan.components()) == 1
@@ -192,17 +221,47 @@ def generate_roots(cartan: CartanMatrix) -> RootSystem:
         raise NotFiniteTypeError("highest root is not unique")
     # The system is of finite type now, so each coordinate is at most 6, the
     # largest mark of a highest root (E8), and every byte reads back signed.
-    heights = tuple(map(len, levels))
-    packed = [key.to_bytes(n, "big") for keys in levels for key in keys]
+    # Each height of either half joins its widened base rows and its new
+    # ones; this height's base rows in `wide` start at `hi` and end at `lo`.
+    heights, pos, neg = [], [], []
+    lo = hi = len(firsts)
+    for h, keys in enumerate(levels):
+        k = old_heights[h] if h < len(old_heights) else 0
+        packed = [key.to_bytes(n, "big") for key in keys]
+        pos += [wide[hi * n : (hi + k) * n], *packed]
+        packed.reverse()
+        neg += [wide[(lo - k) * n : lo * n], b"".join(packed).translate(_NEGATE)]
+        heights.append(k + len(keys))
+        hi, lo = hi + k, lo - k
     del levels
-    positive = Roots(n, b"".join(packed))
-    packed.reverse()
-    roots = Roots(n, b"".join(packed).translate(_NEGATE) + positive.data)
+    positive = Roots(n, b"".join(pos))
+    neg.reverse()
+    roots = Roots(n, b"".join(neg) + positive.data)
     theta = positive[-1] if irreducible else None
-    return RootSystem(cartan=cartan, roots=roots, positive=positive, heights=heights, theta=theta)
+    return RootSystem(cartan=cartan, roots=roots, positive=positive, heights=tuple(heights), theta=theta)
 
 
-@lru_cache(maxsize=None)
+# Every system that `system_of_type` has closed, by rank and label.
+_SYSTEMS: dict[int, dict[TypeLabel, RootSystem]] = {}
+
+
 def system_of_type(label: TypeLabel) -> RootSystem:
-    return generate_roots(cartan_of_type(label))
-
+    """The root system of an irreducible type, closed once per process.  It
+    is seeded (see `_close`) by a held system whose Cartan entries are the
+    type's without node 1, as a sweep up the ranks holds for A_n, B_n, C_n,
+    D_n (n >= 5) and G2, and is otherwise `generate_roots`: no chain of
+    smaller ranks is closed or kept."""
+    held = _SYSTEMS.setdefault(label.rank, {})
+    rs = held.get(label)
+    if rs is None:
+        cartan = cartan_of_type(label)
+        base = None
+        if cartan.edges[0] == (1,):
+            # Row by row, last first where the families differ: no trimmed copy.
+            for smaller in _SYSTEMS.get(label.rank - 1, {}).values():
+                pairs = zip(reversed(smaller.cartan.entries), reversed(cartan.entries))
+                if all(row == wider[1:] for row, wider in pairs):
+                    base = smaller
+                    break
+        rs = held[label] = generate_roots(cartan) if base is None else _close(cartan, base)
+    return rs

@@ -222,6 +222,77 @@ def test_every_type_within_the_closure_ceiling_fits_the_byte_keys():
     assert max(max(theta) for theta in thetas.values()) == 6
 
 
+@pytest.fixture
+def empty_memo():
+    rootsys._SYSTEMS.clear()
+
+
+def _plain_generations(monkeypatch):
+    """The Cartan matrices that `system_of_type` hands to `generate_roots`
+    from now on."""
+    calls = []
+    plain = rootsys.generate_roots
+
+    def spy(cartan):
+        calls.append(cartan)
+        return plain(cartan)
+
+    monkeypatch.setattr(rootsys, "generate_roots", spy)
+    return calls
+
+
+def test_seeded_closures_match_the_plain_route(empty_memo):
+    # A sweep in ascending rank seeds each classical closure from the one a
+    # rank below (B2 and C2 from A1), and so are the large-rank probes; G2
+    # is seeded from A1, and F4, E6, E7 and E8 have no base.
+    names = [f"{family}{rank}" for family, low in (("A", 1), ("B", 2), ("C", 2)) for rank in range(low, 31)]
+    names += [f"D{rank}" for rank in range(4, 31)]
+    names += ["A48", "A49", "B34", "B35", "C34", "C35", "D39", "D40", "G2", "F4", "E6", "E7", "E8"]
+    for name in names:
+        label = parse_label(name)
+        got, want = system_of_type(label), generate_roots(cartan_of_type(label))
+        assert (got.roots, got.positive, got.heights, got.theta) == (
+            want.roots,
+            want.positive,
+            want.heights,
+            want.theta,
+        ), name
+
+
+def test_seeded_closure_builds_no_plain_closure(empty_memo, monkeypatch):
+    b11, b12 = parse_label("B11"), parse_label("B12")
+    system_of_type(b11)
+    calls = _plain_generations(monkeypatch)
+    system_of_type(b12)
+    assert cartan_of_type(b12) not in calls
+
+
+def test_closure_of_a_large_rank_keeps_no_chain_below_it(empty_memo, monkeypatch):
+    calls = _plain_generations(monkeypatch)
+    assert len(system_of_type(parse_label("A49")).roots) == 2450
+    assert [list(held) for held in rootsys._SYSTEMS.values() if held] == [[parse_label("A49")]]
+    assert calls == [cartan_of_type(parse_label("A49"))]
+
+
+def test_seeded_closure_refuses_as_the_plain_route(empty_memo, monkeypatch):
+    # With B100 and B11 held, B101 and B12 take the seeded route; B11's
+    # highest root has height 21, and B12's 23.
+    b100, b101, b11, b12 = map(parse_label, ("B100", "B101", "B11", "B12"))
+    system_of_type(b100)
+    system_of_type(b11)
+    with pytest.raises(ClosureCeilingError) as ceiling:
+        generate_roots(cartan_of_type(b101))
+    monkeypatch.setattr(rootsys, "HEIGHT_CEILING", 22)
+    with pytest.raises(NotFiniteTypeError, match="^roots would pass height 22, beyond") as height:
+        generate_roots(cartan_of_type(b12))
+    calls = _plain_generations(monkeypatch)
+    for label, want in ((b101, ceiling), (b12, height)):
+        with pytest.raises(want.type) as got:
+            system_of_type(label)
+        assert str(got.value) == str(want.value)
+    assert calls == []
+
+
 def test_closure_refuses_roots_past_the_height_ceiling(monkeypatch):
     # E8's highest root has height 29: its closure expands the level at
     # height 29 only if roots of height 30 would still fit.
