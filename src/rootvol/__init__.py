@@ -21,6 +21,7 @@ _EXPORTS = {
     "cartan_of_type": "diagram",
     "classify": "diagram",
     "classify_deletion": "diagram",
+    "classify_deletions": "diagram",
     "extend": "diagram",
     "parse_decomposition": "diagram",
     "parse_label": "diagram",

@@ -9,7 +9,6 @@ or a bare integer.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,14 +101,59 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
+def _json(value: Any) -> str:
+    """`json.dumps(value, indent=2)`, byte for byte.  With an indent CPython
+    encodes in pure Python, so dicts, lists and tuples are written here;
+    strings go through json's C quoting, and numbers, bools and None are
+    written as json writes them.  `json` is imported only when a report is
+    written as JSON."""
+    from json.encoder import INFINITY, encode_basestring_ascii as quote
+
+    def scalar(value: Any) -> str:
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            if value != value:
+                return "NaN"
+            if value == INFINITY:
+                return "Infinity"
+            if value == -INFINITY:
+                return "-Infinity"
+            return float.__repr__(value)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    def write(value: Any, pad: str) -> str:
+        if isinstance(value, str):
+            return quote(value)
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = pad + "  "
+            items = [
+                f"{quote(key if isinstance(key, str) else scalar(key))}: {write(item, inner)}"
+                for key, item in value.items()
+            ]
+            return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            inner = pad + "  "
+            return f"[{inner}{(',' + inner).join([write(item, inner) for item in value])}{pad}]"
+        return scalar(value)
+
+    return write(value, "\n")
+
+
 def _render(command: str, outcome: Outcome, fmt: str) -> str:
     reports = outcome.reports
     if fmt == "json":
-        # json.dumps(..., indent=2) of the whole object, one report at a time.
-        blocks = (json.dumps(outcome.entry(r), indent=2) for r in reports)
-        entries = ",\n".join("    " + block.replace("\n", "\n    ") for block in blocks)
-        shell = json.dumps({"command": command, outcome.key: [], "pass": outcome.ok}, indent=2)
-        return shell.replace("[]", f"[\n{entries}\n  ]", 1) if reports else shell
+        return _json({"command": command, outcome.key: [outcome.entry(r) for r in reports], "pass": outcome.ok})
     if fmt == "tsv":
         rows = [outcome.tsv_header, *(row for r in reports for row in outcome.tsv_rows(r))]
         return "\n".join("\t".join(map(_cell, row)) for row in rows)

@@ -37,6 +37,7 @@ __all__ = [
     "cartan_of_type",
     "classify",
     "classify_deletion",
+    "classify_deletions",
     "extend",
     "parse_decomposition",
     "parse_label",
@@ -97,7 +98,7 @@ class DecompositionLabel:
         return sum(f.rank for f in self.factors)
 
     def __str__(self) -> str:
-        return "x".join(str(f) for f in self.factors) if self.factors else "-"
+        return "x".join([f"{f.family}{f.rank}" for f in self.factors]) if self.factors else "-"
 
 
 _LABEL_RE = re.compile(r"([A-G])([0-9]+)")
@@ -489,3 +490,95 @@ def classify_deletion(diagram: MarkedDiagram, node: int) -> DecompositionLabel:
     for u in edges[node]:
         edges[u] = tuple(v for v in edges[u] if v != node)
     return _classify(cartan.entries, edges, node)
+
+
+def classify_deletions(diagram: MarkedDiagram) -> tuple[DecompositionLabel, ...]:
+    """`classify_deletion` of every node, in node order, from one walk.
+
+    If the diagram is a tree, one preorder from node 0 gives each node's
+    parent, preorder index and subtree size.  Deleting v leaves v's child
+    subtrees, each a run of the preorder, and the rest of the tree outside
+    v's own run, so no component is walked.  The nodes of degree 3 or more
+    and the directed multiple bonds are listed once, and each is placed in
+    its component by its preorder index.  If the diagram is one cycle of
+    simple bonds, it is affine A_{n-1} on n nodes and each deletion leaves
+    A_{n-1}.  Any other diagram, and any deletion
+    that leaves a component `_tree_label` cannot name, goes to
+    `classify_deletion`, which names the failing component."""
+    cartan = diagram.cartan
+    entries, edges = cartan.entries, cartan.edges
+    n = cartan.size
+    degree = list(map(len, edges))
+    bonds = [(x, u) for x, row in enumerate(entries) for u in edges[x] if row[u] != -1]
+    parent = [-1] * n
+    seen = bytearray(n)
+    seen[0] = 1
+    # Depth first from node 0; on a tree each subtree is a run of `order`.
+    order = []
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for u in edges[x]:
+            if not seen[u]:
+                seen[u] = 1
+                parent[u] = x
+                stack.append(u)
+    if len(order) == n and not bonds and degree.count(2) == n:
+        return (DecompositionLabel((_type_label("A", n - 1),)),) * n
+    if len(order) < n or sum(degree) != 2 * n - 2:
+        return tuple(classify_deletion(diagram, v) for v in range(n))
+    pre = [0] * n
+    for i, x in enumerate(order):
+        pre[x] = i
+    size = [1] * n
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+    # Nodes of degree 3 or more, as (x, None), and directed multiple bonds.
+    specials = [(x, None) for x in range(n) if degree[x] > 2] + bonds
+    # The edge lists with node v deleted: only v's neighbours change.
+    short = list(edges)
+    labels = []
+    for v in range(n):
+        up = parent[v]
+        kids = [u for u in edges[v] if u != up]
+        # The components: v's child subtrees, then the rest of the tree.
+        sizes = [size[c] for c in kids]
+        if up >= 0:
+            sizes.append(n - size[v])
+        branch: list[int | None] = [None] * len(sizes)
+        bond: list[tuple[int, int] | None] = [None] * len(sizes)
+        start, stop = pre[v], pre[v] + size[v]
+        finite = True
+        for x, u in specials:
+            if v == x or v == u:
+                continue
+            p = pre[x]
+            k = len(kids)
+            if start < p < stop:
+                k = 0
+                while not 0 <= p - pre[kids[k]] < size[kids[k]]:
+                    k += 1
+            if u is None:
+                # In a tree, x and v are adjacent iff one is the other's parent.
+                d = degree[x] - (x == up or parent[x] == v)
+                if d > 2:
+                    finite = finite and d == 3 and branch[k] is None
+                    branch[k] = x
+            else:
+                finite = finite and bond[k] is None
+                bond[k] = (x, u)
+        factors = []
+        if finite:
+            for u in edges[v]:
+                short[u] = tuple(w for w in edges[u] if w != v)
+            for s, b, bd in zip(sizes, branch, bond):
+                label = _type_label("A", s) if b is None and bd is None else _tree_label(entries, short, s, b, bd)
+                if label is None:
+                    finite = False
+                    break
+                factors.append(label)
+            for u in edges[v]:
+                short[u] = edges[u]
+        labels.append(DecompositionLabel(tuple(factors)) if finite else classify_deletion(diagram, v))
+    return tuple(labels)

@@ -16,7 +16,7 @@ from .diagram import (
     DecompositionLabel,
     MarkedDiagram,
     TypeLabel,
-    classify_deletion,
+    classify_deletions,
     extend,
     parse_label,
 )
@@ -69,18 +69,25 @@ def _degree_products(label: TypeLabel) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def node_terms(label: TypeLabel) -> tuple[NodeTerm, ...]:
     """One term per node of the extended diagram, with |W|-scaled values,
-    each one Fraction of the factors' integer degree products."""
-    marked = extended_diagram(label)
+    each one Fraction of the factors' integer degree products.  Nodes with
+    equal decompositions share one label and one pair of values."""
     order = weyl_order(degrees_of_type(label))
+    shared: dict[DecompositionLabel, tuple[DecompositionLabel, Fraction, Fraction]] = {}
     terms = []
-    for i in range(marked.rank + 1):
-        decomposition = classify_deletion(marked, i)
-        top = bottom = 1
-        for factor in decomposition.factors:
-            upper, lower = _degree_products(factor)
-            top *= upper
-            bottom *= lower
-        terms.append(NodeTerm(i, decomposition, Fraction(top, bottom), Fraction(order * top, bottom)))
+    for i, decomposition in enumerate(classify_deletions(extended_diagram(label))):
+        values = shared.get(decomposition)
+        if values is None:
+            top = bottom = 1
+            for factor in decomposition.factors:
+                upper, lower = _degree_products(factor)
+                top *= upper
+                bottom *= lower
+            values = shared[decomposition] = (
+                decomposition,
+                Fraction(top, bottom),
+                Fraction(order * top, bottom),
+            )
+        terms.append(NodeTerm(i, *values))
     return tuple(terms)
 
 

@@ -19,7 +19,9 @@ from the shape of the component alone.
 leading minors of its pairing matrix, where the library matches diagrams.
 
 ``delete_node`` builds the Cartan matrix of an extended diagram without
-one node, the dense reference of the library's ``classify_deletion``.
+one node, the dense reference of the library's ``classify_deletion``,
+which reads the edge lists node by node, and of ``classify_deletions``,
+which reads every deletion off one preorder of the diagram.
 
 ``subsystem`` finds the roots of a node-deletion subsystem two ways: by
 filtering the ambient roots that are integral over the deleted basis, and

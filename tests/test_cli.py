@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from rootvol.cli import Outcome, _render, main
+from rootvol.cli import Outcome, _json, _render, main
 
 
 def run(capsys, *argv):
@@ -186,3 +187,49 @@ def test_json_rendered_per_report_is_the_text_of_one_dump(reports):
     outcome = Outcome(reports, text=str, tsv_header=(), tsv_rows=list, entry=dict, passed=bool)
     want = json.dumps({"command": "nu", "reports": reports, "pass": outcome.ok}, indent=2)
     assert _render("nu", outcome, "json") == want
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [[], {}, ()]},
+        [[[1, [2, {"deep": [3]}]]]],
+        (1, ("two", (3.5,)), {"t": (None,)}),
+        "plain",
+        "non-ASCII: é ß ∑ 𝔼 — and quoting: \" \\ /",
+        "controls: \x00 \x01 \x1f \x7f \b \f \n \r \t",
+        {"ключ": "значение", "\u2028": "\ud800"},
+        2**200,
+        -(2**64),
+        0,
+        -0.0,
+        0.1,
+        1e300,
+        -1.5e-300,
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        np.float64(1 / 3),
+        np.float64("nan"),
+        [np.float64(-0.0), np.float64("inf")],
+        True,
+        False,
+        None,
+        [True, False, None, 1, 1.0],
+        {1: "int key", 2.5: "float key", True: "bool key", None: "none key", "s": 0},
+        {"command": "identity", "reports": [{"type": "G2", "terms": [{"node": 0, "nu": "5/12"}]}], "pass": True},
+    ],
+)
+def test_json_writer_matches_json_dumps_byte_for_byte(value):
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, [b"bytes"], {"x": object()}, np.int64(3)])
+def test_json_writer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        _json(value)

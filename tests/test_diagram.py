@@ -19,6 +19,7 @@ from rootvol.diagram import (
     cartan_of_type,
     classify,
     classify_deletion,
+    classify_deletions,
     extend,
     parse_decomposition,
     parse_label,
@@ -244,6 +245,10 @@ def cartan_like(draw):
     return CartanMatrix(tuple(tuple(a[order[i]][order[j]] for j in range(n)) for i in range(n)))
 
 
+def _each_deletion(marked):
+    return tuple(classify_deletion(marked, node) for node in range(marked.rank + 1))
+
+
 def _outcome(classifier, *args):
     """The classification, or the message of the NotFiniteTypeError."""
     try:
@@ -261,6 +266,9 @@ def test_classify_matches_the_reference_classifier(cartan):
     for node in range(cartan.size):
         want = _outcome(rootsys_oracle.classify_by_reference, delete_node(marked, node))
         assert _outcome(classify_deletion, marked, node) == want
+    # Every deletion at once: the same labels, or the message of the first
+    # node whose deletion fails.
+    assert _outcome(classify_deletions, marked) == _outcome(_each_deletion, marked)
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,6 +294,7 @@ def test_classify_of_shuffled_node_deletions_matches_dense_comparison(name, rng)
     want_deletions = [rootsys_oracle.classify_by_reference(delete_node(relabeled, node)) for node in nodes]
     assert got == want
     assert got_deletions == want_deletions
+    assert classify_deletions(relabeled) == tuple(got_deletions)
     assert sorted(map(str, got_deletions)) == sorted(map(str, got))
 
 
@@ -369,6 +378,21 @@ def test_classify_deletion_matches_the_dense_deletion():
             assert classify_deletion(marked, node) == classify(delete_node(marked, node)), (name, node)
 
 
+SWEEP_LABELS = (
+    [f"A{n}" for n in range(1, 101)]
+    + [f"B{n}" for n in range(2, 101)]
+    + [f"C{n}" for n in range(2, 101)]
+    + [f"D{n}" for n in range(4, 101)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def test_classify_deletions_matches_each_deletion():
+    for name in SWEEP_LABELS:
+        marked = extended_diagram(parse_label(name))
+        assert classify_deletions(marked) == _each_deletion(marked), name
+
+
 # Nodes 2, 3 and 4 form a triangle, the affine diagram of A2; node 1 joins
 # node 0 to it.
 _TRIANGLE_WITH_A_TAIL = MarkedDiagram(
@@ -400,6 +424,58 @@ def test_deletion_that_leaves_an_affine_component(node, message):
     with pytest.raises(NotFiniteTypeError) as edges:
         classify_deletion(_TRIANGLE_WITH_A_TAIL, node)
     assert str(edges.value) == str(dense.value) == message
+
+
+# A tree: node 1 joined to nodes 2 to 5, and node 0 to node 2.  Without
+# node 0 it is the star of affine D4.
+_STAR_WITH_A_TAIL = MarkedDiagram(
+    CartanMatrix(
+        (
+            (2, 0, -1, 0, 0, 0),
+            (0, 2, -1, -1, -1, -1),
+            (-1, -1, 2, 0, 0, 0),
+            (0, -1, 0, 2, 0, 0),
+            (0, -1, 0, 0, 2, 0),
+            (0, -1, 0, 0, 0, 2),
+        )
+    ),
+    (-1, -1, -1, -1, -1),
+)
+
+
+# A tree: nodes 2 and 4 joined, node 2 to nodes 1 and 3, node 4 to nodes 5
+# and 6, and node 0 to node 1.  Without node 0 it is affine D5, with two
+# branch nodes.
+_TWO_BRANCHES_WITH_A_TAIL = MarkedDiagram(
+    CartanMatrix(
+        (
+            (2, -1, 0, 0, 0, 0, 0),
+            (-1, 2, -1, 0, 0, 0, 0),
+            (0, -1, 2, -1, -1, 0, 0),
+            (0, 0, -1, 2, 0, 0, 0),
+            (0, 0, -1, 0, 2, -1, -1),
+            (0, 0, 0, 0, -1, 2, 0),
+            (0, 0, 0, 0, -1, 0, 2),
+        )
+    ),
+    (-1,) * 6,
+)
+
+
+@pytest.mark.parametrize(
+    "diagram,message",
+    [
+        (_TRIANGLE_WITH_A_TAIL, "component (0, 1, 2, 3) matches no finite-type diagram"),
+        (_STAR_WITH_A_TAIL, "component (0, 1, 2, 3, 4) matches no finite-type diagram"),
+        (_TWO_BRANCHES_WITH_A_TAIL, "component (0, 1, 2, 3, 4, 5) matches no finite-type diagram"),
+    ],
+)
+def test_all_deletions_fail_with_the_message_of_node_0(diagram, message):
+    with pytest.raises(NotFiniteTypeError) as per_node:
+        classify_deletion(diagram, 0)
+    with pytest.raises(NotFiniteTypeError) as all_at_once:
+        classify_deletions(diagram)
+    assert str(all_at_once.value) == str(per_node.value) == message
 
 
 def test_deletion_of_a_node_out_of_range():

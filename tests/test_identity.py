@@ -142,6 +142,15 @@ def test_b4_family_structure():
     assert got == Counter({"B4": 2, "A1xA1xB2": 1, "A1xA3": 1, "D4": 1})
 
 
+@pytest.mark.parametrize("name", ["A5", "B4", "C3", "E8"])
+def test_equal_decompositions_share_one_label_and_one_pair_of_values(name):
+    terms = node_terms(parse_label(name))
+    for t in terms:
+        first = next(u for u in terms if u.decomposition == t.decomposition)
+        assert t.decomposition is first.decomposition
+        assert t.nu_value is first.nu_value and t.scaled is first.scaled
+
+
 def test_c3_family_structure():
     got = Counter(str(t.decomposition) for t in node_terms(parse_label("C3")))
     assert got == Counter({"C3": 2, "A1xB2": 2})

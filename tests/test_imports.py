@@ -1,5 +1,5 @@
-"""The package resolves its public names on first use, and the commands
-that need no numpy never import it."""
+"""The package resolves its public names on first use, the commands that
+need no numpy never import it, and the CLI imports json only to write JSON."""
 
 from __future__ import annotations
 
@@ -46,6 +46,21 @@ for argv in (["nu", "--type", "A1"], ["series", "--order", "30"], ["identity", "
 """
 
 
+# json is imported by the JSON branch of the renderer alone.
+_JSON_ON_DEMAND = """
+import contextlib, io, sys
+import rootvol.cli
+assert "json" not in sys.modules, "import rootvol.cli"
+for argv in (["identity", "--type", "E8"], ["identity", "--type", "E8", "--format", "tsv"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert rootvol.cli.main(argv) == 0, argv
+    assert "json" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert rootvol.cli.main(["nu", "--type", "A1", "--format", "json"]) == 0
+assert "json" in sys.modules
+"""
+
+
 _ROOTS_WITHOUT_NUMPY = """
 import sys
 from rootvol.diagram import parse_label
@@ -70,6 +85,11 @@ def _run(script: str) -> subprocess.CompletedProcess:
 
 def test_nu_series_and_identity_never_import_numpy():
     done = _run(_NO_NUMPY)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_imports_json_only_to_write_json():
+    done = _run(_JSON_ON_DEMAND)
     assert done.returncode == 0, done.stderr
 
 
