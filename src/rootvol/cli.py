@@ -316,7 +316,7 @@ def _cmd_solomon(args: argparse.Namespace) -> Outcome:
     from . import weylgrp
 
     labels = _single_labels(_parse_selector(args.type))
-    points = _parse_points(args.points) if args.points else None
+    points = _parse_points(args.points) if args.points is not None else None
     return Outcome(
         [weylgrp.verify_solomon(label, points, args.cap) for label in labels],
         text=_solomon_text,
@@ -361,7 +361,7 @@ def _cmd_expansion(args: argparse.Namespace) -> Outcome:
     from . import weylgrp
 
     labels = _single_labels(_parse_selector(args.type))
-    t_samples = [_fraction(t) for t in args.points.split(",")] if args.points else None
+    t_samples = [_fraction(t) for t in args.points.split(",")] if args.points is not None else None
     return Outcome(
         [weylgrp.verify_restricted_expansion(label, t_samples, args.cap) for label in labels],
         text=_expansion_text,

@@ -3,11 +3,13 @@
 Elements act on simple-root coordinate rows, v -> v @ matrix, so the matrix
 rows are the images of the simple basis vectors, and a table stores each
 element as the ids of the roots w(alpha_1)..w(alpha_l), with one index
-column per generator for w * s and one for w^-1.  Every identity reads
-det(1 - x w) as an integer polynomial, one per conjugacy class, found by
-Faddeev-LeVerrier on one stack of every class representative: Solomon and
-the expansion evaluate it exactly at rational points, and Steinberg and the
-companion read det(1 - w) and det(w) from its coefficients.
+column per generator for w * s and one for w^-1.  One class record per
+table holds the conjugacy classes and det(1 - x w) on each as an integer
+polynomial, found by Faddeev-LeVerrier on one stack of every class
+representative.  Every identity reads that record: Solomon and the
+expansion evaluate the polynomials exactly at rational points, and
+Steinberg and the companion read det(1 - w) and det(w) from their
+coefficients.
 
 Subgroups are named by positions in the generator list S_0: position 0 is
 the reflection in the highest root, positions 1..l are the simple
@@ -73,7 +75,8 @@ class GroupTable:
     the rows of the matrix of w_i, as positions in the closure's packed
     `roots`; `element(i)` builds that matrix.  For the generator s at S_0
     position p, `right[p][i]` is the index of w_i * s, so s itself is
-    `right[p][0]`; `inverse[i]` is the index of w_i^-1.
+    `right[p][0]`; `inverse[i]` is the index of w_i^-1.  `_classes` keeps
+    the class record once `conjugacy_classes` has built it.
     """
 
     decomposition: DecompositionLabel
@@ -82,8 +85,6 @@ class GroupTable:
     right: tuple[array, ...] = field(repr=False)
     inverse: array = field(repr=False)
     _classes: ConjugacyClasses | None = field(default=None, init=False, repr=False)
-    _charpolys: tuple[tuple[int, ...], ...] | None = field(default=None, init=False, repr=False)
-    _histogram: dict[tuple[int, ...], int] | None = field(default=None, init=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -251,9 +252,13 @@ def group_table_of(label: TypeLabel | str, cap: int = DEFAULT_CAP) -> GroupTable
 
 @dataclass(frozen=True)
 class ConjugacyClasses:
+    """The class id of every element; per class its least index, its size
+    and the coefficients c_0..c_l of det(1 - x w) = sum c_k x^k."""
+
     class_of: tuple[int, ...]
     representatives: tuple[int, ...]
     sizes: tuple[int, ...]
+    charpolys: tuple[tuple[int, ...], ...]
 
     @property
     def count(self) -> int:
@@ -262,7 +267,8 @@ class ConjugacyClasses:
 
 def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     """Orbits under conjugation by the simple reflections (involutions, so
-    conjugation is s * w * s).  Computed once per table and kept on it.
+    conjugation is s * w * s), with det(1 - x w) on each.  Computed once
+    per table and kept on it.
 
     With flip = inverse[right_p], which takes w to s * w^-1, s * w * s is
     flip[flip[w]]: one map per simple reflection, from two columns.
@@ -270,7 +276,9 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     Each element's label starts as its own index and takes the least label
     among its conjugates, then the label of its label (pointer jumping),
     until nothing changes; every label is then the least index in its
-    class.  Classes are numbered in the order of those least indices.
+    class.  Classes are numbered in the order of those least indices.  The
+    representatives' rows of root ids, looked up in the packed roots as
+    int8, form one stack for `one_minus_charpolys`.
     """
     if table._classes is not None:
         return table._classes
@@ -286,8 +294,12 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
         if np.array_equal(label, previous):
             break
     representatives, class_of, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    packed = np.frombuffer(table.roots.data, dtype=np.int8).reshape(-1, table.rank)
     table._classes = ConjugacyClasses(
-        tuple(class_of.tolist()), tuple(representatives.tolist()), tuple(sizes.tolist())
+        tuple(class_of.tolist()),
+        tuple(representatives.tolist()),
+        tuple(sizes.tolist()),
+        one_minus_charpolys(packed[table.root_ids[representatives]]),
     )
     return table._classes
 
@@ -329,29 +341,6 @@ def one_minus_charpolys(stack: np.ndarray) -> tuple[tuple[int, ...], ...]:
         coeffs[k] = coeff
         power[:, diagonal, diagonal] += coeff[:, None]
     return tuple(map(tuple, coeffs.T.tolist()))
-
-
-def class_charpolys(table: GroupTable) -> tuple[tuple[int, ...], ...]:
-    """Coefficients of det(1 - x w) per conjugacy class, indexed by class
-    id, from one representative each: the representatives' rows of root
-    ids, looked up in the packed roots as int8, form one stack of matrices.
-    Computed once per table and kept on it."""
-    if table._charpolys is None:
-        representatives = list(conjugacy_classes(table).representatives)
-        packed = np.frombuffer(table.roots.data, dtype=np.int8).reshape(-1, table.rank)
-        table._charpolys = one_minus_charpolys(packed[table.root_ids[representatives]])
-    return table._charpolys
-
-
-def charpoly_histogram(table: GroupTable) -> dict[tuple[int, ...], int]:
-    """Maps the coefficients of det(1 - x w) to the number of elements w
-    that have them.  Computed once per table and kept on it."""
-    if table._histogram is None:
-        counts: Counter[tuple[int, ...]] = Counter()
-        for coeffs, size in zip(class_charpolys(table), conjugacy_classes(table).sizes):
-            counts[coeffs] += size
-        table._histogram = dict(counts)
-    return table._histogram
 
 
 def _homogeneous(coeffs: Sequence[int], a: int, b: int) -> int:
@@ -432,15 +421,39 @@ class SolomonReport:
         }
 
 
-def _group_average(table: GroupTable, term: Callable[[tuple[int, ...]], tuple[int, int]]) -> Fraction:
-    """Average over the group of n/d, where term(p) = (n, d) is a pair of
-    integers and p is the coefficient tuple of det(1 - x w); one Fraction
-    is formed."""
-    pairs = []
-    for coeffs, count in charpoly_histogram(table).items():
-        n, d = term(coeffs)
-        pairs.append((count * n, d))
-    return fraction_sum(pairs, table.order)
+def _group_averages(
+    label: TypeLabel | str,
+    cap: int,
+    points: Sequence[tuple[Fraction, Fraction]],
+    numerator: Callable[[tuple[int, ...], Fraction], tuple[int, int]],
+) -> tuple[TypeLabel, int, list[Fraction]]:
+    """The parsed label, |W| and, at each point (q, t), the average over the
+    group of N / det(1 - t w), where numerator(p, q) = (n, d) gives N = n/d
+    from the coefficients p of det(1 - x w).  A point with |t| = 1 is
+    refused before the group is enumerated.  With t = a/b and rank l,
+    1 / det(1 - t w) is b^l / H(a, b), where H(a, b) = b^l det(1 - (a/b) w)
+    is an integer.  Classes with equal polynomials are merged once, and one
+    Fraction is formed per point."""
+    if isinstance(label, str):
+        label = parse_label(label)
+    for _, t in points:
+        if abs(t) == 1:
+            raise ValueError(f"sample point with |t| = 1 is not allowed: t = {t}")
+    classes = conjugacy_classes(group_table_of(label, cap))
+    counts: Counter[tuple[int, ...]] = Counter()
+    for coeffs, size in zip(classes.charpolys, classes.sizes):
+        counts[coeffs] += size
+    order, rank = sum(classes.sizes), len(classes.charpolys[0]) - 1
+    averages = []
+    for q, t in points:
+        a, b = t.as_integer_ratio()
+        scale = b**rank
+        pairs = []
+        for coeffs, count in counts.items():
+            n, d = numerator(coeffs, q)
+            pairs.append((count * n * scale, d * _homogeneous(coeffs, a, b)))
+        averages.append(fraction_sum(pairs, order))
+    return label, order, averages
 
 
 def verify_solomon(
@@ -450,34 +463,19 @@ def verify_solomon(
 ) -> SolomonReport:
     """Group average of det(1-qw)/det(1-tw) against the degree product
     prod (1 - q t^(d-1)) / (1 - t^d), exactly at each sample point, plus the
-    (q,t) = (1,0) specialization whose value must be exactly 1.  The group
-    average evaluates the histogram of det(1 - x w) at q and t: with
-    q = r/s, t = a/b and rank l, det(1 - qw) / det(1 - tw) is
-    H(r, s) b^l / (H(a, b) s^l), where H(a, b) = b^l det(1 - (a/b) w) is an
-    integer."""
-    if isinstance(label, str):
-        label = parse_label(label)
+    (q,t) = (1,0) specialization whose value must be exactly 1.  With
+    q = r/s and rank l, det(1 - qw) is H(r, s) / s^l."""
     if sample_points is None:
         sample_points = DEFAULT_SOLOMON_POINTS
-    points = [(Fraction(q), Fraction(t)) for q, t in sample_points]
-    for _, t in points:
-        if abs(t) == 1:
-            raise ValueError(f"sample point with |t| = 1 is not allowed: t = {t}")
-    table = group_table_of(label, cap)
+    points = [(Fraction(q), Fraction(t)) for q, t in sample_points] + [(Fraction(1), Fraction(0))]
+
+    def det_one_minus_q(p: tuple[int, ...], q: Fraction) -> tuple[int, int]:
+        return _homogeneous(p, q.numerator, q.denominator), q.denominator ** (len(p) - 1)
+
+    label, order, averages = _group_averages(label, cap, points, det_one_minus_q)
     degrees = degrees_of_type(label)
-
-    def check_at(q: Fraction, t: Fraction) -> PointCheck:
-        r, s = q.as_integer_ratio()
-        a, b = t.as_integer_ratio()
-        scale_q, scale_t = b**table.rank, s**table.rank
-        lhs = _group_average(
-            table, lambda p: (_homogeneous(p, r, s) * scale_q, _homogeneous(p, a, b) * scale_t)
-        )
-        return PointCheck(q, t, lhs, degree_product(degrees, q, t))
-
-    checks = tuple(check_at(q, t) for q, t in points)
-    specialization = check_at(Fraction(1), Fraction(0))
-    return SolomonReport(label, table.order, checks, specialization)
+    checks = [PointCheck(q, t, lhs, degree_product(degrees, q, t)) for (q, t), lhs in zip(points, averages)]
+    return SolomonReport(label, order, tuple(checks[:-1]), checks[-1])
 
 
 @dataclass(frozen=True)
@@ -569,7 +567,7 @@ def _subset_identity(
         term = sign(rank, len(subset))
         for cid, value in enumerate(coset_character(table, subset)):
             totals[cid] += term * value
-    lhs = [side(coeffs) for coeffs in class_charpolys(table)]
+    lhs = [side(coeffs) for coeffs in classes.charpolys]
     failures: tuple[ElementFailure, ...] = ()
     if lhs != totals:
         failures = tuple(
@@ -632,10 +630,6 @@ class ExpansionReport:
         }
 
 
-def _node_degree_lists(label: TypeLabel) -> list[tuple[int, ...]]:
-    return [degrees_of(term.decomposition) for term in node_terms(label)]
-
-
 def verify_restricted_expansion(
     label: TypeLabel | str,
     t_samples: Sequence[Fraction | int] | None = None,
@@ -643,36 +637,19 @@ def verify_restricted_expansion(
 ) -> ExpansionReport:
     """Group average of det(1-w)^2 / det(1-tw) against the sum over extended
     diagram nodes of the degree products of the deleted-node subsystems.
-    With t = a/b and rank l, det(1 - w)^2 / det(1 - tw) is
-    (sum p)^2 b^l / H(a, b), where p holds the coefficients of
-    det(1 - x w) and H(a, b) = b^l det(1 - (a/b) w) is an integer."""
-    if isinstance(label, str):
-        label = parse_label(label)
+    det(1 - w) is the sum of the coefficients of det(1 - x w)."""
     if t_samples is None:
         t_samples = DEFAULT_EXPANSION_SAMPLES
-    samples = [Fraction(t) for t in t_samples]
-    for t in samples:
-        if abs(t) == 1:
-            raise ValueError(f"sample with |t| = 1 is not allowed: t = {t}")
-    table = group_table_of(label, cap)
-    degree_lists = _node_degree_lists(label)
-    nu_values = [term.nu_value for term in node_terms(label)]
-
-    def check_at(t: Fraction) -> tuple[PointCheck, list[Fraction]]:
-        a, b = t.as_integer_ratio()
-        scale = b**table.rank
-        lhs = _group_average(table, lambda p: (sum(p) ** 2 * scale, _homogeneous(p, a, b)))
-        terms = [degree_product(degrees, 1, t) for degrees in degree_lists]
-        return PointCheck(Fraction(1), t, lhs, sum(terms, Fraction(0))), terms
-
-    sample_checks = tuple(check_at(t)[0] for t in samples)
-    probe_checks: list[PointCheck] = []
-    probe_gaps: list[tuple[Fraction, ...]] = []
-    for k in EXPANSION_PROBE_STEPS:
-        t = Fraction(k - 1, k)
-        check, terms = check_at(t)
-        probe_checks.append(check)
-        probe_gaps.append(tuple(abs(term - v) for term, v in zip(terms, nu_values)))
+    ts = [Fraction(t) for t in t_samples] + [Fraction(k - 1, k) for k in EXPANSION_PROBE_STEPS]
+    points = [(Fraction(1), t) for t in ts]
+    label, order, averages = _group_averages(label, cap, points, lambda p, q: (sum(p) ** 2, 1))
+    terms = node_terms(label)
+    checks, values = [], []
+    for t, lhs in zip(ts, averages):
+        values.append([degree_product(degrees_of(term.decomposition), 1, t) for term in terms])
+        checks.append(PointCheck(Fraction(1), t, lhs, sum(values[-1], Fraction(0))))
+    split = len(ts) - len(EXPANSION_PROBE_STEPS)
+    probe_gaps = [tuple(abs(v - term.nu_value) for v, term in zip(row, terms)) for row in values[split:]]
     gaps_decreasing = all(
         later < earlier or later == earlier == 0
         for earlier_row, later_row in zip(probe_gaps, probe_gaps[1:])
@@ -680,9 +657,9 @@ def verify_restricted_expansion(
     )
     return ExpansionReport(
         label,
-        table.order,
-        sample_checks,
-        tuple(probe_checks),
+        order,
+        tuple(checks[:split]),
+        tuple(checks[split:]),
         tuple(probe_gaps),
         gaps_decreasing,
     )

@@ -144,6 +144,25 @@ def test_cap_outside_its_bounds_is_a_usage_error(monkeypatch, capsys, command, c
     assert f"between 1 and {MAX_CAP}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command,verify,message",
+    [
+        ("solomon", "verify_solomon", "expected q,t pair, got ''"),
+        ("expansion", "verify_restricted_expansion", "not a rational number: ''"),
+    ],
+)
+def test_empty_points_are_a_usage_error(monkeypatch, capsys, command, verify, message):
+    # An empty --points is a value, not a request for the default points.
+    def no_check(*args):
+        raise AssertionError("an identity was checked with an empty --points")
+
+    monkeypatch.setattr(weylgrp, verify, no_check)
+    assert main([command, "--type", "A2", "--points", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cap_at_its_bound_is_accepted(capsys):
     assert main(["steinberg", "--type", "A2", "--cap", str(MAX_CAP)]) == 0
     assert "steinberg A2: 6 elements" in capsys.readouterr().out

@@ -26,9 +26,9 @@ from rootvol.rootsys import Roots, system_of_type
 from rootvol.weylgrp import (
     DEFAULT_CAP,
     DEFAULT_SOLOMON_POINTS,
+    ConjugacyClasses,
     EnumerationCapError,
-    charpoly_histogram,
-    class_charpolys,
+    GroupTable,
     conjugacy_classes,
     coset_character,
     enumerate_group,
@@ -62,7 +62,7 @@ def test_cap_precheck_names_expected_order():
 def test_elements_have_unit_determinant():
     # det(w) is (-1)^n times the top coefficient of det(1 - x w).
     table = group_table_of("B3")
-    assert all(abs(coeffs[-1]) == 1 for coeffs in class_charpolys(table))
+    assert all(abs(coeffs[-1]) == 1 for coeffs in conjugacy_classes(table).charpolys)
 
 
 def test_generators_are_involutions():
@@ -226,7 +226,7 @@ def test_companion_counts_and_values():
     # In A1 the reflection is -1: det(1 - x s) = 1 + x, and det(s) = -1.
     table = group_table_of("A1")
     classes = conjugacy_classes(table)
-    assert class_charpolys(table)[classes.class_of[table.right[1][0]]] == (1, 1)
+    assert classes.charpolys[classes.class_of[table.right[1][0]]] == (1, 1)
 
 
 def test_subset_identities_small_types():
@@ -267,6 +267,22 @@ def test_expansion_small_types():
 def test_expansion_rejects_unit_sample():
     with pytest.raises(ValueError):
         verify_restricted_expansion("A2", [Fraction(-1)])
+
+
+@pytest.mark.parametrize(
+    "verify,points",
+    [
+        (verify_solomon, [(Fraction(1, 2), Fraction(1, 3)), (2, 1)]),
+        (verify_restricted_expansion, [Fraction(1, 2), -1]),
+    ],
+)
+def test_unit_t_is_refused_before_the_group_is_built(monkeypatch, verify, points):
+    def no_table(*args):
+        raise AssertionError("a group table was fetched before the points were checked")
+
+    monkeypatch.setattr(weylgrp, "group_table_of", no_table)
+    with pytest.raises(ValueError, match=r"^sample point with \|t\| = 1 is not allowed: t = -?1$"):
+        verify("E8", points)
 
 
 def _random_fraction(rng: random.Random) -> Fraction:
@@ -311,17 +327,52 @@ def test_group_averages_fail_when_one_class_count_moves(monkeypatch, name):
     # The identity counted under the det(1 - x w) of an element with
     # det(1 - w) != 0, which the expansion weights, must fail both checks.
     table = group_table_of(name)
-    histogram = dict(charpoly_histogram(table))
+    classes = conjugacy_classes(table)
     identity = tuple(math.comb(table.rank, k) * (-1) ** k for k in range(table.rank + 1))
-    histogram[identity] -= 1
-    histogram[next(coeffs for coeffs in histogram if sum(coeffs))] += 1
-    monkeypatch.setattr(weylgrp, "charpoly_histogram", lambda table: histogram)
+    assert (classes.charpolys[0], classes.sizes[0]) == (identity, 1)
+    sizes = list(classes.sizes)
+    sizes[0] -= 1
+    sizes[next(cid for cid, coeffs in enumerate(classes.charpolys) if sum(coeffs))] += 1
+    monkeypatch.setattr(table, "_classes", dataclasses.replace(classes, sizes=tuple(sizes)))
     solomon = verify_solomon(name)
     expansion = verify_restricted_expansion(name)
     # At (q, t) = (2, 1/2) the term is (-2)^l det(w), which the move may keep.
     assert not solomon.passed and not any(p.passed for p in solomon.points[1:])
     assert not solomon.specialization.passed
     assert not expansion.passed and not any(p.passed for p in (*expansion.samples, *expansion.probes))
+
+
+# W(A2) is S_3 on the plane x_1 + x_2 + x_3 = 0.  Per cycle type: the number
+# of permutations of that type, and det(1 - x w) on the plane, the product of
+# (1 - x^m) over the cycles of length m divided by the 1 - x of the line
+# through (1, 1, 1).  The walk reaches e, then s_1 and s_2, then the two
+# 3-cycles, then s_1 s_2 s_1, so the transpositions are the elements of odd
+# length, indices 1, 2 and 5.
+A2_CLASSES = ConjugacyClasses(
+    class_of=(0, 1, 1, 2, 2, 1),
+    representatives=(0, 1, 3),
+    sizes=(1, 3, 2),
+    charpolys=((1, -2, 1), (1, 0, -1), (1, 1, 1)),
+)
+
+
+def test_solomon_and_expansion_read_only_the_class_record(monkeypatch):
+    assert conjugacy_classes(group_table_of("A2")) == A2_CLASSES
+    calls = [
+        (verify_solomon, ()),
+        (verify_solomon, ([(2, Fraction(1, 2)), (0, -3)],)),
+        (verify_restricted_expansion, ()),
+        (verify_restricted_expansion, ([Fraction(1, 2)],)),
+    ]
+    enumerated = [verify("A2", *args) for verify, args in calls]
+    # A table with no elements and no generator columns: its order is 0 and
+    # its rank -1, so a report that read either would differ.
+    real = group_table_of("A2")
+    hollow = GroupTable(real.decomposition, real.root_ids[:0], real.roots, (), real.inverse[:0])
+    hollow._classes = A2_CLASSES
+    monkeypatch.setattr(weylgrp, "group_table_of", lambda label, cap: hollow)
+    assert [verify("A2", *args) for verify, args in calls] == enumerated
+    assert all(report.passed for report in enumerated)
 
 
 def test_report_dict_shapes():
@@ -414,7 +465,7 @@ def test_the_degenerate_solomon_point_reads_only_det_w(name):
     table = group_table_of(name)
     q, t = DEFAULT_SOLOMON_POINTS[0]
     n = table.rank
-    for coeffs in class_charpolys(table):
+    for coeffs in conjugacy_classes(table).charpolys:
         value = weylgrp_oracle.polynomial_value
         assert value(coeffs, q) / value(coeffs, t) == (-q) ** n * (-1) ** n * coeffs[-1]
     point = verify_solomon(name).points[0]
@@ -427,7 +478,7 @@ def test_class_determinants_match_every_element(name):
     # det(w) = (-1)^n times the top one; both by elimination per element.
     table = group_table_of(name)
     classes = conjugacy_classes(table)
-    polys = class_charpolys(table)
+    polys = classes.charpolys
     n = table.rank
     for i, m in enumerate(elements_of(table)):
         coeffs = polys[classes.class_of[i]]
@@ -532,7 +583,7 @@ def test_batched_class_charpolys_match_the_per_element_oracle(name, cap):
     # seeded sample of 600 more, since the oracle takes about 0.1 ms each.
     table = group_table_of(name, cap)
     classes = conjugacy_classes(table)
-    polys = class_charpolys(table)
+    polys = classes.charpolys
     assert len(polys) == classes.count
     elements = range(table.order)
     if table.order > 2_000:
@@ -600,13 +651,16 @@ def test_charpoly_rejects_a_non_integral_step():
 
 @pytest.mark.parametrize("name", BATTERY)
 def test_charpoly_histogram_counts_every_element(name):
+    # The record's sizes weigh its polynomials: they count every element once.
     table = group_table_of(name)
-    histogram = charpoly_histogram(table)
-    assert histogram is charpoly_histogram(table)
-    assert sum(histogram.values()) == table.order
-    # Only the identity has det(1 - x w) = (1 - x)^n.
+    classes = conjugacy_classes(table)
+    assert classes is conjugacy_classes(table)
+    assert sum(classes.sizes) == table.order
+    # Only the identity, class 0, has det(1 - x w) = (1 - x)^n.
     n = table.rank
-    assert histogram[tuple(math.comb(n, k) * (-1) ** k for k in range(n + 1))] == 1
+    identity = tuple(math.comb(n, k) * (-1) ** k for k in range(n + 1))
+    assert [cid for cid, coeffs in enumerate(classes.charpolys) if coeffs == identity] == [0]
+    assert (classes.representatives[0], classes.sizes[0]) == (0, 1)
 
 
 def test_e6_enumerates_with_a_raised_cap():

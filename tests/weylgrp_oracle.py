@@ -11,12 +11,14 @@ from the Cartan matrix; the tests require the same elements, indices,
 generator columns and inverses from both.  ``conjugacy_classes`` walks each
 class from its least index, one element at a time, and finds s * w * s by
 multiplying matrices; the library propagates least labels over whole
-arrays of indices, and the tests require the same classes.
-``one_minus_charpoly`` runs Faddeev-LeVerrier on one matrix in Python
-lists, where the library runs it on a stack of every class representative
-at once in int64 arrays.  ``group_average`` sums ``Fraction`` terms over the characteristic
-polynomial histogram, one normalized sum per class, where the library sums
-integer numerators and denominators and forms one ``Fraction``.
+arrays of indices; each class's det(1 - x w) comes from
+``one_minus_charpoly``, which runs Faddeev-LeVerrier on one matrix in
+Python lists, where the library runs it on a stack of every class
+representative at once in int64 arrays.  The tests require the same class
+record from both.  ``group_average`` sums ``Fraction`` terms over the
+library's classes, one term per class, where the library merges classes
+with equal polynomials, sums integer numerators and denominators and forms
+one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from rootvol.weylgrp import (
     EnumerationCapError,
     GroupTable,
     Matrix,
-    charpoly_histogram,
+    conjugacy_classes as library_classes,
 )
 
 
@@ -154,10 +156,11 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> OracleTable:
 
 def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     """Orbits under s * w * s for the simple reflections s, numbered in the
-    order of their least index.  Each s is built from its simple root, and
-    s * w * s is a product of matrices looked up in the element index;
-    numpy forms each generator's products for all w at once, since tuple
-    products take tens of seconds on E6."""
+    order of their least index, with det(1 - x w) of each least element.
+    Each s is built from its simple root, and s * w * s is a product of
+    matrices looked up in the element index; numpy forms each generator's
+    products for all w at once, since tuple products take tens of seconds
+    on E6."""
     rs = system_of_type(table.decomposition.factors[0])
     rank = table.rank
     elements = np.array([table.element(i) for i in range(table.order)], dtype=np.int64)
@@ -186,7 +189,8 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
                     size += 1
                     stack.append(k)
         sizes.append(size)
-    return ConjugacyClasses(tuple(class_of), tuple(reps), tuple(sizes))
+    charpolys = tuple(one_minus_charpoly(table.element(r)) for r in reps)
+    return ConjugacyClasses(tuple(class_of), tuple(reps), tuple(sizes), charpolys)
 
 
 def one_minus_charpoly(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -218,9 +222,7 @@ def polynomial_value(coeffs: Sequence[int], x: Fraction) -> Fraction:
 
 def group_average(table: GroupTable, term: Callable[[tuple[int, ...]], Fraction]) -> Fraction:
     """Average over the group of term(p), where p is the coefficient tuple of
-    det(1 - x w)."""
-    total = sum(
-        (count * term(coeffs) for coeffs, count in charpoly_histogram(table).items()),
-        Fraction(0),
-    )
+    det(1 - x w), one term per class of the library's record."""
+    classes = library_classes(table)
+    total = sum((size * term(coeffs) for coeffs, size in zip(classes.charpolys, classes.sizes)), Fraction(0))
     return total / table.order
