@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import attrgetter, methodcaller
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 
 from .diagram import (
     DecompositionLabel,
@@ -63,8 +62,7 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class Outcome:
+class Outcome(NamedTuple):
     """A command's reports and how to render one report in each format:
     `entry` gives its JSON object, `text` its text block and `tsv_rows` its
     rows of TSV cells; `passed` gives its verdict.  `key` names the JSON

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import chain, compress, repeat
 from typing import Iterable, Sequence
@@ -63,35 +63,35 @@ _ADMISSIBLE = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class TypeLabel:
+# The records are namedtuples: `__new__` checks the fields, while the
+# namedtuple `_make` and `_replace` take them unchecked.
+
+
+class TypeLabel(namedtuple("TypeLabel", "family rank")):
     """An irreducible type, e.g. TypeLabel('B', 3); sorts family-first."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rule = _ADMISSIBLE.get(self.family)
-        if rule is None or not rule(self.rank):
+    def __new__(cls, family: str, rank: int) -> TypeLabel:
+        rule = _ADMISSIBLE.get(family)
+        if rule is None or not rule(rank):
             raise InadmissibleLabelError(
-                f"{self.family}{self.rank}: admissible are A(n>=1), B(n>=2), "
+                f"{family}{rank}: admissible are A(n>=1), B(n>=2), "
                 f"C(n>=2), D(n>=4), E6..E8, F4, G2"
             )
+        return tuple.__new__(cls, (family, rank))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class DecompositionLabel:
+class DecompositionLabel(namedtuple("DecompositionLabel", "factors")):
     """A multiset of irreducible factors in canonical sorted order."""
 
-    factors: tuple[TypeLabel, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.factors))
-        if ordered != self.factors:
-            object.__setattr__(self, "factors", ordered)
+    def __new__(cls, factors: Iterable[TypeLabel]) -> DecompositionLabel:
+        return tuple.__new__(cls, (tuple(sorted(factors)),))
 
     @property
     def rank(self) -> int:
@@ -129,40 +129,40 @@ def as_decomposition(spec: str | TypeLabel | DecompositionLabel) -> Decompositio
     return parse_decomposition(spec)
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class CartanMatrix(namedtuple("CartanMatrix", "entries edges")):
     """Integer matrix with diagonal 2, nonpositive off-diagonal entries, and
     a symmetric zero pattern.  The constructor does not require finite type,
     because extended diagrams are not of finite type; ``classify`` raises
-    NotFiniteTypeError for a component that matches no finite-type diagram."""
+    NotFiniteTypeError for a component that matches no finite-type diagram.
 
-    entries: tuple[tuple[int, ...], ...]
-    # The nonzero off-diagonal columns of each row, ascending: the edges of
-    # the diagram, found by the validation pass and used by every graph walk.
-    edges: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    ``edges`` lists the nonzero off-diagonal columns of each row, ascending:
+    the diagram's edges, used by every graph walk.  Builders that set the
+    edges themselves pass both to ``CartanMatrix._make``."""
 
-    def __post_init__(self) -> None:
-        rows = self.entries
-        n = len(rows)
-        if any(map(n.__ne__, map(len, rows))):
+    def __new__(cls, entries: tuple[tuple[int, ...], ...]) -> CartanMatrix:
+        n = len(entries)
+        if any(map(n.__ne__, map(len, entries))):
             raise ValueError("Cartan matrix must be square")
-        flat = tuple(chain.from_iterable(rows))
+        flat = tuple(chain.from_iterable(entries))
         if not all(map(isinstance, flat, repeat(int))):
             raise ValueError("Cartan entries must be integers")
         if flat[:: n + 1].count(2) != n:
             raise ValueError("diagonal entries must equal 2")
         columns = range(n)
         neighbors = []
-        for i, row in enumerate(rows):
+        for i, row in enumerate(entries):
             edges = tuple(filter(i.__ne__, compress(columns, row)))
             if edges and max(map(row.__getitem__, edges)) > 0:
                 raise ValueError("off-diagonal entries must be <= 0")
             neighbors.append(edges)
         for i, edges in enumerate(neighbors):
             for j in edges:
-                if not rows[j][i]:
+                if not entries[j][i]:
                     raise ValueError("zero pattern must be symmetric")
-        object.__setattr__(self, "edges", tuple(neighbors))
+        return tuple.__new__(cls, (entries, tuple(neighbors)))
+
+    def __getnewargs__(self) -> tuple:
+        return (self.entries,)
 
     @property
     def size(self) -> int:
@@ -232,10 +232,13 @@ def cartan_of_type(label: TypeLabel) -> CartanMatrix:
     """Cartan matrix of an irreducible type in the canonical numbering."""
     fam, n = label.family, label.rank
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    edges: list[list[int]] = [[] for _ in range(n)]
 
     def bond(i: int, j: int, aij: int = -1, aji: int = -1) -> None:
         a[i - 1][j - 1] = aij
         a[j - 1][i - 1] = aji
+        edges[i - 1].append(j - 1)
+        edges[j - 1].append(i - 1)
 
     if fam == "A":
         for i in range(1, n):
@@ -263,7 +266,7 @@ def cartan_of_type(label: TypeLabel) -> CartanMatrix:
         bond(3, 4)
     else:
         bond(1, 2, -1, -3)
-    return CartanMatrix(tuple(tuple(row) for row in a))
+    return CartanMatrix._make((tuple(map(tuple, a)), tuple(tuple(sorted(row)) for row in edges)))
 
 
 def cartan_of_decomposition(decomposition: DecompositionLabel) -> CartanMatrix:
@@ -417,20 +420,19 @@ def classify(cartan: CartanMatrix) -> DecompositionLabel:
     return _classify(cartan.entries, cartan.edges)
 
 
-@dataclass(frozen=True)
-class MarkedDiagram:
+class MarkedDiagram(namedtuple("MarkedDiagram", "cartan marks")):
     """Extended diagram: Cartan matrix of size rank+1 with the added node at
     index 0, plus the coordinates of the added root in the original basis
     (the marks, all strictly negative)."""
 
-    cartan: CartanMatrix
-    marks: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.cartan.size != len(self.marks) + 1:
+    def __new__(cls, cartan: CartanMatrix, marks: tuple[int, ...]) -> MarkedDiagram:
+        if cartan.size != len(marks) + 1:
             raise ValueError("marks length must be rank of the base diagram")
-        if any(m >= 0 for m in self.marks):
+        if any(m >= 0 for m in marks):
             raise ValueError("marks must be strictly negative")
+        return tuple.__new__(cls, (cartan, marks))
 
     @property
     def rank(self) -> int:
@@ -475,7 +477,10 @@ def extend(label: TypeLabel) -> MarkedDiagram:
     for row, dj, p in zip(a, d, pair):
         entries.append((exact_quotient(-2 * dj * p, theta_norm), *row))
     marks = tuple(-t for t in theta)
-    return MarkedDiagram(CartanMatrix(tuple(entries)), marks)
+    # Column 0 is nonzero where row 0 is: node 0 joins the nodes j with p_j != 0.
+    edges = [tuple(j for j, p in enumerate(pair, 1) if p)]
+    edges += [((0,) if p else ()) + tuple(k + 1 for k in row) for p, row in zip(pair, base.edges)]
+    return MarkedDiagram(CartanMatrix._make((tuple(entries), tuple(edges))), marks)
 
 
 def classify_deletion(diagram: MarkedDiagram, node: int) -> DecompositionLabel:

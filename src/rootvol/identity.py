@@ -8,9 +8,9 @@ sum to exactly 1 over all nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .diagram import (
     DecompositionLabel,
@@ -24,16 +24,14 @@ from .exact import fraction_sum
 from .invariants import degrees_of_type, weyl_order
 
 
-@dataclass(frozen=True)
-class NodeTerm:
+class NodeTerm(NamedTuple):
     node: int
     decomposition: DecompositionLabel
     nu_value: Fraction
     scaled: Fraction
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     label: TypeLabel
     terms: tuple[NodeTerm, ...]
     total: Fraction

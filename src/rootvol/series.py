@@ -26,13 +26,12 @@ coefficients 2g_0 = 1 and 2g_h = f_h - 2 f_(h-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class BinomialCheck:
+class BinomialCheck(NamedTuple):
     part: int
     n: int
     lhs: Fraction

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -55,6 +57,9 @@ def test_decomposition_sorts_factors():
     assert str(d) == "A1xC3"
     assert d == parse_decomposition("A1xC3")
     assert d.rank == 4
+    a1, c3 = TypeLabel("A", 1), TypeLabel("C", 3)
+    for factors in ((c3, a1), [c3, a1], iter([c3, a1])):
+        assert DecompositionLabel(factors).factors == (a1, c3)
 
 
 def test_trivial_decomposition():
@@ -66,6 +71,38 @@ def test_trivial_decomposition():
 
 def test_labels_sort_family_first():
     assert TypeLabel("A", 7) < TypeLabel("B", 2) < TypeLabel("B", 3) < TypeLabel("G", 2)
+    names = ["G2", "B10", "A7", "B3", "A10", "E6", "B2"]
+    assert [str(t) for t in sorted(map(parse_label, names))] == ["A7", "A10", "B2", "B3", "B10", "E6", "G2"]
+
+
+@pytest.mark.parametrize("family,rank", [("D", 3), ("B", 1), ("A", 0), ("E", 9), ("Q", 9)])
+def test_type_label_names_the_admissible_labels(family, rank):
+    with pytest.raises(InadmissibleLabelError) as refused:
+        TypeLabel(family, rank)
+    assert str(refused.value) == (
+        f"{family}{rank}: admissible are A(n>=1), B(n>=2), C(n>=2), D(n>=4), E6..E8, F4, G2"
+    )
+
+
+# Two builds of each record from equal fields.
+_RECORDS = {
+    "TypeLabel": lambda: TypeLabel("B", 3),
+    "DecompositionLabel": lambda: DecompositionLabel((TypeLabel("C", 3), TypeLabel("A", 1))),
+    "CartanMatrix": lambda: CartanMatrix(((2, -1), (-1, 2))),
+    "MarkedDiagram": lambda: extend(TypeLabel("B", 3)),
+}
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_records_are_immutable_values(name):
+    first, second = _RECORDS[name](), _RECORDS[name]()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    for field in first._fields:
+        with pytest.raises(AttributeError):
+            setattr(first, field, getattr(second, field))
+    assert first == second
+    assert copy.deepcopy(first) == first and pickle.loads(pickle.dumps(first)) == first
 
 
 def test_cartan_a2_entries():
@@ -99,20 +136,22 @@ def test_cartan_shapes():
     assert e6.edges[3] == (1, 2, 4)
 
 
-@pytest.mark.parametrize(
-    "entries",
-    [
-        ((2, -1),),  # not square
-        ((1, -1), (-1, 2)),  # bad diagonal
-        ((2, 1), (1, 2)),  # positive off-diagonal
-        ((2, -1), (0, 2)),  # zero pattern not symmetric
-        ((2, -1.0), (-1, 2)),  # non-integer
-        ((2, 0, -1), (0, 2, -1), (-1,)),  # ragged: the last row is short
-    ],
-)
+# Invalid entries and the message that refuses each.
+_INVALID_CARTAN = {
+    ((2, -1),): "Cartan matrix must be square",
+    ((1, -1), (-1, 2)): "diagonal entries must equal 2",
+    ((2, 1), (1, 2)): "off-diagonal entries must be <= 0",
+    ((2, -1), (0, 2)): "zero pattern must be symmetric",
+    ((2, -1.0), (-1, 2)): "Cartan entries must be integers",
+    ((2, 0, -1), (0, 2, -1), (-1,)): "Cartan matrix must be square",  # the last row is short
+}
+
+
+@pytest.mark.parametrize("entries", list(_INVALID_CARTAN))
 def test_cartan_matrix_rejects_invalid(entries):
-    with pytest.raises((ValueError, TypeError)):
+    with pytest.raises((ValueError, TypeError)) as refused:
         CartanMatrix(entries)
+    assert str(refused.value) == _INVALID_CARTAN[entries]
 
 
 def test_cartan_matrix_allows_bond_product_four():
@@ -489,8 +528,29 @@ def test_deletion_of_a_node_out_of_range():
 
 def test_marked_diagram_validation():
     good = cartan_of_type(parse_label("A2"))
-    with pytest.raises(ValueError):
-        MarkedDiagram(good, (-1, -1))  # size mismatch
+    with pytest.raises(ValueError, match="^marks length must be rank of the base diagram$"):
+        MarkedDiagram(good, (-1, -1))
     ext = extend(parse_label("A2"))
-    with pytest.raises(ValueError):
-        MarkedDiagram(ext.cartan, (1, -1))  # marks must be negative
+    with pytest.raises(ValueError, match="^marks must be strictly negative$"):
+        MarkedDiagram(ext.cartan, (1, -1))
+    assert MarkedDiagram(ext.cartan, (-1, -1)) == ext
+
+
+# `cartan_of_type` and `extend` set the edges themselves; the checked
+# constructor must find the same ones.
+BUILT_LABELS = (
+    ["E6", "E7", "E8", "F4", "G2"]
+    + [f"A{n}" for n in range(1, 31)]
+    + [f"B{n}" for n in range(2, 31)]
+    + [f"C{n}" for n in range(2, 31)]
+    + [f"D{n}" for n in range(4, 31)]
+)
+
+
+def test_built_matrices_match_the_checked_constructor():
+    for name in BUILT_LABELS:
+        label = parse_label(name)
+        for built in (cartan_of_type(label), extend(label).cartan):
+            checked = CartanMatrix(built.entries)
+            assert built.edges == checked.edges, name
+            assert built == checked, name

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -53,6 +52,12 @@ def test_each_type_has_one_report():
     assert verify_identity("B5") is report
     assert isinstance(report.terms, tuple)
     assert isinstance(report.gamma, frozenset)
+    for record in (report, report.terms[1]):
+        copy = type(record)(*record)
+        assert copy is not record and copy == record and hash(copy) == hash(record)
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
 
 
 NODE_TERM_TYPES = [
@@ -241,6 +246,6 @@ def test_report_text_matches_the_row_by_row_rendering():
 
 def test_report_text_of_a_failing_report_matches_the_row_by_row_rendering():
     report = verify_identity("G2")
-    failing = dataclasses.replace(report, total=Fraction(13, 12), gamma=frozenset({0, 2}))
+    failing = report._replace(total=Fraction(13, 12), gamma=frozenset({0, 2}))
     assert report_as_text(failing) == rendered_row_by_row(failing)
     assert report_as_text(failing).endswith("total = 13/12  gamma = {0,2}  FAIL")

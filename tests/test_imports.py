@@ -1,5 +1,6 @@
 """The package resolves its public names on first use, the commands that
-need no numpy never import it, and the CLI imports json only to write JSON."""
+need no numpy never import it, the CLI imports json only to write JSON, and
+its cold path loads neither dataclasses nor inspect."""
 
 from __future__ import annotations
 
@@ -61,6 +62,28 @@ assert "json" in sys.modules
 """
 
 
+# The records on these paths are tuples, so no dataclass code is generated,
+# and the seven modules below are all of rootvol that the CLI loads.
+_NO_DATACLASSES = """
+import contextlib, io, sys
+import rootvol.cli
+
+def check(when):
+    assert "dataclasses" not in sys.modules, when
+    assert "inspect" not in sys.modules, when
+    loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "rootvol")
+    want = ["rootvol", *(f"rootvol.{m}" for m in ("cli", "diagram", "exact", "identity", "invariants", "series"))]
+    assert loaded == want, (when, loaded)
+
+check("import rootvol.cli")
+for argv in (["nu", "--type", "A1"], ["series", "--order", "30"], ["identity", "--type", "E8"]):
+    for fmt in ("text", "json", "tsv"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert rootvol.cli.main([*argv, "--format", fmt]) == 0, argv
+        check([*argv, fmt])
+"""
+
+
 _ROOTS_WITHOUT_NUMPY = """
 import sys
 from rootvol.diagram import parse_label
@@ -90,6 +113,11 @@ def test_nu_series_and_identity_never_import_numpy():
 
 def test_cli_imports_json_only_to_write_json():
     done = _run(_JSON_ON_DEMAND)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_cold_path_loads_neither_dataclasses_nor_inspect():
+    done = _run(_NO_DATACLASSES)
     assert done.returncode == 0, done.stderr
 
 

@@ -302,6 +302,10 @@ def test_identities_direct_and_series(part, low):
         assert check.passed
         assert check.lhs == Fraction(4 ** (n + shift))
         assert series_coefficient(part, n) == check.lhs
+        again = check_binomial_identity(part, n)
+        assert again is not check and again == check and hash(again) == hash(check)
+    with pytest.raises(AttributeError):
+        check.lhs = check.rhs
 
 
 @pytest.mark.parametrize("part,low", [(1, 0), (2, 2), (3, 2)])
