@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, compress, repeat
 from typing import Iterable, Sequence
 
@@ -139,6 +139,8 @@ class CartanMatrix(namedtuple("CartanMatrix", "entries edges")):
     the diagram's edges, used by every graph walk.  Builders that set the
     edges themselves pass both to ``CartanMatrix._make``."""
 
+    __slots__ = ()
+
     def __new__(cls, entries: tuple[tuple[int, ...], ...]) -> CartanMatrix:
         n = len(entries)
         if any(map(n.__ne__, map(len, entries))):
@@ -176,11 +178,7 @@ class CartanMatrix(namedtuple("CartanMatrix", "entries edges")):
         """Smallest positive integers d with d_i * a_ij = d_j * a_ji on each
         component; None if the matrix is not symmetrizable.  For a finite
         type d_i = (a_i, a_i) / 2 with short roots of squared length 2, so
-        every d_i is 1, 2 or 3.  Computed once per matrix."""
-        return self._symmetrizer
-
-    @cached_property
-    def _symmetrizer(self) -> tuple[int, ...] | None:
+        every d_i is 1, 2 or 3."""
         a = self.entries
         n = self.size
         # d_j / d_i = a_ji / a_ij along a spanning tree of each component, as
@@ -311,50 +309,25 @@ def _classify(
     and per-node edge lists, without node `deleted` if one is given.  The
     edge lists must then already omit that node.
 
-    It walks each component once, from its least unseen node, and collects
-    its size, its degree sum, its one node of degree 3 and its one multiple
-    bond; a component with a second such node, a node of degree 4 or more,
-    a second multiple bond or a cycle is refused there.  Each directed edge
-    is read once, so a bond whose -2 or -3 sits on the far side is found
-    from that side.  A failing component is named in the numbering of the
-    matrix without `deleted`."""
-    seen = bytearray(len(entries))
-    if deleted is not None:
-        seen[deleted] = 1
+    A component of `_components` is named by `_tree_label` if it is a tree
+    (its degrees sum to 2 (size - 1)) with at most one node of degree 3,
+    none of higher degree, and at most one directed edge (i, j) with
+    a_ij != -1, so a bond whose -2 or -3 sits on the far side is found from
+    that side.  A failing component is named in the numbering of the matrix
+    without `deleted`."""
     factors = []
-    v = seen.find(0)
-    while v >= 0:
-        seen[v] = 1
-        comp = [v]
-        degrees = 0
-        branch = bond = None
-        finite = True
-        # The loop also visits the nodes appended while it runs.
-        for x in comp:
-            adjacent = edges[x]
-            degrees += len(adjacent)
-            if len(adjacent) > 2:
-                finite = finite and len(adjacent) == 3 and branch is None
-                branch = x
-            row = entries[x]
-            for u in adjacent:
-                if row[u] != -1:
-                    finite = finite and bond is None
-                    bond = (x, u)
-                if not seen[u]:
-                    seen[u] = 1
-                    comp.append(u)
-        # A connected graph is a tree iff its degrees sum to 2 (size - 1).
+    for comp in _components(edges, (v for v in range(len(entries)) if v != deleted)):
+        degrees = [len(edges[x]) for x in comp]
+        branch = [x for x, d in zip(comp, degrees) if d > 2]
+        bond = [(x, u) for x in comp for u in edges[x] if entries[x][u] != -1]
         label = None
-        if finite and degrees == 2 * len(comp) - 2:
-            label = _tree_label(entries, edges, len(comp), branch, bond)
+        if sum(degrees) == 2 * len(comp) - 2 and max(degrees) <= 3 and len(branch) <= 1 and len(bond) <= 1:
+            label = _tree_label(entries, edges, len(comp), (branch or [None])[0], (bond or [None])[0])
         if label is None:
-            comp.sort()
             if deleted is not None:
-                comp = [u - (u > deleted) for u in comp]
-            raise NotFiniteTypeError(f"component {tuple(comp)} matches no finite-type diagram")
+                comp = tuple(u - (u > deleted) for u in comp)
+            raise NotFiniteTypeError(f"component {comp} matches no finite-type diagram")
         factors.append(label)
-        v = seen.find(0, v + 1)
     return DecompositionLabel(tuple(factors))
 
 
@@ -411,8 +384,8 @@ def _tree_label(
 
 
 def classify(cartan: CartanMatrix) -> DecompositionLabel:
-    """Decompose into irreducible factors, canonically labeled, in one walk
-    per component (see `_classify`).
+    """Decompose into irreducible factors, canonically labeled, from the
+    shape of each component (see `_classify`).
 
     Rank-2 double-bond components are reported as B2.  The empty matrix
     classifies as the trivial decomposition.

@@ -205,11 +205,12 @@ def montecarlo_nu(
 
     Directions are isotropic Gaussian points in Cartesian coordinates with
     the magnitude ignored.  Each worker consumes its own (seed, worker)
-    substream, so totals depend only on (seed, workers); the substreams
-    share a thread pool of at most os.cpu_count() threads, and each draws
-    its batches inline.  At most ``MAX_WORKERS`` substreams and
-    ``MAX_SAMPLES`` samples are allowed.  The trivial system, of rank 0,
-    has no directions to sample and is refused."""
+    substream, so totals depend only on (seed, workers); substream 0 runs
+    in the calling thread and the others on a thread pool of at most
+    os.cpu_count() threads, and each draws its batches inline.  At most
+    ``MAX_WORKERS`` substreams and ``MAX_SAMPLES`` samples are allowed.
+    The trivial system, of rank 0, has no directions to sample and is
+    refused."""
     decomposition = as_decomposition(spec)
     if decomposition.rank == 0:
         raise ValueError(f"type {decomposition} has rank 0; Monte Carlo sampling needs rank 1 or more")
@@ -222,15 +223,12 @@ def montecarlo_nu(
     embedding = embedding_for(decomposition)
     base, extra = divmod(n_samples, workers)
     counts = [base + (1 if w < extra else 0) for w in range(workers)]
-    if workers == 1:
-        hits = _count_cone0(embedding, counts[0], seed, 0, tol)
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            futures = [
-                pool.submit(_count_cone0, embedding, counts[w], seed, w, tol)
-                for w in range(workers)
-            ]
-            hits = sum(f.result() for f in futures)
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        futures = [
+            pool.submit(_count_cone0, embedding, counts[w], seed, w, tol)
+            for w in range(1, workers)
+        ]
+        hits = _count_cone0(embedding, counts[0], seed, 0, tol) + sum(f.result() for f in futures)
     return VolumeEstimate(
         decomposition, n_samples, seed, workers, hits, nu_of(decomposition)
     )

@@ -24,7 +24,7 @@ from .diagram import (
 # B100 and C100, with 20,000 roots, are the largest that fit.  Each root
 # built costs a few Python operations per nonzero pairing, and each kept
 # root one byte per coordinate: B100 closes in 0.025 s (0.008 s from a held
-# B99) on a 2-vCPU VM and keeps 3 MB; A1000 has half a million positive roots.
+# B99) on a 2-vCPU VM and keeps 2 MB; A1000 has half a million positive roots.
 CLOSURE_CEILING = 20_000
 
 # Largest height of a root that the closure builds: a coordinate is at most
@@ -79,19 +79,23 @@ class Roots(Sequence):
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Roots over the simple basis, packed: all of them and the positive
-    half; the number of positive roots at each height 1, 2, ...; and the
-    highest root of an irreducible system as a coordinate tuple."""
+    """Roots over the simple basis, packed, negative half first; the number
+    of positive roots at each height 1, 2, ...; and the highest root of an
+    irreducible system as a coordinate tuple."""
 
     cartan: CartanMatrix
     roots: Roots
-    positive: Roots
     heights: tuple[int, ...]
     theta: tuple[int, ...] | None
 
     @property
     def rank(self) -> int:
         return self.cartan.size
+
+    @property
+    def positive(self) -> Roots:
+        """The positive roots: the upper half of `roots`."""
+        return self.roots[len(self.roots) // 2 :]
 
 
 def generate_roots(cartan: CartanMatrix) -> RootSystem:
@@ -148,13 +152,16 @@ def _close(cartan: CartanMatrix, base: RootSystem | None = None) -> RootSystem:
     # A coordinate is at most the height, and no level past HEIGHT_CEILING
     # is built, so no field carries into the next.
     units = [1 << 8 * (n - 1 - k) for k in range(n)]
-    # The base's positive rows, their heights and first coordinates, and all
-    # its rows widened by a leading zero byte, negative half first.
+    # The base's positive rows, read in place, their heights and first
+    # coordinates, and all its rows widened by a leading zero byte,
+    # negative half first.
     m = n - 1
     old, old_heights, firsts, wide = b"", (), b"", b""
     if base is not None:
-        old, old_heights, firsts = base.positive.data, base.heights, base.positive.data[::m]
-        unpacked = struct.iter_unpack(f"{m}s", base.roots.data)
+        data = base.roots.data
+        half = len(data) // 2
+        old, old_heights, firsts = memoryview(data)[half:], base.heights, data[half::m]
+        unpacked = struct.iter_unpack(f"{m}s", data)
         wide = memoryview(b"\0" + b"\0".join(map(itemgetter(0), unpacked)))
     # A level maps each key to the nonzero pairings and the nonzero string
     # lengths p_k of its root, as dicts from node to value.
@@ -234,11 +241,10 @@ def _close(cartan: CartanMatrix, base: RootSystem | None = None) -> RootSystem:
         heights.append(k + len(keys))
         hi, lo = hi + k, lo - k
     del levels
-    positive = Roots(n, b"".join(pos))
     neg.reverse()
-    roots = Roots(n, b"".join(neg) + positive.data)
-    theta = positive[-1] if irreducible else None
-    return RootSystem(cartan=cartan, roots=roots, positive=positive, heights=tuple(heights), theta=theta)
+    roots = Roots(n, b"".join(neg + pos))
+    theta = roots[-1] if irreducible else None
+    return RootSystem(cartan=cartan, roots=roots, heights=tuple(heights), theta=theta)
 
 
 # Every system that `system_of_type` has closed, by rank and label.

@@ -51,56 +51,30 @@ def _validate_part_range(part: int, n: int) -> None:
         raise ValueError(f"part {part} requires n >= 2")
 
 
-# Shared prefixes, each indexed from 0: C(2h, h); the weights
+# The shared prefixes, each indexed from 0: f_h = C(2h, h); the weights
 # w_k = (k/(k+1)) C(2k, k) = k Catalan(k), an integer since k+1 divides
 # C(2k, k); and the coefficients 2g_h of 2g = (1-2t) f.  A longer prefix
-# replaces one whole, never in place, so a caller in another thread reads a
-# complete list.
-_CENTRAL_BINOMIALS = [1]
-_WEIGHTS = [0]
-_TWICE_HALF = [1]
+# replaces the tuple whole, never a list in place, so a caller in another
+# thread reads three complete lists.
+_PREFIXES = ([1], [0], [1])
 
 
-def _known_binomials(n: int) -> list[int]:
-    """The shared prefix of C(2h, h), through h = n at least, by
-    C(2h+2, h+1) = C(2h, h) (4h+2) / (h+1), which is exact in integers."""
-    global _CENTRAL_BINOMIALS
-    known = _CENTRAL_BINOMIALS
-    if len(known) <= n:
-        known = known.copy()
-        for h in range(len(known) - 1, n):
-            known.append(known[h] * (4 * h + 2) // (h + 1))
-        _CENTRAL_BINOMIALS = known
+def _prefixes(n: int) -> tuple[list[int], list[int], list[int]]:
+    """The shared (f, w, 2g), through index n at least: f by
+    C(2h+2, h+1) = C(2h, h) (4h+2) / (h+1), which is exact in integers,
+    2g_0 = 1 and 2g_h = f_h - 2 f_(h-1)."""
+    global _PREFIXES
+    known = _PREFIXES
+    f, w, g2 = known
+    if len(f) <= n:
+        f = f.copy()
+        for h in range(len(f) - 1, n):
+            f.append(f[h] * (4 * h + 2) // (h + 1))
+        grown = range(len(w), n + 1)
+        w = w + [k * f[k] // (k + 1) for k in grown]
+        g2 = g2 + [f[h] - 2 * f[h - 1] for h in grown]
+        known = _PREFIXES = (f, w, g2)
     return known
-
-
-def _known_weights(n: int) -> list[int]:
-    """The shared prefix of w_k, through k = n at least."""
-    global _WEIGHTS
-    known = _WEIGHTS
-    if len(known) <= n:
-        c = _known_binomials(n)
-        known = known + [k * c[k] // (k + 1) for k in range(len(known), n + 1)]
-        _WEIGHTS = known
-    return known
-
-
-def _known_twice_half(n: int) -> list[int]:
-    """The shared prefix of 2g_h, through h = n at least: 2g_0 = 1 and
-    2g_h = f_h - 2 f_(h-1)."""
-    global _TWICE_HALF
-    known = _TWICE_HALF
-    if len(known) <= n:
-        f = _known_binomials(n)
-        known = known + [f[h] - 2 * f[h - 1] for h in range(len(known), n + 1)]
-        _TWICE_HALF = known
-    return known
-
-
-def central_binomials(n: int) -> list[int]:
-    """C(2h, h) for h = 0..n, a fresh copy of the shared prefix, so callers
-    may change it."""
-    return _known_binomials(n)[: max(n, 0) + 1]
 
 
 def check_binomial_identity(part: int, n: int) -> BinomialCheck:
@@ -112,15 +86,14 @@ def check_binomial_identity(part: int, n: int) -> BinomialCheck:
     adds the terms h = 1 and h = n - 1 as zeros), and become Fractions
     once, at the end."""
     _validate_part_range(part, n)
-    c = _known_binomials(n)
+    c, w, _ = _prefixes(n)
     if part == 1:
         lhs = 4**n
         rhs = sum(map(mul, c, c[n::-1]))
     elif part == 2:
         lhs = 4 ** (n - 1)
-        rhs = c[n] // 2 + sum(map(mul, _known_weights(n), c[n - 1 :: -1]))
+        rhs = c[n] // 2 + sum(map(mul, w, c[n - 1 :: -1]))
     else:
-        w = _known_weights(n)
         lhs = 4 ** (n - 2)
         rhs = w[n - 1] + sum(map(mul, w, w[n - 2 :: -1]))
     return BinomialCheck(part, n, Fraction(lhs), Fraction(rhs))
@@ -134,7 +107,6 @@ def series_coefficient(part: int, n: int) -> Fraction:
     and 2g, divided by 1, 2 or 4 at the end.
     """
     _validate_part_range(part, n)
-    f = _known_binomials(n)
-    g2 = _known_twice_half(n)
+    f, _, g2 = _prefixes(n)
     a, b = ((f, f), (g2, f), (g2, g2))[part - 1]
     return Fraction(sum(map(mul, a, b[n::-1])), 1 << (part - 1))

@@ -96,7 +96,7 @@ def reflection_closure(cartan: CartanMatrix) -> RootSystem:
             raise NotFiniteTypeError("highest root is not unique")
         theta = peaks[0]
     heights = tuple(Counter(map(sum, positive)).values())
-    return RootSystem(cartan=cartan, roots=roots, positive=positive, heights=heights, theta=theta)
+    return RootSystem(cartan=cartan, roots=roots, heights=heights, theta=theta)
 
 
 def extend_by_gram(label: TypeLabel, rootsystem: RootSystem) -> MarkedDiagram:

@@ -101,6 +101,8 @@ def test_records_are_immutable_values(name):
     for field in first._fields:
         with pytest.raises(AttributeError):
             setattr(first, field, getattr(second, field))
+    with pytest.raises(AttributeError):
+        first.note = 1
     assert first == second
     assert copy.deepcopy(first) == first and pickle.loads(pickle.dumps(first)) == first
 

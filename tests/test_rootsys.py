@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import re
@@ -191,12 +192,28 @@ RANK_100_DIGESTS = {
 }
 
 
+def _assert_one_blob(rs):
+    """`rs` keeps its roots once: the positive roots are the upper half of
+    `roots`, and the lower half is their negatives in reverse order."""
+    assert [field.name for field in dataclasses.fields(rs)] == ["cartan", "roots", "heights", "theta"]
+    half = len(rs.roots) // 2
+    assert rs.positive == rs.roots[half:]
+    assert len(rs.positive) == half == sum(rs.heights)
+    assert all(sum(r) > 0 for r in rs.positive)
+    assert tuple(rs.roots[:half]) == tuple(tuple(-x for x in r) for r in reversed(rs.positive))
+    assert rs.theta == rs.positive[-1]
+
+
 @pytest.mark.parametrize("name", sorted(RANK_100_DIGESTS))
 def test_closure_at_rank_100_matches_the_oracle_digest(name):
     rs = system_of_type(parse_label(name))
     assert hashlib.sha256(repr(tuple(rs.roots)).encode()).hexdigest() == RANK_100_DIGESTS[name]
-    assert rs.positive == rs.roots[len(rs.roots) // 2 :]
-    assert rs.theta == rs.positive[-1]
+    _assert_one_blob(rs)
+
+
+@pytest.mark.parametrize("name", [*sorted(ROOT_COUNTS), "A49", "B35", "C35", "D40"])
+def test_positive_roots_are_the_upper_half_of_the_roots(name):
+    _assert_one_blob(system_of_type(parse_label(name)))
 
 
 def test_every_type_within_the_closure_ceiling_fits_the_byte_keys():
@@ -263,7 +280,7 @@ def test_seeded_closure_builds_no_plain_closure(empty_memo, monkeypatch):
     b11, b12 = parse_label("B11"), parse_label("B12")
     system_of_type(b11)
     calls = _plain_generations(monkeypatch)
-    system_of_type(b12)
+    _assert_one_blob(system_of_type(b12))
     assert cartan_of_type(b12) not in calls
 
 
@@ -416,8 +433,8 @@ def test_heights_count_the_positive_roots_by_height(name):
 
 
 def test_closure_of_b100_keeps_its_roots_packed():
-    # 20,000 roots of 100 coordinates: 3 MB as bytes for the roots and the
-    # positive half, where coordinate tuples kept 16.4 MB.
+    # 20,000 roots of 100 coordinates: 2 MB as one blob of bytes, where
+    # coordinate tuples kept 16.4 MB.
     cartan = cartan_of_type(parse_label("B100"))
     tracemalloc.start()
     try:
@@ -426,7 +443,7 @@ def test_closure_of_b100_keeps_its_roots_packed():
     finally:
         tracemalloc.stop()
     assert len(rs.roots) == 20_000
-    assert retained <= 4_000_000
+    assert retained <= 2_500_000
 
 
 def test_reflection_matrix_rank_two_example():

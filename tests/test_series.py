@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from rootvol import series
 from rootvol.cli import MAX_SERIES_ORDER
-from rootvol.series import central_binomials, check_binomial_identity, series_coefficient
+from rootvol.series import check_binomial_identity, series_coefficient
 
 
 def twice_half_ratio(f: Sequence[int]) -> list[int]:
@@ -26,9 +26,15 @@ def twice_half_ratio(f: Sequence[int]) -> list[int]:
     return [*f[:1], *(f[h] - 2 * f[h - 1] for h in range(1, len(f)))]
 
 
+def central_binomials(n: int) -> list[int]:
+    """C(2h, h) for h = 0..n, a fresh copy of the library's shared prefix,
+    so callers may change it."""
+    return series._prefixes(n)[0][: n + 1]
+
+
 def library_twice_half(n: int) -> list[int]:
     """The library's 2g_0..2g_n."""
-    return series._known_twice_half(n)[: n + 1]
+    return series._prefixes(n)[2][: n + 1]
 
 
 def padded(values: Sequence[int], order: int) -> tuple[int, ...]:
@@ -123,8 +129,8 @@ def test_central_binomial_series_matches_combinatorial_oracle():
     ids=["ascending", "largest-first"],
 )
 def test_central_binomials_from_the_shared_prefix(monkeypatch, orders):
-    # Start from an empty prefix, whatever other tests have asked for.
-    monkeypatch.setattr(series, "_CENTRAL_BINOMIALS", [1])
+    # Start from empty prefixes, whatever other tests have asked for.
+    empty_prefixes(monkeypatch)
     for n in orders:
         assert central_binomials(n) == [math.comb(2 * h, h) for h in range(n + 1)]
 
@@ -142,7 +148,7 @@ def test_central_binomials_from_threads_that_extend_the_prefix(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            monkeypatch.setattr(series, "_CENTRAL_BINOMIALS", [1])
+            empty_prefixes(monkeypatch)
             threads = [threading.Thread(target=ask, args=(i % 3,)) for i in range(6)]
             for t in threads:
                 t.start()
@@ -156,8 +162,10 @@ def test_central_binomials_from_threads_that_extend_the_prefix(monkeypatch):
 
 def test_central_binomials_returns_a_copy_of_the_prefix():
     f = central_binomials(10)
+    held = tuple(map(list, series._PREFIXES))
     f[3] = 0
     f.append(-1)
+    assert tuple(map(list, series._PREFIXES)) == held
     assert central_binomials(10) == [math.comb(2 * h, h) for h in range(11)]
     assert central_binomials(11)[11] == math.comb(22, 11)
 
@@ -241,9 +249,7 @@ def wrong_values(orders) -> list[tuple[int, int]]:
 
 def empty_prefixes(monkeypatch) -> None:
     """Start every shared prefix afresh, whatever other tests have asked for."""
-    monkeypatch.setattr(series, "_CENTRAL_BINOMIALS", [1])
-    monkeypatch.setattr(series, "_WEIGHTS", [0])
-    monkeypatch.setattr(series, "_TWICE_HALF", [1])
+    monkeypatch.setattr(series, "_PREFIXES", ([1], [0], [1]))
 
 
 @pytest.mark.parametrize(
@@ -255,7 +261,7 @@ def test_both_routes_from_the_shared_prefixes_match_the_oracles(monkeypatch, ord
     oracle_values()
     empty_prefixes(monkeypatch)
     assert wrong_values(orders) == []
-    assert len(series._WEIGHTS) == len(series._TWICE_HALF) == MAX_SERIES_ORDER + 1
+    assert list(map(len, series._PREFIXES)) == [MAX_SERIES_ORDER + 1] * 3
 
 
 def test_both_routes_from_threads_that_extend_the_prefixes(monkeypatch):
@@ -285,13 +291,15 @@ def test_the_shared_prefixes_are_replaced_not_changed(monkeypatch):
     empty_prefixes(monkeypatch)
     series_coefficient(3, 10)
     check_binomial_identity(3, 10)
-    weights, halves = series._WEIGHTS, series._TWICE_HALF
-    before = (list(weights), list(halves))
+    prefixes = series._PREFIXES
+    binomials, weights, halves = prefixes
+    before = (list(binomials), list(weights), list(halves))
     series_coefficient(3, 40)
     check_binomial_identity(3, 40)
-    assert series._WEIGHTS is not weights and series._TWICE_HALF is not halves
-    assert (weights, halves) == before
-    assert series._TWICE_HALF[:11] == twice_half_ratio(central_binomials(10))
+    assert series._PREFIXES is not prefixes
+    assert all(new is not old for new, old in zip(series._PREFIXES, prefixes))
+    assert (binomials, weights, halves) == before
+    assert series._PREFIXES[2][:11] == twice_half_ratio(central_binomials(10))
 
 
 @pytest.mark.parametrize("part,low", [(1, 0), (2, 2), (3, 2)])
