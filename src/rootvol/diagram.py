@@ -24,7 +24,6 @@ from functools import lru_cache
 from itertools import chain, compress, repeat
 from typing import Iterable, Sequence
 
-from .exact import exact_quotient
 
 __all__ = [
     "CartanMatrix",
@@ -418,18 +417,20 @@ def extend(label: TypeLabel) -> MarkedDiagram:
     theta is the one dominant root among the long roots, which form one Weyl
     group orbit (Humphreys, Introduction to Lie Algebras and Representation
     Theory, 10.4 and 13.2).  So it is found by dominance ascent: start at a
-    long simple root b, and while some pairing p_j = <b, a_j^vee> is
-    negative, reflect b to b - p_j a_j, which raises its height.  A step
-    changes only the pairings of node j and its neighbours.
+    long simple root b, the long end of the multiple bond (the node whose row
+    holds the -2 or -3) or node 1 if the diagram is simply laced, and while
+    some pairing p_j = <b, a_j^vee> is negative, reflect b to b - p_j a_j,
+    which raises its height.  A step changes only the pairings of node j and
+    its neighbours.
 
     The final pairings p_j = <theta, a_j^vee> give row 0 = (2, -p_1, ...,
-    -p_n).  With d_j = (a_j, a_j) / 2 from the symmetrizer, column 0 holds
-    2 (a_j, -theta) / (theta, theta) = -2 d_j p_j / sum_k theta_k d_k p_k,
-    an exact quotient for a finite type."""
+    -p_n).  Column 0 holds 2 (a_j, -theta) / (theta, theta) = -<a_j,
+    theta^vee>.  As theta is long and dominant, <a_j, theta^vee> is 1 where
+    p_j > 0 and 0 elsewhere, except at A1, where a_1 = theta and it is 2
+    (Humphreys, 9.4 and 10.4)."""
     base = cartan_of_type(label)
     a = base.entries
-    d = base.symmetrizer()
-    start = d.index(max(d))
+    start = next((i for i, row in enumerate(a) if min(row) < -1), 0)
     theta = [0] * base.size
     theta[start] = 1
     pair = list(a[start])
@@ -445,10 +446,9 @@ def extend(label: TypeLabel) -> MarkedDiagram:
             pair[k] -= p * a[j][k]
             if pair[k] < 0:
                 stack.append(k)
-    theta_norm = sum(t * dk * p for t, dk, p in zip(theta, d, pair))
     entries = [(2, *(-p for p in pair))]
-    for row, dj, p in zip(a, d, pair):
-        entries.append((exact_quotient(-2 * dj * p, theta_norm), *row))
+    coroot = 2 if base.size == 1 else 1
+    entries += [(-coroot if p else 0, *row) for row, p in zip(a, pair)]
     marks = tuple(-t for t in theta)
     # Column 0 is nonzero where row 0 is: node 0 joins the nodes j with p_j != 0.
     edges = [tuple(j for j, p in enumerate(pair, 1) if p)]

@@ -1,17 +1,9 @@
-"""Exact rational helpers on integers."""
+"""A sum of integer ratios as one exact Fraction."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable
-
-
-def exact_quotient(numerator: int, denominator: int) -> int:
-    """numerator / denominator, which must be an integer; raise if it is not."""
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ValueError(f"expected an integer, got {Fraction(numerator, denominator)}")
-    return quotient
 
 
 def fraction_sum(pairs: Iterable[tuple[int, int]], divisor: int) -> Fraction:

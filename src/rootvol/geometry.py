@@ -220,6 +220,8 @@ def montecarlo_nu(
         raise ValueError(f"n_samples must be at most {MAX_SAMPLES}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     embedding = embedding_for(decomposition)
     base, extra = divmod(n_samples, workers)
     counts = [base + (1 if w < extra else 0) for w in range(workers)]
@@ -245,7 +247,6 @@ class PartitionReport:
     label: TypeLabel
     samples: int
     seed: int
-    tol: float
     counts: tuple[int, ...]
     expected: tuple[Fraction, ...]
     boundary_count: int
@@ -332,6 +333,8 @@ def partition_check(
         raise ValueError("n_samples must be positive")
     if n_samples > MAX_SAMPLES:
         raise ValueError(f"n_samples must be at most {MAX_SAMPLES}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if isinstance(label, str):
         label = parse_label(label)
     if label.rank > PARTITION_RANK_CEILING:
@@ -390,7 +393,6 @@ def partition_check(
         label=label,
         samples=n_samples,
         seed=seed,
-        tol=tol,
         counts=tuple(int(c) for c in counts),
         expected=tuple(term.nu_value for term in terms),
         boundary_count=boundary_count,

@@ -95,7 +95,7 @@ class RootSystem:
     @property
     def positive(self) -> Roots:
         """The positive roots: the upper half of `roots`."""
-        return self.roots[len(self.roots) // 2 :]
+        return Roots(self.rank, self.roots.data[len(self.roots.data) // 2 :])
 
 
 def generate_roots(cartan: CartanMatrix) -> RootSystem:

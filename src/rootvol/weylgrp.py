@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .diagram import DecompositionLabel, TypeLabel, classify, parse_label
-from .exact import exact_quotient, fraction_sum
+from .exact import fraction_sum
 from .invariants import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -149,14 +149,14 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupTable:
         dtype=np.uint8,
     )
     weights = np.array([1 << width * k for k in range(rank)], dtype=np.int64)
-    # s_theta(a_i) = a_i - <a_i, theta^v> theta, where <a_i, theta^v> is
-    # 2 (a_i, theta) / (theta, theta).
+    # s_theta(a_i) = a_i - <a_i, theta^v> theta, where <a_i, theta^v> is 1
+    # if <theta, a_i^v> = sum_j theta_j a_ji > 0, 0 if not, and 2 at A1, as
+    # theta is long and dominant (see `diagram.extend`).
     theta = rs.theta
-    dots = [_dot(row, theta) for row in rs.cartan.gram()]
-    norm = _dot(theta, dots)
+    coroot = 2 if rank == 1 else 1
     theta_ids = []
-    for i, dot in enumerate(dots):
-        coeff = exact_quotient(2 * dot, norm)
+    for i, column in enumerate(zip(*rs.cartan.entries)):
+        coeff = coroot if _dot(theta, column) else 0
         theta_ids.append(position[tuple(int(i == j) - coeff * t for j, t in enumerate(theta))])
 
     # Each row of these arrays is written once: that of root_ids, parent and

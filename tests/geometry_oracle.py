@@ -125,7 +125,6 @@ def partition_check(
         label=label,
         samples=n_samples,
         seed=seed,
-        tol=tol,
         counts=tuple(int(c) for c in counts),
         expected=tuple(term.nu_value for term in terms),
         boundary_count=int(np.count_nonzero(boundary)),

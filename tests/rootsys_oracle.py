@@ -30,7 +30,7 @@ by regenerating from the deleted Cartan matrix.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -55,7 +55,12 @@ def as_int(value: Fraction) -> int:
     return value.numerator
 
 
-def reflection_closure(cartan: CartanMatrix) -> RootSystem:
+# The tuple oracle's closure: all roots, the positive ones, the height
+# counts and the highest root, as `RootSystem` reads them.
+Closure = namedtuple("Closure", "roots positive heights theta")
+
+
+def reflection_closure(cartan: CartanMatrix) -> Closure:
     n = cartan.size
     a = cartan.entries
     bound = closure_bound(cartan)
@@ -96,7 +101,7 @@ def reflection_closure(cartan: CartanMatrix) -> RootSystem:
             raise NotFiniteTypeError("highest root is not unique")
         theta = peaks[0]
     heights = tuple(Counter(map(sum, positive)).values())
-    return RootSystem(cartan=cartan, roots=roots, heights=heights, theta=theta)
+    return Closure(roots, positive, heights, theta)
 
 
 def extend_by_gram(label: TypeLabel, rootsystem: RootSystem) -> MarkedDiagram:

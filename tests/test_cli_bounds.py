@@ -85,6 +85,21 @@ def test_samples_past_the_cap_is_a_usage_error(monkeypatch, capsys, command):
     assert captured.err == f"error: n_samples must be at most {geometry.MAX_SAMPLES}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,seed",
+    [
+        (["volume", "--type", "A2", "--samples", "2000", "--seed", "-1"], -1),
+        (["partition", "--type", "A2", "--samples", "100", "--seed", "-3"], -3),
+    ],
+    ids=["volume", "partition"],
+)
+def test_negative_seed_is_a_usage_error(capsys, argv, seed):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: seed must be non-negative, got {seed}\n"
+
+
 class _GeneratorBuilt(Exception):
     pass
 

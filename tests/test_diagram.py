@@ -404,6 +404,36 @@ def test_extend_matches_the_gram_oracle(name):
     assert got.marks == want.marks
 
 
+def test_extend_reads_only_cartan_integers(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the symmetrizer or the Gram matrix was computed")
+
+    want = [extend(parse_label(name)) for name in DELETION_LABELS]
+    monkeypatch.setattr(CartanMatrix, "symmetrizer", refuse)
+    monkeypatch.setattr(CartanMatrix, "gram", refuse)
+    assert [extend(parse_label(name)) for name in DELETION_LABELS] == want
+
+
+# Column 0 against 2 (a_j, -theta) / (theta, theta) from the Gram matrix, up
+# to the identity's rank ceiling, without a root closure.
+GRAM_COLUMN_LABELS = ["E6", "E7", "E8", "F4", "G2"] + [
+    f"{family}{n}"
+    for family, least in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+    for n in [*range(least, 31), 50, 100, 200, 300]
+]
+
+
+@pytest.mark.parametrize("name", GRAM_COLUMN_LABELS)
+def test_extend_column_0_matches_the_gram_pairings(name):
+    label = parse_label(name)
+    marked = extend(label)
+    gram = cartan_of_type(label).gram()
+    theta = [-m for m in marked.marks]
+    dots = [sum(g * t for g, t in zip(row, theta)) for row in gram]
+    norm = sum(d * t for d, t in zip(dots, theta))
+    assert [row[0] for row in marked.cartan.entries[1:]] == [Fraction(-2 * d, norm) for d in dots]
+
+
 @pytest.mark.parametrize("name", ["A49", "B35", "C35", "D40", "B100"])
 def test_classify_deletion_at_large_rank_matches_the_reference_classifier(name):
     marked = extended_diagram(parse_label(name))

@@ -1,4 +1,4 @@
-"""Exact integer quotients and sums of integer ratios."""
+"""Sums of integer ratios as one exact Fraction."""
 
 from __future__ import annotations
 
@@ -8,21 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootvol.exact import exact_quotient, fraction_sum
-
-
-@pytest.mark.parametrize(
-    "numerator, denominator, quotient",
-    [(12, 4, 3), (-12, 4, -3), (12, -4, -3), (-12, -4, 3), (0, 7, 0)],
-)
-def test_exact_quotient_divides_exactly(numerator, denominator, quotient):
-    assert exact_quotient(numerator, denominator) == quotient
-
-
-@pytest.mark.parametrize("numerator, text", [(7, "7/2"), (-7, "-7/2")])
-def test_exact_quotient_refuses_a_remainder(numerator, text):
-    with pytest.raises(ValueError, match=f"^expected an integer, got {text}$"):
-        exact_quotient(numerator, 2)
+from rootvol.exact import fraction_sum
 
 
 pairs = st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-50, 50).filter(bool)), max_size=12)

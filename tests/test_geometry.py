@@ -346,6 +346,17 @@ def test_partition_requires_a_sample():
             partition_check("A2", n, 0)
 
 
+@pytest.mark.parametrize("fn", [montecarlo_nu, partition_check], ids=["montecarlo", "partition"])
+def test_negative_seed_is_refused_before_any_draw(monkeypatch, fn):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a generator or a thread was started before the seed was checked")
+
+    monkeypatch.setattr(geometry.np.random, "default_rng", no_draws)
+    monkeypatch.setattr(geometry, "ThreadPoolExecutor", no_draws)
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        fn("A2", 2_000, -1)
+
+
 def test_partition_counts_track_cone_fractions():
     report = partition_check("G2", 20_000, 2)
     for count, exact in zip(report.counts, report.expected):

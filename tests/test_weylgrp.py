@@ -19,7 +19,7 @@ from coset_oracle import left_cosets, perm_character
 from det_oracle import delta_value, det, det_int, det_one_minus, one_minus
 from rootvol import weylgrp
 from rootvol.cli import MAX_CAP
-from rootvol.diagram import parse_label
+from rootvol.diagram import CartanMatrix, parse_label
 from rootvol.identity import node_terms
 from rootvol.invariants import degrees_of, degrees_of_type, weyl_order
 from rootvol.rootsys import Roots, system_of_type
@@ -503,6 +503,21 @@ def test_layered_enumeration_matches_breadth_first_oracle(name):
     assert tuple(column[0] for column in table.right) == (oracle.s_theta, *oracle.simple)
     assert table.right == oracle.right
     assert table.inverse == oracle.inverse
+
+
+def test_enumeration_reads_only_cartan_integers(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the symmetrizer or the Gram matrix was computed")
+
+    systems = [system_of_type(parse_label(name)) for name in BATTERY]
+    want = [enumerate_group(rs) for rs in systems]
+    monkeypatch.setattr(CartanMatrix, "symmetrizer", refuse)
+    monkeypatch.setattr(CartanMatrix, "gram", refuse)
+    for rs, table in zip(systems, want):
+        got = enumerate_group(rs)
+        assert got.decomposition == table.decomposition
+        assert np.array_equal(got.root_ids, table.root_ids)
+        assert (got.roots, got.right, got.inverse) == (table.roots, table.right, table.inverse)
 
 
 def test_enumeration_cap_is_checked_before_any_product(monkeypatch):
