@@ -1,18 +1,21 @@
 """The full verification battery, shared by `report-all` and the test gate.
 
-Each criterion function runs one self-contained check battery and returns a
-CriterionResult with pass/fail, timing against the budget where one applies,
-and enough detail to diagnose a failure without rerunning.
+Each criterion body runs one self-contained check battery and returns its
+failures with enough detail to diagnose them without rerunning; `_criterion`
+turns it into a function that returns a CriterionResult with pass/fail and
+timing against the budget where one applies, and lists it in ALL_CRITERIA.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from time import perf_counter
+from typing import Callable
 
 from .diagram import parse_label
 from .geometry import montecarlo_nu, partition_check, planar_cone_fraction
@@ -115,35 +118,56 @@ class CriterionResult:
         return entry
 
 
-def _finish(
-    number: int,
-    name: str,
-    ok: bool,
-    started: float,
-    budget: float | None,
-    details: dict,
-) -> CriterionResult:
-    elapsed = time.perf_counter() - started
-    if budget is not None:
-        ok = ok and elapsed < budget
-    return CriterionResult(number, name, ok, elapsed, budget, details)
+ALL_CRITERIA: list[Callable[[], CriterionResult]] = []
 
 
-def criterion_1() -> CriterionResult:
+def _criterion(number: int, name: str, budget: float | None = None):
+    """Register a criterion body as criterion `number`, in definition order.
+
+    The body returns (failures, details).  The criterion times it and
+    passes when it found no failures, within its budget where it has one;
+    `failures` is the last key of its details."""
+
+    def register(body: Callable[[], tuple[list, dict]]) -> Callable[[], CriterionResult]:
+        @functools.wraps(body)
+        def criterion() -> CriterionResult:
+            started = perf_counter()
+            failures, details = body()
+            elapsed = perf_counter() - started
+            passed = not failures and (budget is None or elapsed < budget)
+            return CriterionResult(number, name, passed, elapsed, budget, {**details, "failures": failures})
+
+        ALL_CRITERIA.append(criterion)
+        return criterion
+
+    return register
+
+
+def _per_type(types: tuple[str, ...], *verifiers) -> tuple[list, dict]:
+    """Each verifier on each type; the failing reports as dicts."""
+    failures = [
+        report.as_dict()
+        for name in types
+        for verify in verifiers
+        if not (report := verify(name)).passed
+    ]
+    return failures, {"types_checked": len(types)}
+
+
+@_criterion(1, "node deletion identity", budget=5.0)
+def criterion_1():
     """Node-deletion cone fractions sum to exactly 1 for the full type list."""
-    started = time.perf_counter()
-    failures = []
-    for name in IDENTITY_TYPES:
-        report = verify_identity(name)
-        if not report.passed:
-            failures.append({"type": name, "total": str(report.total)})
-    details = {"types_checked": len(IDENTITY_TYPES), "failures": failures}
-    return _finish(1, "node deletion identity", not failures, started, 5.0, details)
+    failures = [
+        {"type": name, "total": str(report.total)}
+        for name in IDENTITY_TYPES
+        if not (report := verify_identity(name)).passed
+    ]
+    return failures, {"types_checked": len(IDENTITY_TYPES)}
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "printed tables")
+def criterion_2():
     """Exact cone fractions and the printed exceptional summand multisets."""
-    started = time.perf_counter()
     failures = []
 
     def expect(name: str, got, want) -> None:
@@ -176,14 +200,12 @@ def criterion_2() -> CriterionResult:
             for _, block in itertools.groupby(terms, key=lambda t: str(t.decomposition))
         ]
         expect(f"grouped {name}", Counter(groups), Counter(want_groups))
-
-    details = {"failures": failures}
-    return _finish(2, "printed tables", not failures, started, None, details)
+    return failures, {}
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "binomial identities", budget=1.0)
+def criterion_3():
     """Central binomial identities, direct sums and series coefficients."""
-    started = time.perf_counter()
     failures = []
     target = {1: lambda n: Fraction(4**n), 2: lambda n: Fraction(4 ** (n - 1)), 3: lambda n: Fraction(4 ** (n - 2))}
     for part in (1, 2, 3):
@@ -194,13 +216,12 @@ def criterion_3() -> CriterionResult:
                 failures.append({"route": "direct", "part": part, "n": n})
             if series_coefficient(part, n) != target[part](n):
                 failures.append({"route": "series", "part": part, "n": n})
-    details = {"failures": failures}
-    return _finish(3, "binomial identities", not failures, started, 1.0, details)
+    return failures, {}
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "degree oracle agreement")
+def criterion_4():
     """Catalogue degrees against the positive-root height distribution."""
-    started = time.perf_counter()
     failures = []
     for name in IDENTITY_TYPES:
         label = parse_label(name)
@@ -208,50 +229,30 @@ def criterion_4() -> CriterionResult:
         catalogue = tuple(sorted(degrees_of_type(label)))
         if from_heights != catalogue:
             failures.append({"type": name, "catalogue": catalogue, "heights": from_heights})
-    details = {"types_checked": len(IDENTITY_TYPES), "failures": failures}
-    return _finish(4, "degree oracle agreement", not failures, started, None, details)
+    return failures, {"types_checked": len(IDENTITY_TYPES)}
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "solomon factorization", budget=60.0)
+def criterion_5():
     """Graded pairing factorization at rational sample points."""
-    started = time.perf_counter()
-    failures = []
-    for name in SOLOMON_TYPES:
-        report = verify_solomon(name)
-        if not report.passed:
-            failures.append(report.as_dict())
-    details = {"types_checked": len(SOLOMON_TYPES), "failures": failures}
-    return _finish(5, "solomon factorization", not failures, started, 60.0, details)
+    return _per_type(SOLOMON_TYPES, verify_solomon)
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "coset character identities", budget=120.0)
+def criterion_6():
     """Alternating coset-character identities for every group element."""
-    started = time.perf_counter()
-    failures = []
-    for name in SUBSET_IDENTITY_TYPES:
-        for verify in (verify_steinberg, verify_companion):
-            report = verify(name)
-            if not report.passed:
-                failures.append(report.as_dict())
-    details = {"types_checked": len(SUBSET_IDENTITY_TYPES), "failures": failures}
-    return _finish(6, "coset character identities", not failures, started, 120.0, details)
+    return _per_type(SUBSET_IDENTITY_TYPES, verify_steinberg, verify_companion)
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "restricted expansion")
+def criterion_7():
     """Restricted expansion of the graded pairing over deleted-node degrees."""
-    started = time.perf_counter()
-    failures = []
-    for name in SUBSET_IDENTITY_TYPES:
-        report = verify_restricted_expansion(name)
-        if not report.passed:
-            failures.append(report.as_dict())
-    details = {"types_checked": len(SUBSET_IDENTITY_TYPES), "failures": failures}
-    return _finish(7, "restricted expansion", not failures, started, None, details)
+    return _per_type(SUBSET_IDENTITY_TYPES, verify_restricted_expansion)
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "monte carlo volumes", budget=60.0)
+def criterion_8():
     """Monte Carlo cone volumes within 4 sigma, plus exact planar angles."""
-    started = time.perf_counter()
     failures = []
     runs = []
     for name in MONTECARLO_TYPES:
@@ -268,48 +269,25 @@ def criterion_8() -> CriterionResult:
     for name in ("A1xA1", "A2", "B2", "G2", "C2"):
         if planar_cone_fraction(name) != nu_of(name):
             failures.append({"type": name, "check": "planar angle"})
-    details = {
+    return failures, {
         "types_checked": len(MONTECARLO_TYPES),
         "seeds": list(MONTECARLO_SEEDS),
         "samples": MONTECARLO_SAMPLES,
         "workers": MONTECARLO_WORKERS,
         "runs": runs,
-        "failures": failures,
     }
-    return _finish(8, "monte carlo volumes", not failures, started, 60.0, details)
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "cone partition")
+def criterion_9():
     """Cone partition scan: unique membership, agreement, frequencies."""
-    started = time.perf_counter()
-    failures = []
-    reports = []
-    for name in PARTITION_TYPES:
-        report = partition_check(name, PARTITION_SAMPLES, PARTITION_SEED)
-        reports.append(report.as_dict())
-        if not report.passed:
-            failures.append(report.as_dict())
-    details = {
+    reports = [partition_check(name, PARTITION_SAMPLES, PARTITION_SEED) for name in PARTITION_TYPES]
+    return [r.as_dict() for r in reports if not r.passed], {
         "types_checked": len(PARTITION_TYPES),
         "samples": PARTITION_SAMPLES,
         "seed": PARTITION_SEED,
-        "reports": reports,
-        "failures": failures,
+        "reports": [r.as_dict() for r in reports],
     }
-    return _finish(9, "cone partition", not failures, started, None, details)
-
-
-ALL_CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-)
 
 
 def run_all() -> list[CriterionResult]:

@@ -25,24 +25,6 @@ from itertools import chain, compress, repeat
 from typing import Iterable, Sequence
 
 
-__all__ = [
-    "CartanMatrix",
-    "DecompositionLabel",
-    "InadmissibleLabelError",
-    "MarkedDiagram",
-    "NotFiniteTypeError",
-    "TypeLabel",
-    "cartan_of_decomposition",
-    "cartan_of_type",
-    "classify",
-    "classify_deletion",
-    "classify_deletions",
-    "extend",
-    "parse_decomposition",
-    "parse_label",
-]
-
-
 class InadmissibleLabelError(ValueError):
     """Family/rank pair outside the finite catalogue."""
 
@@ -116,7 +98,10 @@ def parse_decomposition(text: str) -> DecompositionLabel:
     body = text.strip()
     if body in ("-", ""):
         return DecompositionLabel(())
-    return DecompositionLabel(tuple(parse_label(p) for p in body.split("x")))
+    parts = body.split("x")
+    if not all(p.strip() for p in parts):
+        raise InadmissibleLabelError(f"cannot parse product label {text!r}: empty factor")
+    return DecompositionLabel(tuple(parse_label(p) for p in parts))
 
 
 def as_decomposition(spec: str | TypeLabel | DecompositionLabel) -> DecompositionLabel:

@@ -20,8 +20,7 @@ from .diagram import (
     extend,
     parse_label,
 )
-from .exact import fraction_sum
-from .invariants import degrees_of_type, weyl_order
+from .invariants import degrees_of_type, fraction_sum, weyl_order
 
 
 class NodeTerm(NamedTuple):

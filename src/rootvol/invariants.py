@@ -1,10 +1,11 @@
-"""Invariant degrees, exponents, Weyl group orders, and the degree ratio."""
+"""Invariant degrees, exponents, Weyl group orders, the degree ratio, and
+exact sums of integer ratios."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .diagram import DecompositionLabel, TypeLabel, as_decomposition
 
@@ -82,6 +83,17 @@ def degree_product(degrees: Sequence[int], q: Fraction, t: Fraction) -> Fraction
 def weyl_order(degrees: Sequence[int]) -> int:
     """Product of the degrees."""
     return math.prod(degrees)
+
+
+def fraction_sum(pairs: Iterable[tuple[int, int]], divisor: int) -> Fraction:
+    """The sum of n/d over the integer pairs (n, d), divided by `divisor`, as
+    one Fraction: the sum is kept as an unreduced numerator and denominator
+    until then."""
+    numerator, denominator = 0, 1
+    for n, d in pairs:
+        numerator = numerator * d + n * denominator
+        denominator *= d
+    return Fraction(numerator, denominator * divisor)
 
 
 def nu_of(spec: DecompositionLabel | TypeLabel | str) -> Fraction:

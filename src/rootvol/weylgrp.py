@@ -30,13 +30,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .diagram import DecompositionLabel, TypeLabel, classify, parse_label
-from .exact import fraction_sum
 from .invariants import (
     DEFAULT_CAP,
     EnumerationCapError,
     degree_product,
     degrees_of,
     degrees_of_type,
+    fraction_sum,
     weyl_order,
 )
 from .identity import node_terms

@@ -134,6 +134,14 @@ def test_usage_error_unknown_type(capsys):
     assert "Q9" in err
 
 
+@pytest.mark.parametrize("label", ["x", "A1x", "A1xxA2"])
+def test_usage_error_empty_product_factor(capsys, label):
+    code, out, err = run(capsys, "nu", "--type", label)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot parse product label {label!r}: empty factor\n"
+
+
 def test_usage_error_bad_sweep(capsys):
     code, _, err = run(capsys, "nu", "--type", "B4..A6")
     assert code == 2

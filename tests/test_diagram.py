@@ -62,6 +62,13 @@ def test_decomposition_sorts_factors():
         assert DecompositionLabel(factors).factors == (a1, c3)
 
 
+@pytest.mark.parametrize("bad", ["x", "A1x", "xA1", "A1xxA2", "A1x xC3"])
+def test_empty_product_factor_names_the_whole_label(bad):
+    with pytest.raises(InadmissibleLabelError) as refused:
+        parse_decomposition(bad)
+    assert str(refused.value) == f"cannot parse product label {bad!r}: empty factor"
+
+
 def test_trivial_decomposition():
     d = parse_decomposition("-")
     assert d.factors == ()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootvol.exact import fraction_sum
+from rootvol.invariants import fraction_sum
 
 
 pairs = st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-50, 50).filter(bool)), max_size=12)

@@ -63,7 +63,7 @@ assert "json" in sys.modules
 
 
 # The records on these paths are tuples, so no dataclass code is generated,
-# and the seven modules below are all of rootvol that the CLI loads.
+# and the six modules below are all of rootvol that the CLI loads.
 _NO_DATACLASSES = """
 import contextlib, io, sys
 import rootvol.cli
@@ -72,7 +72,7 @@ def check(when):
     assert "dataclasses" not in sys.modules, when
     assert "inspect" not in sys.modules, when
     loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "rootvol")
-    want = ["rootvol", *(f"rootvol.{m}" for m in ("cli", "diagram", "exact", "identity", "invariants", "series"))]
+    want = ["rootvol", *(f"rootvol.{m}" for m in ("cli", "diagram", "identity", "invariants", "series"))]
     assert loaded == want, (when, loaded)
 
 check("import rootvol.cli")
